@@ -377,6 +377,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             **common,
         )
     if args.command == "tower":
+        if args.candidates < 1:
+            raise ValueError("--candidates must be >= 1")
         return RunConfig(
             command="tower",
             moduli=_parse_ints(args.moduli),

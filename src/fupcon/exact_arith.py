@@ -100,6 +100,17 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
+def bezout(values: Sequence[int]) -> tuple[int, ...]:
+    """Integer coefficients c with sum(c_i * values_i) = gcd(values) >= 0."""
+    g, coeffs = 0, []
+    for v in values:
+        g, x, y = _extended_gcd(g, int(v))
+        coeffs = [c * x for c in coeffs] + [y]
+    if g < 0:
+        coeffs = [-c for c in coeffs]
+    return tuple(coeffs)
+
+
 def crt_solve(residues: Sequence[int], moduli: Sequence[int]) -> int:
     """Least non-negative x with x = residues[i] (mod moduli[i]) for all i.
 

@@ -51,9 +51,11 @@ class NotFoundWithin(ValueError):
 
 
 class SizeGuardExceeded(RuntimeError):
-    """The requested computation exceeds the configured size bound."""
+    """The requested computation exceeds the configured size bound.  needed
+    is the size, or a power expression for it when it is too large to
+    compute."""
 
-    def __init__(self, needed: int, guard: int):
+    def __init__(self, needed: int | str, guard: int):
         super().__init__(f"size {needed} exceeds guard {guard}")
         self.needed = needed
         self.guard = guard

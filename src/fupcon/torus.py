@@ -15,16 +15,25 @@ having integer pivot coordinate.  A segment then becomes an arc, an interval
 in the unit-speed parameterization of that circle, and overlapping/touching
 arcs on the same circle are merged into maximal ones.  Isolated points (from
 degenerate inputs such as constant loops) are carried separately.
+
+Point location is closed-form.  A primitive direction w has a Bezout vector
+c with c.w = 1, and its closed geodesic is simple, so a point x lies on the
+geodesic through an anchor a exactly when x = a + u*w on the torus for the
+one parameter u = frac(c.(x - a)).  Each segment set indexes its arcs by
+direction and by the transverse key frac(y - (c.y)*w), which is the same for
+two points exactly when they lie on one geodesic of direction w; a
+membership query costs one key per distinct direction plus an interval test.
 """
 
 import csv
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_arith import Moduli, format_rational, frac_mod1, parse_rational
+from .exact_arith import Moduli, bezout, format_rational, frac_mod1, parse_rational
 
 Vec = tuple[Fraction, ...]
 
@@ -262,18 +271,19 @@ def _interval_covered(query, pieces, full: bool) -> bool:
     return reach >= ql
 
 
-def _arc_point_params(arc: Arc, x: Vec) -> list[Fraction]:
-    """Circle parameters u in [0,1) with anchor + u*direction = x on the torus."""
-    w = arc.direction
-    idx = next(i for i, c in enumerate(w) if c != 0)
-    v_star = w[idx]
-    first = frac_mod1(x[idx] - arc.anchor[idx])
-    out = []
-    for j in range(v_star):
-        u = (first + j) / v_star
-        if all(frac_mod1(arc.anchor[i] + u * w[i]) == x[i] for i in range(len(w))):
-            out.append(u)
-    return out
+def _arc_point_params(arc: Arc, x: Vec) -> Fraction | None:
+    """The circle parameter u in [0,1) with anchor + u*direction = x on the
+    torus, or None when x is off the arc's geodesic.  With c a Bezout vector
+    of the primitive direction w, x = anchor + u*w + k (k integral) gives
+    c.(x - anchor) = u + c.k; the geodesic is simple, so u is the only
+    candidate."""
+    w, anchor = arc.direction, arc.anchor
+    c = bezout(w)
+    u = frac_mod1(sum(ci * (xi - ai) for ci, xi, ai in zip(c, x, anchor)))
+    for ai, wi, xi in zip(anchor, w, x):
+        if (ai + u * wi - xi).denominator != 1:
+            return None
+    return u
 
 
 def _arc_contains_u(arc: Arc, u: Fraction) -> bool:
@@ -281,6 +291,18 @@ def _arc_contains_u(arc: Arc, u: Fraction) -> bool:
         return True
     lo, hi = arc.start, arc.start + arc.length
     return lo <= u <= hi or lo <= u + 1 <= hi
+
+
+def _arc_holds(arc: Arc, x: Vec) -> bool:
+    u = _arc_point_params(arc, x)
+    return u is not None and _arc_contains_u(arc, u)
+
+
+def _transverse(x: Vec, w: tuple[int, ...], c: tuple[int, ...]) -> tuple[Fraction, Vec]:
+    """(c.x, frac(x - (c.x)*w)); the second is constant along each closed
+    geodesic of direction w and tells the parallel ones apart."""
+    t = sum(ci * xi for ci, xi in zip(c, x))
+    return t, tuple(frac_mod1(xi - t * wi) for xi, wi in zip(x, w))
 
 
 @dataclass(frozen=True)
@@ -319,11 +341,7 @@ class SegmentSet:
         pts = set()
         for p in points:
             vec = tuple(frac_mod1(c) for c in (p.coords if isinstance(p, TorusPoint) else _vec(p)))
-            if not any(
-                _arc_contains_u(arc, u)
-                for arc in arcs
-                for u in _arc_point_params(arc, vec)
-            ):
+            if not any(_arc_holds(arc, vec) for arc in arcs):
                 pts.add(vec)
         return cls(arcs=tuple(arcs), points=tuple(sorted(pts)))
 
@@ -343,13 +361,33 @@ class SegmentSet:
     def segments(self) -> tuple[TorusSegment, ...]:
         return tuple(arc.to_segment() for arc in self.arcs)
 
+    @functools.cached_property
+    def _geodesic_index(self):
+        """Per direction w: (w, c, {transverse key: (c.anchor, arcs)}), c a
+        Bezout vector of w; built on the first membership query."""
+        by_direction: dict = {}
+        for arc in self.arcs:
+            by_direction.setdefault(arc.direction, []).append(arc)
+        index = []
+        for w, arcs in by_direction.items():
+            c = bezout(w)
+            geodesics: dict = {}
+            for arc in arcs:
+                t, key = _transverse(arc.anchor, w, c)
+                geodesics.setdefault(key, (t, []))[1].append(arc)
+            index.append((w, c, geodesics))
+        return index
+
     def contains_point(self, p: TorusPoint) -> bool:
         vec = p.coords
         if vec in self.points:
             return True
-        for arc in self.arcs:
-            for u in _arc_point_params(arc, vec):
-                if _arc_contains_u(arc, u):
+        for w, c, geodesics in self._geodesic_index:
+            t, key = _transverse(vec, w, c)
+            found = geodesics.get(key)
+            if found is not None:
+                u = frac_mod1(t - found[0])
+                if any(_arc_contains_u(arc, u) for arc in found[1]):
                     return True
         return False
 
@@ -510,9 +548,9 @@ def _pieces_touch(x, y) -> bool:
             return False
         return bool(_cross_intersections(x, y))
     if xa and not ya:
-        return any(_arc_contains_u(x, u) for u in _arc_point_params(x, y))
+        return _arc_holds(x, y)
     if ya and not xa:
-        return any(_arc_contains_u(y, u) for u in _arc_point_params(y, x))
+        return _arc_holds(y, x)
     return False  # distinct isolated points
 
 
@@ -556,28 +594,15 @@ def apply_f_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
 
 
 def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
-    """Full preimage under the power map: prod(m_i) rescaled translates of
-    every piece, recanonicalized."""
-    segs, pts = [], []
-    sheets = list(itertools.product(*(range(m) for m in moduli)))
-    for arc in s.arcs:
-        cs, ce = arc.cover_endpoints()
-        for js in sheets:
-            segs.append(
-                TorusSegment(
-                    tuple((c + j) / m for c, j, m in zip(cs, js, moduli)),
-                    tuple((c + j) / m for c, j, m in zip(ce, js, moduli)),
-                )
-            )
-    for vec in s.points:
-        for q in f_preimages(TorusPoint(vec), moduli):
-            pts.append(q.coords)
-    return SegmentSet.from_segments(segs, pts)
+    """Full preimage under the power map: the preimage sheets of every arc
+    and the preimages of every isolated point, recanonicalized."""
+    pts = [q.coords for vec in s.points for q in f_preimages(TorusPoint(vec), moduli)]
+    return SegmentSet.from_segments(preimage_sheets(s, moduli), pts)
 
 
 def preimage_sheets(s: SegmentSet, moduli: Moduli) -> list[TorusSegment]:
-    """The raw (uncanonicalized) preimage sheets, prod(m_i) per arc; exposed
-    for the multiplicity bookkeeping tests."""
+    """The raw (uncanonicalized) preimage sheets: the prod(m_i) rescaled
+    translates of every arc."""
     segs = []
     sheets = list(itertools.product(*(range(m) for m in moduli)))
     for arc in s.arcs:

@@ -15,6 +15,7 @@ the bonding at the forward levels.  Coherent points threaded through the
 levels are compared in the weighted metric by epsilon_bound_check.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -162,9 +163,13 @@ def build_tower(
     w = base_loop.winding()
     if not w.admissible:
         raise ValueError("tower base loop must have all-nonzero winding")
-    deepest = math.prod(
-        m ** (params.n1 + params.depth + 1) for m in moduli
-    )
+    exponent = params.n1 + params.depth + 1
+    if exponent > size_guard.bit_length():
+        # every m >= 2, so m^exponent > size_guard: trip before computing it
+        raise SizeGuardExceeded(
+            " * ".join(f"{m}^{exponent}" for m in moduli), size_guard
+        )
+    deepest = math.prod(m**exponent for m in moduli)
     if deepest > size_guard:
         raise SizeGuardExceeded(deepest, size_guard)
     base_img = image_set(base_loop, 0, moduli)
@@ -336,14 +341,41 @@ class EpsilonCheck:
     max_distance_with_tail: Fraction | None
 
 
+def first_close(
+    bases: list[TorusPoint], queries: list[TorusPoint], delta: Fraction
+) -> list[int | None]:
+    """For every query, the least index i with torus_dist(query, bases[i]) <
+    delta, or None.  Bases are bucketed on a grid of floor(1/delta) cells per
+    axis, each at least delta wide, so only the 3^r cells around a query (mod
+    the cell count) can hold a delta-close base."""
+    cells = max(1, math.floor(1 / delta))
+
+    def cell(p: TorusPoint) -> tuple[int, ...]:
+        return tuple(c.numerator * cells // c.denominator for c in p.coords)
+
+    grid: dict[tuple[int, ...], list[int]] = {}
+    for i, base in enumerate(bases):
+        grid.setdefault(cell(base), []).append(i)
+    out: list[int | None] = []
+    for q in queries:
+        here = cell(q)
+        near = {
+            tuple((h + d) % cells for h, d in zip(here, offset))
+            for offset in itertools.product((-1, 0, 1), repeat=len(here))
+        }
+        found = sorted(i for key in near for i in grid.get(key, ()))
+        out.append(next((i for i in found if torus_dist(q, bases[i]) < delta), None))
+    return out
+
+
 def epsilon_bound_check(
     t: Tower,
     base_points: list[SolenoidPoint],
     candidates: list[SolenoidPoint],
 ) -> EpsilonCheck:
-    """For every candidate, find a base point delta-close at level N0, then
-    verify the first N0 coordinates stay epsilon/2-close and the weighted
-    distance (plus its truncation tail bound) stays below epsilon."""
+    """For every candidate, find the first base point delta-close at level
+    N0, then verify the first N0 coordinates stay epsilon/2-close and the
+    weighted distance (plus its truncation tail bound) stays below epsilon."""
     n0 = t.params.n0
     eps, delta = t.params.epsilon, t.params.delta
     for p in list(base_points) + list(candidates):
@@ -353,15 +385,16 @@ def epsilon_bound_check(
     matched = 0
     worst: Fraction | None = None
     worst_tail: Fraction | None = None
-    for cand in candidates:
-        match = None
-        for base in base_points:
-            if torus_dist(cand.levels[n0 - 1], base.levels[n0 - 1]) < delta:
-                match = base
-                break
-        if match is None:
+    firsts = first_close(
+        [b.levels[n0 - 1] for b in base_points],
+        [c.levels[n0 - 1] for c in candidates],
+        delta,
+    )
+    for cand, first in zip(candidates, firsts):
+        if first is None:
             ok = False
             continue
+        match = base_points[first]
         matched += 1
         if any(
             torus_dist(cand.levels[i], match.levels[i]) >= eps / 2

@@ -1,9 +1,13 @@
 """In-process CLI tests: report shapes, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fupcon
 from fupcon.cli import main
 
 CERTIFY = ["certify", "--moduli", "2,3", "--winding", "2,3", "--range", "0..3"]
@@ -113,6 +117,8 @@ def test_invalid_inputs_exit_2(capsys):
         ["certify", "--moduli", "2,3", "--winding", "abc"],
         ["certify", "--moduli", "2,3", "--winding", "1,1", "--range", "3..1"],
         ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "0"],
+        TOWER + ["--candidates", "0"],
+        TOWER + ["--candidates=-3"],
         ["combine", "--loops", "0,1;1,1"],
         ["export", "--moduli", "2,3", "--winding", "1,1", "--tower-levels"],
         ["nosuchcommand"],
@@ -125,6 +131,19 @@ def test_size_guard_exit_3(capsys):
     argv = CERTIFY[:-1] + ["0..6", "--size-guard", "100"]
     assert main(argv) == 3
     capsys.readouterr()
+
+
+def test_tower_size_guard_trips_without_computing_the_size():
+    # n1 = valuation level 6^50: the guard must trip before m^(n1 + depth + 1)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fupcon.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fupcon", "tower", "--moduli", "2,3",
+         "--winding", "1125899906842624,1", "--epsilon", "1/2"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert "exceeds guard" in proc.stderr
 
 
 def test_size_guard_env_override(capsys, monkeypatch):

@@ -1,12 +1,14 @@
 """Unit tests for exact torus geometry: segment sets, preimages, metrics."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from fupcon.exact_arith import Moduli
+from fupcon.exact_arith import Moduli, frac_mod1
 from fupcon.torus import (
+    Arc,
     SegmentSet,
     SolenoidPoint,
     TorusPoint,
@@ -28,6 +30,7 @@ from fupcon.torus import (
     torus_dist,
     write_segment_set_csv,
 )
+from fupcon.torus import _arc_contains_u, _arc_point_params
 
 M23 = Moduli.of(2, 3)
 
@@ -252,3 +255,104 @@ def test_solenoid_triangle_inequality(ka, kb, kc):
 
     a, b, c = tower_point(ka), tower_point(kb), tower_point(kc)
     assert solenoid_distance(a, c) <= solenoid_distance(a, b) + solenoid_distance(b, c)
+
+
+def enumerated_arc_point_params(arc, x):
+    """Oracle: try all v* candidate parameters u = (first + j) / v*, where
+    v* is the pivot entry of the direction, and keep those that land on x."""
+    w = arc.direction
+    idx = next(i for i, c in enumerate(w) if c != 0)
+    v_star = w[idx]
+    first = frac_mod1(x[idx] - arc.anchor[idx])
+    out = []
+    for j in range(v_star):
+        u = (first + j) / v_star
+        if all(frac_mod1(arc.anchor[i] + u * w[i]) == x[i] for i in range(len(w))):
+            out.append(u)
+    return out
+
+
+def scanned_contains_point(s, p):
+    """Oracle: the isolated points, then every arc through the enumeration."""
+    return p.coords in s.points or any(
+        _arc_contains_u(arc, u)
+        for arc in s.arcs
+        for u in enumerated_arc_point_params(arc, p.coords)
+    )
+
+
+rationals = st.fractions(min_value=0, max_value=1, max_denominator=30)
+
+
+@st.composite
+def primitive_directions(draw, r):
+    raw = draw(st.lists(st.integers(min_value=-9, max_value=9), min_size=r, max_size=r))
+    g = math.gcd(*raw)
+    assume(g != 0)
+    w = [v // g for v in raw]
+    sign = 1 if next(v for v in w if v != 0) > 0 else -1
+    return tuple(sign * v for v in w)
+
+
+@settings(max_examples=150)
+@given(st.data(), st.integers(min_value=2, max_value=3))
+def test_closed_form_point_location_matches_enumeration(data, r):
+    w = data.draw(primitive_directions(r))
+    anchor = tuple(data.draw(rationals) for _ in range(r))
+    arc = Arc(w, TorusPoint(anchor).coords, Fr(0), Fr(1))
+    if data.draw(st.booleans()):
+        u = data.draw(rationals)
+        shift = data.draw(st.lists(st.integers(-3, 3), min_size=r, max_size=r))
+        x = TorusPoint(tuple(a + u * v + k for a, v, k in zip(anchor, w, shift))).coords
+    else:
+        x = TorusPoint(tuple(data.draw(rationals) for _ in range(r))).coords
+    expected = enumerated_arc_point_params(arc, x)
+    assert len(expected) <= 1  # a closed geodesic of primitive direction is simple
+    assert _arc_point_params(arc, x) == (expected[0] if expected else None)
+
+
+def test_indexed_membership_matches_scan_on_parallel_geodesics():
+    # the stage-0 image of winding (2,3) and its preimage levels, as in the
+    # tower negative control with n1 = 0: 1, 6 and 6 parallel geodesics
+    lvl = sset(seg((0, 0), (2, 3)))
+    for geodesics in (1, 6, 6):
+        assert len({arc.key for arc in lvl.arcs}) == geodesics
+        probes = set(f_preimages(base_point(2), M23))
+        for arc in lvl.arcs:
+            probes.update(arc.point_at(arc.length * Fr(k, 7)) for k in range(7))
+            probes.update(f_preimages(arc.point_at(arc.length / 3), M23))
+        probes.update(TorusPoint((Fr(a, 12), Fr(b, 12))) for a in range(12) for b in range(12))
+        found = {lvl.contains_point(p) for p in probes}
+        assert found == {True, False}
+        for p in probes:
+            assert lvl.contains_point(p) == scanned_contains_point(lvl, p)
+        lvl = preimage_set(lvl, M23)
+
+
+@settings(max_examples=60)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([(1, 0), (0, 1), (1, 2), (2, -1), (3, 1)]),
+            rationals,
+            rationals,
+            st.fractions(min_value=Fr(1, 12), max_value=3, max_denominator=12),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    st.lists(st.tuples(rationals, rationals), max_size=3),
+    st.lists(st.tuples(st.integers(0, 5), rationals), min_size=1, max_size=6),
+)
+def test_indexed_membership_matches_scan_on_random_sets(raw, isolated, picks):
+    segments = [
+        seg((x, y), (x + t * dx, y + t * dy)) for (dx, dy), x, y, t in raw
+    ]
+    s = SegmentSet.from_segments(segments, isolated)
+    probes = [TorusPoint(v) for v in isolated]
+    for i, off in picks:
+        start, end = segments[i % len(segments)].start, segments[i % len(segments)].end
+        probes.append(TorusPoint(tuple(a + off * (b - a) for a, b in zip(start, end))))
+        probes.append(TorusPoint((start[0] + off, start[1])))
+    for p in probes:
+        assert s.contains_point(p) == scanned_contains_point(s, p)

@@ -4,10 +4,11 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fupcon.exact_arith import Moduli
 from fupcon.lifting import PLLoop
-from fupcon.torus import SegmentSet, SolenoidPoint, TorusPoint, base_point
+from fupcon.torus import SegmentSet, SolenoidPoint, TorusPoint, base_point, torus_dist
 from fupcon.tower import (
     DepthTooSmall,
     MembershipFails,
@@ -20,6 +21,7 @@ from fupcon.tower import (
     coherent_deep_sample,
     coherent_point_through,
     epsilon_bound_check,
+    first_close,
     sample_loop_points,
     verify_tower,
 )
@@ -196,3 +198,37 @@ def test_epsilon_check_needs_depth():
     shallow = SolenoidPoint(M23, bases[0].levels[:2])
     with pytest.raises(DepthTooSmall):
         epsilon_bound_check(t, bases, [shallow])
+
+
+def scanned_first_close(bases, queries, delta):
+    """Oracle: the linear first-match scan over all bases."""
+    return [
+        next((i for i, b in enumerate(bases) if torus_dist(q, b) < delta), None)
+        for q in queries
+    ]
+
+
+coords = st.fractions(min_value=0, max_value=1, max_denominator=40)
+nudges = st.fractions(min_value=Fr(-1, 5), max_value=Fr(1, 5), max_denominator=40)
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.one_of(
+        # 1/delta = 4.5 is not an integer; fewer than 3 cells, which wrap
+        st.sampled_from([Fr(2, 9), Fr(3, 7), Fr(3, 5)]),
+        st.fractions(min_value=Fr(1, 60), max_value=Fr(59, 60), max_denominator=60),
+    ),
+    st.data(),
+)
+def test_grid_matching_agrees_with_the_linear_scan(r, delta, data):
+    def point(near=None):
+        if near is None:
+            return TorusPoint(tuple(data.draw(coords) for _ in range(r)))
+        return TorusPoint(tuple(c + data.draw(nudges) for c in near.coords))
+
+    bases = [point() for _ in range(data.draw(st.integers(min_value=0, max_value=10)))]
+    queries = [point() for _ in range(data.draw(st.integers(min_value=1, max_value=4)))]
+    queries += [point(near=b) for b in bases[:4]]
+    assert first_close(bases, queries, delta) == scanned_first_close(bases, queries, delta)
