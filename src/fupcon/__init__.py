@@ -3,193 +3,9 @@
 Everything is computed over the rationals: torus geometry (segment sets,
 preimages, components), piecewise-linear loop lifts, hitting certificates
 for preimage fibers, winding repair by loop concatenation, and nested
-connected neighborhood towers with an explicit epsilon bound.
+connected neighborhood towers with an explicit epsilon bound.  Import from
+the modules (fupcon.torus, fupcon.lifting, fupcon.hitting, ...); the
+package root holds no re-exports.
 """
 
-from .exact_arith import (
-    MAdicDecomposition,
-    Moduli,
-    ModuliNotCoprime,
-    NoDecomposition,
-    Rational,
-    crt_solve,
-    format_rational,
-    frac_mod1,
-    gcd_certificate_condition,
-    madic_decomposition,
-    parse_rational,
-)
-from .torus import (
-    Arc,
-    SegmentSet,
-    SolenoidPoint,
-    TorusPoint,
-    TorusSegment,
-    apply_f,
-    apply_f_set,
-    arc_dist,
-    base_point,
-    components,
-    equal_as_point_sets,
-    f_preimages,
-    intersect,
-    preimage_set,
-    preimage_sheets,
-    read_segment_set_csv,
-    segment_intersections,
-    solenoid_distance,
-    solenoid_tail_bound,
-    torus_dist,
-    write_segment_set_csv,
-)
-from .lifting import (
-    LiftedPath,
-    NonadmissibleWinding,
-    NonperiodicWithoutHorizon,
-    PLLoop,
-    WindingVector,
-    coordinate_liftable,
-    extend_periodic,
-    image_period,
-    image_set,
-    integer_time_points,
-    lift,
-    standard_lift_points,
-    winding,
-)
-from .hitting import (
-    ConditionFails,
-    DEFAULT_SIZE_GUARD,
-    HittingCertificate,
-    NotFoundWithin,
-    SizeGuardExceeded,
-    WitnessRecipe,
-    build_certificate,
-    crt_witness,
-    hitting_check,
-    level_condition,
-    minimal_level,
-    preimage_connected_check,
-    preimage_equality_check,
-    valuation_level,
-    witness_recipe,
-)
-from .loop_design import (
-    BadInputFamily,
-    CombineStep,
-    NonvanishingDesign,
-    PreconditionViolated,
-    ZeroInjection,
-    combine,
-    design_all_nonzero,
-    repetition_count,
-)
-from .tower import (
-    DepthTooSmall,
-    EpsilonCheck,
-    LevelCheck,
-    MembershipFails,
-    NoPreimageInLevel,
-    Tower,
-    TowerParams,
-    TowerReport,
-    base_sample_count,
-    build_tower,
-    choose_params,
-    coherent_base_sample,
-    coherent_deep_sample,
-    coherent_point_through,
-    epsilon_bound_check,
-    sample_loop_points,
-    verify_tower,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Arc",
-    "BadInputFamily",
-    "CombineStep",
-    "ConditionFails",
-    "DEFAULT_SIZE_GUARD",
-    "DepthTooSmall",
-    "EpsilonCheck",
-    "HittingCertificate",
-    "LevelCheck",
-    "LiftedPath",
-    "MAdicDecomposition",
-    "MembershipFails",
-    "Moduli",
-    "ModuliNotCoprime",
-    "NoDecomposition",
-    "NonadmissibleWinding",
-    "NonperiodicWithoutHorizon",
-    "NonvanishingDesign",
-    "NoPreimageInLevel",
-    "NotFoundWithin",
-    "PLLoop",
-    "PreconditionViolated",
-    "Rational",
-    "SegmentSet",
-    "SizeGuardExceeded",
-    "SolenoidPoint",
-    "TorusPoint",
-    "TorusSegment",
-    "Tower",
-    "TowerParams",
-    "TowerReport",
-    "WindingVector",
-    "WitnessRecipe",
-    "ZeroInjection",
-    "apply_f",
-    "apply_f_set",
-    "arc_dist",
-    "base_point",
-    "base_sample_count",
-    "build_certificate",
-    "build_tower",
-    "choose_params",
-    "coherent_base_sample",
-    "coherent_deep_sample",
-    "coherent_point_through",
-    "combine",
-    "components",
-    "coordinate_liftable",
-    "crt_solve",
-    "crt_witness",
-    "design_all_nonzero",
-    "epsilon_bound_check",
-    "equal_as_point_sets",
-    "extend_periodic",
-    "f_preimages",
-    "format_rational",
-    "frac_mod1",
-    "gcd_certificate_condition",
-    "hitting_check",
-    "image_period",
-    "image_set",
-    "integer_time_points",
-    "intersect",
-    "level_condition",
-    "lift",
-    "madic_decomposition",
-    "minimal_level",
-    "parse_rational",
-    "preimage_connected_check",
-    "preimage_equality_check",
-    "preimage_set",
-    "preimage_sheets",
-    "read_segment_set_csv",
-    "repetition_count",
-    "sample_loop_points",
-    "segment_intersections",
-    "solenoid_distance",
-    "solenoid_tail_bound",
-    "standard_lift_points",
-    "torus_dist",
-    "valuation_level",
-    "verify_tower",
-    "winding",
-    "witness_recipe",
-    "write_segment_set_csv",
-]

@@ -6,18 +6,24 @@ input, 3 size guard exceeded, 4 I/O failure.  Reports go to stdout (or
 """
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
 import time
 
-from .exact_arith import Moduli, parse_rational
+from .exact_arith import (
+    Moduli,
+    NoDecomposition,
+    format_rational,
+    parse_rational,
+)
 from .hitting import (
-    ConditionFails,
     DEFAULT_SIZE_GUARD,
     NotFoundWithin,
     SizeGuardExceeded,
     build_certificate,
+    check_size,
     hitting_check,
     level_condition,
     minimal_level,
@@ -25,7 +31,6 @@ from .hitting import (
     preimage_equality_check,
     valuation_level,
 )
-from .exact_arith import NoDecomposition
 from .lifting import PLLoop, WindingVector, image_set
 from .loop_design import design_all_nonzero
 from .reports import (
@@ -36,12 +41,10 @@ from .reports import (
     EXIT_VERIFICATION,
     SCHEMA_VERSION,
     RunConfig,
-    rat,
     render_report,
 )
 from .torus import write_segment_set_csv
 from .tower import (
-    TowerParams,
     build_tower,
     choose_params,
     coherent_base_sample,
@@ -51,6 +54,8 @@ from .tower import (
 )
 
 SIZE_GUARD_ENV = "FUPCON_SIZE_GUARD"
+# Integer-list options whose value may start with a minus sign.
+LIST_OPTIONS = ("--moduli", "--winding", "--loops")
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -79,6 +84,18 @@ def _parse_loops(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_parse_ints(g) for g in groups)
 
 
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """Rewrite `--winding -1,1` as `--winding=-1,1`: argparse takes a
+    separate value starting with '-' for an option, not for the value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in LIST_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _default_guard() -> int:
     env = os.environ.get(SIZE_GUARD_ENV)
     if env is None:
@@ -101,6 +118,9 @@ def cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
         mini: int | None = minimal_level(w, moduli)
     except NotFoundWithin:
         mini = None
+    # the deepest check of the range, preimage_connected_check at n_hi,
+    # enumerates prod m^(n_hi + 2): trip before any stage forms m^(n + 1)
+    check_size(moduli, cfg.n_hi + 2, cfg.size_guard)
     levels = []
     ok = True
     cert_stage = None
@@ -178,15 +198,7 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
     clamped = params.epsilon != cfg.epsilon
     overridden = cfg.n1_override is not None
     if overridden:
-        params = TowerParams(
-            epsilon=params.epsilon,
-            n0=params.n0,
-            delta=params.delta,
-            n1=cfg.n1_override,
-            depth=params.depth,
-            valuation=params.valuation,
-            minimal=params.minimal,
-        )
+        params = dataclasses.replace(params, n1=cfg.n1_override)
     tower = build_tower(PLLoop.straight(w), params, moduli, cfg.size_guard)
     report_levels = verify_tower(tower)
     bases = coherent_base_sample(tower)
@@ -199,7 +211,7 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
         "inputs": {
             "moduli": list(cfg.moduli),
             "winding": list(cfg.winding),
-            "epsilon": rat(cfg.epsilon),
+            "epsilon": format_rational(cfg.epsilon),
             "depth": cfg.depth,
             "n1_override": cfg.n1_override,
             "candidates": cfg.candidates,
@@ -207,10 +219,10 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
         },
         "results": {
             "params": {
-                "epsilon": rat(params.epsilon),
+                "epsilon": format_rational(params.epsilon),
                 "epsilon_clamped": clamped,
                 "n0": params.n0,
-                "delta": rat(params.delta),
+                "delta": format_rational(params.delta),
                 "n1": params.n1,
                 "n1_overridden": overridden,
                 "n1_exceeds_n0": params.n1_exceeds_n0,
@@ -238,10 +250,10 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
                 "base_samples": len(bases),
                 "max_distance": None
                 if eps_check.max_distance is None
-                else rat(eps_check.max_distance),
+                else format_rational(eps_check.max_distance),
                 "max_distance_with_tail": None
                 if eps_check.max_distance_with_tail is None
-                else rat(eps_check.max_distance_with_tail),
+                else format_rational(eps_check.max_distance_with_tail),
             },
             "verified": ok,
         },
@@ -284,6 +296,7 @@ def cmd_export(cfg: RunConfig) -> tuple[dict, int]:
     if cfg.image_stages or cfg.tower_levels:
         os.makedirs(out_dir, exist_ok=True)
     for n in sorted(set(cfg.image_stages)):
+        check_size(moduli, n, cfg.size_guard)
         target = os.path.join(out_dir, f"image_stage_{n}.csv")
         write_segment_set_csv(image_set(loop, n, moduli), target)
         written.append(target)
@@ -302,7 +315,7 @@ def cmd_export(cfg: RunConfig) -> tuple[dict, int]:
             "winding": list(cfg.winding),
             "image_stages": sorted(set(cfg.image_stages)),
             "tower_levels": cfg.tower_levels,
-            "epsilon": None if cfg.epsilon is None else rat(cfg.epsilon),
+            "epsilon": None if cfg.epsilon is None else format_rational(cfg.epsilon),
             "depth": cfg.depth,
             "out_dir": out_dir,
         },
@@ -435,7 +448,9 @@ def _emit(text: str, out: str | None):
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(
+            _attach_list_values(sys.argv[1:] if argv is None else list(argv))
+        )
     except SystemExit as exc:
         # argparse exits 2 on bad usage, matching the invalid-input code
         return EXIT_INVALID if exc.code not in (0,) else 0
@@ -443,7 +458,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         report, code = _COMMANDS[cfg.command](cfg)
-    except (ValueError, ConditionFails) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except SizeGuardExceeded as exc:

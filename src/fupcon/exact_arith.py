@@ -10,10 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-# The rational type of the whole package.  Fraction already guarantees the
-# invariants we need: always reduced, denominator > 0, arbitrary precision.
-Rational = Fraction
-
 
 class ModuliNotCoprime(ValueError):
     """Two moduli share a nontrivial common factor."""

@@ -20,11 +20,9 @@ from typing import Union
 from fractions import Fraction
 
 from .exact_arith import (
-    MAdicDecomposition,
     Moduli,
     NoDecomposition,
     crt_solve,
-    frac_mod1,
     gcd_certificate_condition,
     madic_decomposition,
 )
@@ -36,8 +34,9 @@ from .lifting import (
     as_winding,
     image_period,
     image_set,
+    standard_point,
 )
-from .torus import SegmentSet, TorusPoint, components, preimage_set
+from .torus import TorusPoint, components, preimage_set
 
 DEFAULT_SIZE_GUARD = 10**6
 
@@ -59,6 +58,20 @@ class SizeGuardExceeded(RuntimeError):
         super().__init__(f"size {needed} exceeds guard {guard}")
         self.needed = needed
         self.guard = guard
+
+
+def check_size(moduli: Moduli, exponent: int, size_guard: int):
+    """Raise SizeGuardExceeded when prod m_i^exponent exceeds size_guard.
+    Every m_i >= 2, so an exponent above size_guard.bit_length() trips the
+    guard before any m_i^exponent is formed; needed is then a power
+    expression."""
+    if exponent > size_guard.bit_length():
+        raise SizeGuardExceeded(
+            " * ".join(f"{m}^{exponent}" for m in moduli), size_guard
+        )
+    needed = math.prod(m**exponent for m in moduli)
+    if needed > size_guard:
+        raise SizeGuardExceeded(needed, size_guard)
 
 
 def _require_dims(s, moduli: Moduli):
@@ -143,12 +156,6 @@ def witness_recipe(s: WindingLike, moduli: Moduli, n: int) -> WitnessRecipe | No
     )
 
 
-def _standard_point(s, moduli: Moduli, n: int, k: int) -> TorusPoint:
-    return TorusPoint(
-        tuple(Fraction(e * k, m ** n) for e, m in zip(s, moduli))
-    )
-
-
 def crt_witness(
     s: WindingLike, moduli: Moduli, n: int, target: tuple[int, ...]
 ) -> int:
@@ -188,7 +195,7 @@ def crt_witness(
             mods.append(mod)
         k = crt_solve(residues, mods)
     expected = TorusPoint(tuple(Fraction(j, m) for j, m in zip(target, moduli)))
-    if _standard_point(w, moduli, n + 1, k) != expected:
+    if standard_point(w, moduli, n + 1, k) != expected:
         raise AssertionError("witness construction produced a non-witness")
     return k
 
@@ -206,9 +213,7 @@ def hitting_check(
     _require_admissible(w)
     if n < 0:
         raise ValueError("stage n must be >= 0")
-    total = math.prod(m ** (n + 1) for m in moduli)
-    if total > size_guard:
-        raise SizeGuardExceeded(total, size_guard)
+    check_size(moduli, n + 1, size_guard)
     period = image_period(w, n + 1, moduli)
     powers = [m ** (n + 1) for m in moduli]
     stage = [m**n for m in moduli]
@@ -237,12 +242,6 @@ def _as_loop(loop_or_s: LoopOrWinding) -> PLLoop:
     return PLLoop.straight(as_winding(loop_or_s))
 
 
-def _guard_geometry(moduli: Moduli, n: int, size_guard: int):
-    needed = math.prod(m ** (n + 2) for m in moduli)
-    if needed > size_guard:
-        raise SizeGuardExceeded(needed, size_guard)
-
-
 def preimage_equality_check(
     loop_or_s: LoopOrWinding,
     moduli: Moduli,
@@ -253,7 +252,7 @@ def preimage_equality_check(
     image, as exact point sets?"""
     loop = _as_loop(loop_or_s)
     _require_admissible(loop.winding())
-    _guard_geometry(moduli, n, size_guard)
+    check_size(moduli, n + 2, size_guard)
     stage_n = image_set(loop, n, moduli)
     return preimage_set(stage_n, moduli) == image_set(loop, n + 1, moduli)
 
@@ -267,7 +266,7 @@ def preimage_connected_check(
     """(connected?, component count) of the preimage of the stage-n image."""
     loop = _as_loop(loop_or_s)
     _require_admissible(loop.winding())
-    _guard_geometry(moduli, n, size_guard)
+    check_size(moduli, n + 2, size_guard)
     comps = components(preimage_set(image_set(loop, n, moduli), moduli))
     return len(comps) == 1, len(comps)
 
@@ -296,7 +295,7 @@ class HittingCertificate:
             expected = TorusPoint(
                 tuple(Fraction(j, m) for j, m in zip(target, self.moduli))
             )
-            if _standard_point(self.winding, self.moduli, self.stage + 1, k) != expected:
+            if standard_point(self.winding, self.moduli, self.stage + 1, k) != expected:
                 return False
             seen.add(target)
         return seen == targets
@@ -311,9 +310,7 @@ def build_certificate(
     """Assemble the full witness table at stage n (deterministic order)."""
     w = as_winding(s)
     _require_dims(w, moduli)
-    total = moduli.product()
-    if total > size_guard:
-        raise SizeGuardExceeded(total, size_guard)
+    check_size(moduli, 1, size_guard)
     if not level_condition(w, moduli, n):
         raise ConditionFails(f"divisibility condition fails at stage {n}")
     witnesses = []

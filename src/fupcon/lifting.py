@@ -11,9 +11,9 @@ which is what makes the standard straight-line loops a sufficient model.
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
-from .exact_arith import Moduli, frac_mod1
+from .exact_arith import Moduli
 from .torus import SegmentSet, TorusPoint, TorusSegment, Vec, _vec
 
 
@@ -125,12 +125,11 @@ class PLLoop:
         return PLLoop(self.breakpoints + shifted)
 
     def repeat(self, times: int) -> "PLLoop":
+        """The loop traversed `times` times: its periodic extension over
+        [0, times]."""
         if times < 1:
             raise ValueError("times must be >= 1")
-        out = self
-        for _ in range(times - 1):
-            out = out.concat(self)
-        return out
+        return PLLoop(extend_periodic(self, times))
 
     def reversed(self) -> "PLLoop":
         last = self.breakpoints[-1]
@@ -164,10 +163,6 @@ class PLLoop:
             for x, y in zip(a, b):
                 best = max(best, abs(y - x) * k)
         return best
-
-
-def winding(loop: PLLoop) -> WindingVector:
-    return loop.winding()
 
 
 def coordinate_liftable(loop: PLLoop, i: int) -> bool:
@@ -213,9 +208,6 @@ class LiftedPath:
             raise ValueError("integer time outside the horizon")
         return TorusPoint(self.breakpoints[k * self.pieces_per_block])
 
-    def projected_breakpoints(self) -> list[TorusPoint]:
-        return [TorusPoint(bp) for bp in self.breakpoints]
-
 
 def lift(loop: PLLoop, n: int, moduli: Moduli, horizon: int) -> LiftedPath:
     """Unique base-point lift of the periodic extension through n applications
@@ -233,6 +225,12 @@ def lift(loop: PLLoop, n: int, moduli: Moduli, horizon: int) -> LiftedPath:
     )
 
 
+def standard_point(s: WindingLike, moduli: Moduli, n: int, k: int) -> TorusPoint:
+    """The stage-n lift of the straight loop with winding s at integer time
+    k: the point (s_i * k / m_i^n mod 1)."""
+    return TorusPoint(tuple(Fraction(e * k, m**n) for e, m in zip(s, moduli)))
+
+
 def standard_lift_points(
     s: WindingLike, n: int, moduli: Moduli, count: int
 ) -> list[TorusPoint]:
@@ -243,17 +241,7 @@ def standard_lift_points(
         raise ValueError("winding and moduli dimension differ")
     if n < 0 or count < 0:
         raise ValueError("n and count must be >= 0")
-    return [
-        TorusPoint(tuple(Fraction(e * k, m**n) for e, m in zip(w, moduli)))
-        for k in range(count + 1)
-    ]
-
-
-def integer_time_points(
-    loop: PLLoop, n: int, moduli: Moduli, count: int
-) -> list[TorusPoint]:
-    """Stage-n lift values at integer times; depends only on the winding."""
-    return standard_lift_points(loop.winding(), n, moduli, count)
+    return [standard_point(w, moduli, n, k) for k in range(count + 1)]
 
 
 def image_period(s: WindingLike, n: int, moduli: Moduli) -> int:

@@ -9,8 +9,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_arith import format_rational
-
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
@@ -40,10 +38,6 @@ class RunConfig:
     out: str | None = None
     out_dir: str | None = None
     timing: bool = False
-
-
-def rat(x) -> str:
-    return format_rational(x)
 
 
 def render_report(report: dict) -> str:

@@ -314,11 +314,6 @@ class SegmentSet:
     points: tuple[Vec, ...]
 
     @classmethod
-    def empty(cls, r: int = 1) -> "SegmentSet":
-        del r
-        return cls(arcs=(), points=())
-
-    @classmethod
     def from_segments(
         cls,
         segments: Iterable[TorusSegment] = (),

@@ -23,7 +23,7 @@ from fractions import Fraction
 from .exact_arith import Moduli, NoDecomposition
 from .hitting import (
     DEFAULT_SIZE_GUARD,
-    SizeGuardExceeded,
+    check_size,
     minimal_level,
     valuation_level,
 )
@@ -163,15 +163,7 @@ def build_tower(
     w = base_loop.winding()
     if not w.admissible:
         raise ValueError("tower base loop must have all-nonzero winding")
-    exponent = params.n1 + params.depth + 1
-    if exponent > size_guard.bit_length():
-        # every m >= 2, so m^exponent > size_guard: trip before computing it
-        raise SizeGuardExceeded(
-            " * ".join(f"{m}^{exponent}" for m in moduli), size_guard
-        )
-    deepest = math.prod(m**exponent for m in moduli)
-    if deepest > size_guard:
-        raise SizeGuardExceeded(deepest, size_guard)
+    check_size(moduli, params.n1 + params.depth + 1, size_guard)
     base_img = image_set(base_loop, 0, moduli)
     forward = [base_img]
     for _ in range(params.n0 - 1):

@@ -26,7 +26,7 @@ from fupcon.hitting import (
     valuation_level,
     witness_recipe,
 )
-from fupcon.lifting import PLLoop, lift, integer_time_points, standard_lift_points
+from fupcon.lifting import PLLoop, lift, standard_lift_points
 from fupcon.loop_design import design_all_nonzero
 from fupcon.torus import TorusPoint, apply_f
 from fupcon.tower import (
@@ -199,9 +199,11 @@ def test_criterion_4_lifts_and_homotopy():
                 assert tuple(loop.winding()) == s
                 for n in range(3):
                     count = 20
+                    bent_path = lift(loop, n, M23, count)
+                    straight_path = lift(straight, n, M23, count)
                     assert (
-                        integer_time_points(loop, n, M23, count)
-                        == integer_time_points(straight, n, M23, count)
+                        [bent_path.block_point(k) for k in range(count + 1)]
+                        == [straight_path.block_point(k) for k in range(count + 1)]
                         == standard_lift_points(s, n, M23, count)
                     )
                 for n in range(4):

@@ -127,23 +127,59 @@ def test_invalid_inputs_exit_2(capsys):
         capsys.readouterr()
 
 
-def test_size_guard_exit_3(capsys):
-    argv = CERTIFY[:-1] + ["0..6", "--size-guard", "100"]
-    assert main(argv) == 3
-    capsys.readouterr()
+def test_size_guard_exit_3(capsys, tmp_path):
+    for argv in [
+        CERTIFY[:-1] + ["0..6", "--size-guard", "100"],
+        ["export", "--moduli", "2,3", "--winding", "1,1", "--image-n", "6",
+         "--size-guard", "100", "--out-dir", str(tmp_path)],
+    ]:
+        assert main(argv) == 3, argv
+        capsys.readouterr()
+
+
+def _run_python(args):
+    """Run a Python command line in a subprocess with this checkout's src/."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fupcon.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
 
 
 def test_tower_size_guard_trips_without_computing_the_size():
-    # n1 = valuation level 6^50: the guard must trip before m^(n1 + depth + 1)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fupcon.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "fupcon", "tower", "--moduli", "2,3",
-         "--winding", "1125899906842624,1", "--epsilon", "1/2"],
-        env=env, capture_output=True, text=True, timeout=60,
+    for argv in [
+        # n1 = valuation level 6^50: trip before m^(n1 + depth + 1)
+        ["tower", "--moduli", "2,3", "--winding", "1125899906842624,1",
+         "--epsilon", "1/2"],
+        # stage 10^8: trip before any stage forms m^(n + 1)
+        ["certify", "--moduli", "2,3", "--winding", "1,1",
+         "--range", "100000000..100000000"],
+    ]:
+        proc = _run_python(["-m", "fupcon", *argv])
+        assert proc.returncode == 3, argv
+        assert "exceeds guard" in proc.stderr
+
+
+def test_negative_list_values_need_no_equals_sign(capsys):
+    for spaced, joined in [
+        (["tower", "--moduli", "2,3", "--winding", "-1,1", "--epsilon", "1/2"],
+         ["tower", "--moduli", "2,3", "--winding=-1,1", "--epsilon", "1/2"]),
+        (["combine", "--loops", "-2,1;0,3"], ["combine", "--loops=-2,1;0,3"]),
+    ]:
+        code, out = run(capsys, spaced)
+        assert (code, out) == run(capsys, joined)
+        assert code == 0 and out, spaced
+
+
+def test_level_survey_script_runs():
+    script = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "scripts", "level_survey.py",
     )
-    assert proc.returncode == 3
-    assert "exceeds guard" in proc.stderr
+    proc = _run_python([script, "--moduli", "2,3", "--bound", "2"])
+    assert proc.returncode == 0, proc.stderr
+    assert "disagreements: 0" in proc.stdout
 
 
 def test_size_guard_env_override(capsys, monkeypatch):

@@ -14,10 +14,8 @@ from fupcon.lifting import (
     extend_periodic,
     image_period,
     image_set,
-    integer_time_points,
     lift,
     standard_lift_points,
-    winding,
 )
 from fupcon.torus import SegmentSet, TorusPoint, TorusSegment, apply_f
 
@@ -66,7 +64,31 @@ def test_winding_algebra():
     assert tuple(a.concat(b).winding()) == (3, 2)
     assert tuple(a.repeat(3).winding()) == (6, 9)
     assert tuple(a.reversed().winding()) == (-2, -3)
-    assert tuple(winding(b)) == (1, -1)
+    assert tuple(b.winding()) == (1, -1)
+
+
+@st.composite
+def pl_loops(draw):
+    """Random PL loops; a repeated breakpoint makes a constant piece."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+    bps = [(Fr(0),) * r]
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        bps.append(bps[-1] if draw(st.booleans()) else draw(st.tuples(*[coord] * r)))
+    end = draw(st.tuples(*[st.integers(min_value=-3, max_value=3)] * r))
+    bps.append(tuple(Fr(e) for e in end))
+    if draw(st.booleans()):
+        bps.append(bps[-1])
+    return PLLoop(tuple(bps))
+
+
+@settings(max_examples=60)
+@given(pl_loops(), st.integers(min_value=1, max_value=8))
+def test_repeat_is_the_concat_chain(loop, times):
+    chain = loop
+    for _ in range(times - 1):
+        chain = chain.concat(loop)
+    assert loop.repeat(times).breakpoints == chain.breakpoints
 
 
 def test_coordinate_liftable_only_without_winding():
@@ -134,8 +156,9 @@ def test_integer_times_depend_only_on_winding(s, n, count):
     straight = PLLoop.straight(s)
     bent = wiggly(s)
     expected = standard_lift_points(s, n, M23, count)
-    assert integer_time_points(straight, n, M23, count) == expected
-    assert integer_time_points(bent, n, M23, count) == expected
+    for loop in (straight, bent):
+        path = lift(loop, n, M23, count)
+        assert [path.block_point(k) for k in range(count + 1)] == expected
 
 
 def test_lift_block_points_match_formula():
