@@ -458,6 +458,9 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         report, code = _COMMANDS[cfg.command](cfg)
+    except NotFoundWithin as exc:  # valid input, the stage search is bounded
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_SIZE
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

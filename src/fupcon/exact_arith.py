@@ -34,9 +34,12 @@ def format_rational(x) -> str:
 
 
 def frac_mod1(x) -> Fraction:
-    """Representative of x in [0, 1)."""
-    f = Fraction(x)
-    return f - math.floor(f)
+    """Representative of x in [0, 1); a Fraction already there comes back
+    as is, since this runs on every torus point coordinate."""
+    f = x if isinstance(x, Fraction) else Fraction(x)
+    n, d = f.numerator, f.denominator
+    r = n % d
+    return f if r == n else Fraction(r, d)
 
 
 @dataclass(frozen=True)
@@ -94,17 +97,6 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
         old_x, x = x, old_x - quot * x
         old_y, y = y, old_y - quot * y
     return old_r, old_x, old_y
-
-
-def bezout(values: Sequence[int]) -> tuple[int, ...]:
-    """Integer coefficients c with sum(c_i * values_i) = gcd(values) >= 0."""
-    g, coeffs = 0, []
-    for v in values:
-        g, x, y = _extended_gcd(g, int(v))
-        coeffs = [c * x for c in coeffs] + [y]
-    if g < 0:
-        coeffs = [-c for c in coeffs]
-    return tuple(coeffs)
 
 
 def crt_solve(residues: Sequence[int], moduli: Sequence[int]) -> int:

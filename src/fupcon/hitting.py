@@ -64,13 +64,16 @@ def check_size(moduli: Moduli, exponent: int, size_guard: int):
     """Raise SizeGuardExceeded when prod m_i^exponent exceeds size_guard.
     Every m_i >= 2, so an exponent above size_guard.bit_length() trips the
     guard before any m_i^exponent is formed; needed is then a power
-    expression."""
+    expression, as it is when the product has too many digits to print."""
+    power = " * ".join(f"{m}^{exponent}" for m in moduli)
     if exponent > size_guard.bit_length():
-        raise SizeGuardExceeded(
-            " * ".join(f"{m}^{exponent}" for m in moduli), size_guard
-        )
+        raise SizeGuardExceeded(power, size_guard)
     needed = math.prod(m**exponent for m in moduli)
     if needed > size_guard:
+        try:
+            str(needed)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            needed = power
         raise SizeGuardExceeded(needed, size_guard)
 
 

@@ -16,13 +16,15 @@ in the unit-speed parameterization of that circle, and overlapping/touching
 arcs on the same circle are merged into maximal ones.  Isolated points (from
 degenerate inputs such as constant loops) are carried separately.
 
-Point location is closed-form.  A primitive direction w has a Bezout vector
-c with c.w = 1, and its closed geodesic is simple, so a point x lies on the
-geodesic through an anchor a exactly when x = a + u*w on the torus for the
-one parameter u = frac(c.(x - a)).  Each segment set indexes its arcs by
-direction and by the transverse key frac(y - (c.y)*w), which is the same for
-two points exactly when they lie on one geodesic of direction w; a
-membership query costs one key per distinct direction plus an interval test.
+Point location is closed-form.  The pivot-zero points of the geodesic
+through x with primitive direction w are x + (first + j)/v* * w for j mod v*
+(v* the pivot entry of w); walking the later coordinates in order, the least
+value of each pins j to a finer coset, so the canonical anchor and the
+parameter tau with x + tau*w = anchor cost O(r), not O(v*).  Two points lie
+on one closed geodesic of direction w exactly when their anchors agree, and
+then differ by the difference of their taus.  Each segment set indexes its
+arcs by key (direction, anchor); a membership query costs one anchor per
+distinct direction plus an interval test.
 """
 
 import csv
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .exact_arith import Moduli, bezout, format_rational, frac_mod1, parse_rational
+from .exact_arith import Moduli, format_rational, frac_mod1, parse_rational
 
 Vec = tuple[Fraction, ...]
 
@@ -85,14 +87,10 @@ def apply_f(p: TorusPoint, moduli: Moduli) -> TorusPoint:
 def f_preimages(p: TorusPoint, moduli: Moduli) -> list[TorusPoint]:
     """All prod(m_i) preimages of p under the power map, sorted."""
     _check_dims(p.r, moduli.r)
-    out = []
-    for js in itertools.product(*(range(m) for m in moduli)):
-        out.append(
-            TorusPoint(
-                tuple((c + j) / m for c, j, m in zip(p.coords, js, moduli))
-            )
-        )
-    return sorted(out)
+    # each coordinate's candidates (c + j)/m increase with j, so the product
+    # comes out in lexicographic order
+    columns = [[(c + j) / m for j in range(m)] for c, m in zip(p.coords, moduli)]
+    return [TorusPoint(coords) for coords in itertools.product(*columns)]
 
 
 def arc_dist(a: Fraction, b: Fraction) -> Fraction:
@@ -151,17 +149,34 @@ def _anchor_for(point: Sequence[Fraction], w: tuple[int, ...]) -> tuple[Vec, Fra
     """Canonical anchor of the closed geodesic through `point` with primitive
     direction w: among the finitely many geodesic points whose pivot coordinate
     is 0, the lexicographically least.  Returns (anchor, tau) where
-    point + tau * w projects to the anchor."""
+    point + tau * w projects to the anchor.
+
+    The candidates are tau = (first + j) / v* for j mod v*.  On the coset
+    j = j0 + step*t still in the running, coordinate k is b + t*step*w_k/v*
+    mod 1, b its value at j0.  With g = gcd(step*w_k, v*) and n = v*/g that
+    is b + s/n, s = t*(step*w_k/g) mod n a unit multiple of t, so the least
+    value b - floor(b*n)/n is taken at s = -floor(b*n): t is fixed mod n and
+    the coset step becomes step*n.  The geodesic is simple, so one j is left."""
     idx = next(i for i, c in enumerate(w) if c != 0)
     v_star = w[idx]  # positive by sign normalization
-    first = Fraction(math.ceil(point[idx])) - point[idx]  # in [0, 1)
-    best = None
-    for j in range(v_star):
-        tau = (first + j) / v_star
-        pt = tuple(frac_mod1(point[i] + tau * w[i]) for i in range(len(w)))
-        if best is None or pt < best[0]:
-            best = (pt, tau)
-    return best
+    fd = point[idx].denominator
+    fn = -point[idx].numerator % fd  # first = ceil(x_pivot) - x_pivot = fn/fd
+    anchor = [frac_mod1(c) for c in point[:idx]]  # w is 0 before the pivot
+    anchor.append(Fraction(0))
+    j, step = 0, 1
+    for k in range(idx + 1, len(w)):
+        wk, pk = w[k], point[k]
+        # b = frac(pk + (first + j) * wk / v*) = rem / den
+        den = pk.denominator * fd * v_star
+        rem = (pk.numerator * fd * v_star + (fn + j * fd) * wk * pk.denominator) % den
+        g = math.gcd(step * wk, v_star)
+        n = v_star // g
+        floor_bn, least = divmod(rem * n, den)
+        anchor.append(Fraction(least, den * n))
+        if n > 1:
+            j += step * (-floor_bn * pow(step * wk // g, -1, n) % n)
+            step *= n
+    return tuple(anchor), Fraction(fn + j * fd, fd * v_star)
 
 
 @dataclass(frozen=True, order=True)
@@ -223,7 +238,8 @@ def _merge_on_circle(intervals):
         return [], True
     ivs = sorted((s, s + l) for s, l in intervals)
     s0, cur = ivs[0]
-    gap = None
+    # the wrapped copy of ivs[0] starts at s0 + 1 > cur, so the loop either
+    # finds a gap or returns the full circle
     for a, b in ivs[1:] + [(a + 1, b + 1) for a, b in ivs]:
         if a > cur:
             gap = (cur + a) / 2
@@ -232,8 +248,6 @@ def _merge_on_circle(intervals):
             cur = b
         if cur >= s0 + 1:
             return [], True
-    if gap is None:  # defensive; the wrapped copy of ivs[0] forces one branch
-        return [], True
     g = frac_mod1(gap)
     shifted = sorted((frac_mod1(s - g), l) for s, l in intervals)
     merged: list[list[Fraction]] = []
@@ -273,17 +287,14 @@ def _interval_covered(query, pieces, full: bool) -> bool:
 
 def _arc_point_params(arc: Arc, x: Vec) -> Fraction | None:
     """The circle parameter u in [0,1) with anchor + u*direction = x on the
-    torus, or None when x is off the arc's geodesic.  With c a Bezout vector
-    of the primitive direction w, x = anchor + u*w + k (k integral) gives
-    c.(x - anchor) = u + c.k; the geodesic is simple, so u is the only
-    candidate."""
-    w, anchor = arc.direction, arc.anchor
-    c = bezout(w)
-    u = frac_mod1(sum(ci * (xi - ai) for ci, xi, ai in zip(c, x, anchor)))
-    for ai, wi, xi in zip(anchor, w, x):
-        if (ai + u * wi - xi).denominator != 1:
-            return None
-    return u
+    torus, or None when x is off the arc's geodesic.  The anchor need not be
+    canonical: both points are located on their geodesics of the arc's
+    direction, and x + tau_x*w = anchor + tau_arc*w gives u."""
+    canonical, tau_arc = _anchor_for(arc.anchor, arc.direction)
+    anchor_x, tau_x = _anchor_for(x, arc.direction)
+    if anchor_x != canonical:
+        return None
+    return frac_mod1(tau_arc - tau_x)
 
 
 def _arc_contains_u(arc: Arc, u: Fraction) -> bool:
@@ -296,13 +307,6 @@ def _arc_contains_u(arc: Arc, u: Fraction) -> bool:
 def _arc_holds(arc: Arc, x: Vec) -> bool:
     u = _arc_point_params(arc, x)
     return u is not None and _arc_contains_u(arc, u)
-
-
-def _transverse(x: Vec, w: tuple[int, ...], c: tuple[int, ...]) -> tuple[Fraction, Vec]:
-    """(c.x, frac(x - (c.x)*w)); the second is constant along each closed
-    geodesic of direction w and tells the parallel ones apart."""
-    t = sum(ci * xi for ci, xi in zip(c, x))
-    return t, tuple(frac_mod1(xi - t * wi) for xi, wi in zip(x, w))
 
 
 @dataclass(frozen=True)
@@ -333,12 +337,13 @@ class SegmentSet:
                 for s, l in merged:
                     arcs.append(Arc(w, anchor, s, l))
         arcs.sort()
+        bare = cls(arcs=tuple(arcs), points=())
         pts = set()
         for p in points:
-            vec = tuple(frac_mod1(c) for c in (p.coords if isinstance(p, TorusPoint) else _vec(p)))
-            if not any(_arc_holds(arc, vec) for arc in arcs):
-                pts.add(vec)
-        return cls(arcs=tuple(arcs), points=tuple(sorted(pts)))
+            q = p if isinstance(p, TorusPoint) else TorusPoint(_vec(p))
+            if not bare.contains_point(q):
+                pts.add(q.coords)
+        return cls(arcs=bare.arcs, points=tuple(sorted(pts)))
 
     @property
     def is_empty(self) -> bool:
@@ -357,32 +362,24 @@ class SegmentSet:
         return tuple(arc.to_segment() for arc in self.arcs)
 
     @functools.cached_property
-    def _geodesic_index(self):
-        """Per direction w: (w, c, {transverse key: (c.anchor, arcs)}), c a
-        Bezout vector of w; built on the first membership query."""
-        by_direction: dict = {}
+    def _geodesics(self) -> dict:
+        """{direction: {canonical anchor: arcs on that closed geodesic}},
+        built on first use."""
+        index: dict = {}
         for arc in self.arcs:
-            by_direction.setdefault(arc.direction, []).append(arc)
-        index = []
-        for w, arcs in by_direction.items():
-            c = bezout(w)
-            geodesics: dict = {}
-            for arc in arcs:
-                t, key = _transverse(arc.anchor, w, c)
-                geodesics.setdefault(key, (t, []))[1].append(arc)
-            index.append((w, c, geodesics))
+            index.setdefault(arc.direction, {}).setdefault(arc.anchor, []).append(arc)
         return index
 
     def contains_point(self, p: TorusPoint) -> bool:
         vec = p.coords
         if vec in self.points:
             return True
-        for w, c, geodesics in self._geodesic_index:
-            t, key = _transverse(vec, w, c)
-            found = geodesics.get(key)
-            if found is not None:
-                u = frac_mod1(t - found[0])
-                if any(_arc_contains_u(arc, u) for arc in found[1]):
+        for w, geodesics in self._geodesics.items():
+            anchor, tau = _anchor_for(vec, w)
+            arcs = geodesics.get(anchor)
+            if arcs is not None:
+                u = frac_mod1(-tau)
+                if any(_arc_contains_u(arc, u) for arc in arcs):
                     return True
         return False
 
@@ -394,10 +391,9 @@ class SegmentSet:
             if not self.contains_point(TorusPoint(vec)):
                 return False
         for arc in other.arcs:
-            pieces = [
-                (a.start, a.length) for a in self.arcs if a.key == arc.key and not a.is_full
-            ]
-            full = any(a.key == arc.key and a.is_full for a in self.arcs)
+            same = self._geodesics.get(arc.direction, {}).get(arc.anchor, [])
+            pieces = [(a.start, a.length) for a in same if not a.is_full]
+            full = any(a.is_full for a in same)
             if not _interval_covered((arc.start, arc.length), pieces, full):
                 return False
         return True

@@ -127,23 +127,45 @@ def test_invalid_inputs_exit_2(capsys):
         capsys.readouterr()
 
 
+def _first_primes(count):
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def test_size_guard_exit_3(capsys, tmp_path):
+    primes = _first_primes(800)
     for argv in [
         CERTIFY[:-1] + ["0..6", "--size-guard", "100"],
         ["export", "--moduli", "2,3", "--winding", "1,1", "--image-n", "6",
          "--size-guard", "100", "--out-dir", str(tmp_path)],
+        # the size has more digits than int-to-str conversion allows
+        ["certify", "--moduli", ",".join(map(str, primes)),
+         "--winding", ",".join("1" for _ in primes), "--range", "0..0"],
     ]:
         assert main(argv) == 3, argv
         capsys.readouterr()
 
 
-def _run_python(args):
+def test_stage_search_bound_exits_3(capsys):
+    # winding entry 2^131 on modulus 4: no stage within the search bound
+    argv = ["tower", "--moduli", "4,3", "--winding",
+            "2722258935367507707706996859454145691648,1", "--epsilon", "1/2"]
+    assert main(argv) == 3
+    assert "no stage within" in capsys.readouterr().err
+
+
+def _run_python(args, timeout=60):
     """Run a Python command line in a subprocess with this checkout's src/."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(fupcon.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True,
-        timeout=60,
+        timeout=timeout,
     )
 
 
@@ -159,6 +181,15 @@ def test_tower_size_guard_trips_without_computing_the_size():
         proc = _run_python(["-m", "fupcon", *argv])
         assert proc.returncode == 3, argv
         assert "exceeds guard" in proc.stderr
+
+
+def test_certify_on_three_moduli_finishes():
+    # guards the canonical anchor against a search linear in the pivot entry
+    # of the direction, which made this run take minutes
+    argv = ["certify", "--moduli", "2,3,5", "--winding", "1,1,1", "--range", "2..2"]
+    proc = _run_python(["-m", "fupcon", *argv], timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["verified"] is True
 
 
 def test_negative_list_values_need_no_equals_sign(capsys):

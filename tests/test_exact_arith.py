@@ -10,7 +10,6 @@ from fupcon.exact_arith import (
     Moduli,
     ModuliNotCoprime,
     NoDecomposition,
-    bezout,
     crt_solve,
     format_rational,
     frac_mod1,
@@ -163,10 +162,3 @@ def test_moduli_validation():
         Moduli.of(4, 6)
     with pytest.raises(ValueError):
         Moduli.of()
-
-
-@given(st.lists(st.integers(min_value=-60, max_value=60), min_size=1, max_size=4))
-def test_bezout_combines_to_the_gcd(values):
-    c = bezout(values)
-    assert len(c) == len(values)
-    assert sum(ci * v for ci, v in zip(c, values)) == math.gcd(*values)

@@ -1,0 +1,97 @@
+"""Golden reports: the sha256 of stdout and of every written CSV for a fixed
+set of CLI runs.  A change that must keep reports byte-identical keeps these
+hashes; a change that alters a report on purpose updates them and says why."""
+
+import hashlib
+
+import pytest
+
+from fupcon.cli import main
+
+# name: (argv, exit code, stdout sha256, {written CSV: sha256})
+GOLDEN = {
+    "tower-23-11": (
+        ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "1/2"], 0,
+        "0323b418498dbf15d9420fc9cd2dffdcc88aaa1f004ab8991b8e7809f92abc21", {},
+    ),
+    "tower-23-m11": (
+        ["tower", "--moduli", "2,3", "--winding", "-1,1", "--epsilon", "1/2"], 0,
+        "3f6459a791863fbfb770f8a6b5a3f1396c92fb370428609236cc174413f537c2", {},
+    ),
+    "tower-25-11": (
+        ["tower", "--moduli", "2,5", "--winding", "1,1", "--epsilon", "1"], 0,
+        "a260d85b00cc069287827f301f60b20a4eade1963b59b2817febede9f669aab2", {},
+    ),
+    "tower-23-23-n1-0": (  # negative control: the stage is too small
+        ["tower", "--moduli", "2,3", "--winding", "2,3", "--epsilon", "1/2",
+         "--n1", "0"], 1,
+        "6d01d5c577877ff7979af73971dbcbdb59cffe1bdb3d3b1eef2004453f64dceb", {},
+    ),
+    "certify-23-23": (
+        ["certify", "--moduli", "2,3", "--winding", "2,3", "--range", "0..3"], 0,
+        "47a7649d298ca257d5c04fa95be292cb4d414314e86a6cc4e3070c72cadf032d", {},
+    ),
+    "certify-25-11": (
+        ["certify", "--moduli", "2,5", "--winding", "1,1", "--range", "0..2"], 0,
+        "e8712aacf7c4b5c44938b1e26fd3062c68ebe4c734df5ead6c6e9ebe1356db30", {},
+    ),
+    "certify-235-111": (
+        ["certify", "--moduli", "2,3,5", "--winding", "1,1,1", "--range", "0..0"], 0,
+        "5c23fb5e37859a903fa1414eabe5fd3495cb85b5e70aab4ead4e85a126e66dfd", {},
+    ),
+    "certify-235-213": (
+        ["certify", "--moduli", "2,3,5", "--winding", "2,1,3", "--range", "0..1"], 0,
+        "31ebc6e3fd88d7ee9add1769589d5f6ce7800273f3e22a14a26615e46c48be64", {},
+    ),
+    "export-image": (
+        ["export", "--moduli", "2,3", "--winding", "1,2", "--image-n", "2",
+         "--out-dir", "out"], 0,
+        "734ad7f25fe16e4a54fed3f778787f970ac0b61f0f3381a95ddd36653812a840",
+        {"image_stage_2.csv":
+         "75e3e33763c7b7aa68e25b413912b01a182bdfd94af679404d78766d17596128"},
+    ),
+    "export-tower": (
+        ["export", "--moduli", "2,3", "--winding", "1,1", "--tower-levels",
+         "--epsilon", "1/2", "--out-dir", "out"], 0,
+        "26c4954834d97aa852d806883c86c37f1127542fcceb3b2bf5ab716257a3a160",
+        {
+            "tower_level_01.csv":
+            "1014e4717fd5a2aed823fe1643eb66b49a05d1e6abdea1e47c3c480575e60ab9",
+            "tower_level_02.csv":
+            "100cd13465b8544a4749861d1d1d9136dcce7a6064b3fa0f233ba3a2e50b0a12",
+            "tower_level_03.csv":
+            "a137f82b78484de223d97c4929660e4433eb7dd12cabe8bd435da03344971a69",
+            "tower_level_04.csv":
+            "36232b8fbcac480a4bfec5f4babae7153670a3389c41fb46d230bda36289c440",
+            "tower_level_05.csv":
+            "4f081c83f6aa73589130c4fd3ad1fe72278e3d92ae99923f6a0b5dfaa0960465",
+            "tower_level_06.csv":
+            "29dbab21f9a7d86a54d1e2ced9cdd16e910bb1012aa67e1a4e67286ef42df596",
+        },
+    ),
+    "combine-2": (
+        ["combine", "--loops", "3,0;-2,1"], 0,
+        "5a596f9cf745d53a7c7bd372f34efbd0055edebb7fa8e40840f7712b23ac3f83", {},
+    ),
+    "combine-3": (
+        ["combine", "--loops", "2,0,0;0,3,1;-1,1,1"], 0,
+        "99b032c368e072a411a17c06d8153442e99a6ea7d5ddb25b7e9287e1689e766c", {},
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report(name, tmp_path, monkeypatch, capsys):
+    argv, code, stdout_sha, csv_shas = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)  # reports name the relative --out-dir
+    assert main(argv) == code
+    assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
+    out = tmp_path / "out"
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    assert written == sorted(csv_shas)
+    for fname, sha in csv_shas.items():
+        assert _sha256((out / fname).read_bytes()) == sha, fname

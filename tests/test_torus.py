@@ -30,7 +30,7 @@ from fupcon.torus import (
     torus_dist,
     write_segment_set_csv,
 )
-from fupcon.torus import _arc_contains_u, _arc_point_params
+from fupcon.torus import _anchor_for, _arc_contains_u, _arc_point_params
 
 M23 = Moduli.of(2, 3)
 
@@ -69,6 +69,16 @@ def test_preimages_of_base():
     }
     for q in pre:
         assert apply_f(q, M23) == base_point(2)
+
+
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=40), min_size=3, max_size=3))
+def test_preimages_are_sorted_and_complete(coords):
+    p = TorusPoint(tuple(coords))
+    moduli = Moduli.of(2, 3, 5)
+    pre = f_preimages(p, moduli)
+    assert pre == sorted(pre)
+    assert len(set(pre)) == 30
+    assert all(apply_f(q, moduli) == p for q in pre)
 
 
 def test_segment_rejects_degenerate():
@@ -292,6 +302,38 @@ def primitive_directions(draw, r):
     w = [v // g for v in raw]
     sign = 1 if next(v for v in w if v != 0) > 0 else -1
     return tuple(sign * v for v in w)
+
+
+def enumerated_anchor(point, w):
+    """Oracle: try all v* pivot-zero points of the geodesic, v* the pivot
+    entry of w, and keep the lexicographically least with its tau."""
+    idx = next(i for i, c in enumerate(w) if c != 0)
+    v_star = w[idx]
+    first = Fr(math.ceil(point[idx])) - point[idx]
+    best = None
+    for j in range(v_star):
+        tau = (first + j) / v_star
+        pt = tuple(frac_mod1(point[i] + tau * w[i]) for i in range(len(w)))
+        if best is None or pt < best[0]:
+            best = (pt, tau)
+    return best
+
+
+@settings(max_examples=300)
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=4),
+    st.sampled_from([
+        None, (4, 2, 1), (6, 4, 3), (6, -4, 3), (12, 8, 9, 6), (0, 6, 4, 3),
+        (30, 12, -20, 15), (9, 6, 0, 4),
+    ]),
+)
+def test_closed_form_anchor_matches_enumeration(data, r, shared):
+    # shared: a direction whose later entries share factors with its pivot
+    w = shared or data.draw(primitive_directions(r))
+    coords = st.fractions(min_value=-3, max_value=3, max_denominator=30)
+    point = tuple(data.draw(coords) for _ in w)
+    assert _anchor_for(point, w) == enumerated_anchor(point, w)
 
 
 @settings(max_examples=150)
