@@ -1,8 +1,12 @@
 """Command-line interface: certify, tower, combine, export.
 
 Exit codes: 0 all verdicts as asserted, 1 verification failure, 2 invalid
-input, 3 size guard exceeded, 4 I/O failure.  Reports go to stdout (or
---out, written atomically) and are byte-identical across repeated runs.
+input, 3 size guard exceeded, 4 I/O failure.  An internal defect is a
+verification failure too: a tower whose levels cannot carry a coherent
+point (NoPreimageInLevel, MembershipFails) or a witness that fails its own
+re-check (AssertionError) exits 1 with an `error:` line, not 2 or a
+traceback.  Reports go to stdout (or --out, written atomically) and are
+byte-identical across repeated runs.
 """
 
 import argparse
@@ -45,9 +49,11 @@ from .reports import (
 )
 from .torus import write_segment_set_csv
 from .tower import (
+    MembershipFails,
+    NoPreimageInLevel,
+    base_sample_count,
     build_tower,
     choose_params,
-    coherent_base_sample,
     coherent_deep_sample,
     epsilon_bound_check,
     verify_tower,
@@ -199,11 +205,13 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
     overridden = cfg.n1_override is not None
     if overridden:
         params = dataclasses.replace(params, n1=cfg.n1_override)
+    # coherent_deep_sample threads every candidate through every level
+    check_size(moduli, 1, cfg.size_guard, (cfg.candidates, params.levels_total))
     tower = build_tower(PLLoop.straight(w), params, moduli, cfg.size_guard)
     report_levels = verify_tower(tower)
-    bases = coherent_base_sample(tower)
+    base_samples = base_sample_count(tower.base_loop, params.delta)
     cands = coherent_deep_sample(tower, cfg.candidates)
-    eps_check = epsilon_bound_check(tower, bases, cands)
+    eps_check = epsilon_bound_check(tower, base_samples, cands)
     ok = report_levels.all_ok and eps_check.ok
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -247,7 +255,7 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
                 "ok": eps_check.ok,
                 "candidates": eps_check.candidates,
                 "matched": eps_check.matched,
-                "base_samples": len(bases),
+                "base_samples": base_samples,
                 "max_distance": None
                 if eps_check.max_distance is None
                 else format_rational(eps_check.max_distance),
@@ -461,6 +469,10 @@ def main(argv=None) -> int:
     except NotFoundWithin as exc:  # valid input, the stage search is bounded
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SIZE
+    except (NoPreimageInLevel, MembershipFails, AssertionError) as exc:
+        # an internal defect: the program's own construction failed its check
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return EXIT_VERIFICATION
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

@@ -159,5 +159,10 @@ def gcd_certificate_condition(s: int, m: int, n: int) -> bool:
     """
     if n < 0:
         raise ValueError("stage n must be >= 0")
-    g = math.gcd(abs(int(s)), int(m) ** (n + 1))
+    s = abs(int(s))
+    if s and n >= s.bit_length():
+        # every prime p of m has v_p(m^n) >= n > v_p(s) >= v_p(gcd): true,
+        # without forming m^(n+1)
+        return True
+    g = math.gcd(s, int(m) ** (n + 1))
     return int(m) ** n % g == 0

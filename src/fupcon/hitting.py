@@ -60,15 +60,18 @@ class SizeGuardExceeded(RuntimeError):
         self.guard = guard
 
 
-def check_size(moduli: Moduli, exponent: int, size_guard: int):
-    """Raise SizeGuardExceeded when prod m_i^exponent exceeds size_guard.
-    Every m_i >= 2, so an exponent above size_guard.bit_length() trips the
-    guard before any m_i^exponent is formed; needed is then a power
-    expression, as it is when the product has too many digits to print."""
-    power = " * ".join(f"{m}^{exponent}" for m in moduli)
+def check_size(
+    moduli: Moduli, exponent: int, size_guard: int, factors: tuple[int, ...] = ()
+):
+    """Raise SizeGuardExceeded when the product of the positive factors and
+    prod m_i^exponent exceeds size_guard.  Every m_i >= 2, so an exponent
+    above size_guard.bit_length() trips the guard before any m_i^exponent is
+    formed; needed is then a power expression, as it is when the product has
+    too many digits to print."""
+    power = " * ".join([str(f) for f in factors] + [f"{m}^{exponent}" for m in moduli])
     if exponent > size_guard.bit_length():
         raise SizeGuardExceeded(power, size_guard)
-    needed = math.prod(m**exponent for m in moduli)
+    needed = math.prod(factors) * math.prod(m**exponent for m in moduli)
     if needed > size_guard:
         try:
             str(needed)

@@ -11,14 +11,23 @@ the hitting certificate levels.  build_tower then lays out the levels
 
 and verify_tower checks, per level, connectedness, membership of the base
 point, the bonding containment f(L_{n+1}) contained in L_n, and equality of
-the bonding at the forward levels.  Coherent points threaded through the
-levels are compared in the weighted metric by epsilon_bound_check.
+the bonding at the forward levels.
+
+epsilon_bound_check compares coherent points threaded down from the deepest
+level with the delta-dense uniform sample of the base loop at level N0.  The
+first delta-close sample of each candidate is found in closed form (each
+coordinate of the loop is linear in the sample index on each piece), and
+only the matched samples are threaded; that the rest could be threaded too
+is checked exactly, as f(L_{k+1}) covering L_k for every k >= N0.  So the
+sample is never built, and the cost of the check grows with the number of
+levels, not with the sample count.
 """
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .exact_arith import Moduli, NoDecomposition
 from .hitting import (
@@ -34,6 +43,7 @@ from .torus import (
     TorusPoint,
     apply_f,
     apply_f_set,
+    arc_dist,
     base_point,
     components,
     f_preimages,
@@ -152,6 +162,12 @@ class Tower:
             raise ValueError(f"level {n} outside 1..{len(self.levels)}")
         return self.levels[n - 1]
 
+    @functools.cached_property
+    def images(self) -> tuple[SegmentSet, ...]:
+        """f(L_2), ..., f(L_n), computed once for the checks of both
+        bonding directions."""
+        return tuple(apply_f_set(lvl, self.moduli) for lvl in self.levels[1:])
+
 
 def build_tower(
     base_loop: PLLoop,
@@ -226,7 +242,7 @@ def verify_tower(t: Tower) -> TowerReport:
         bonding = None
         equality = None
         if idx >= 2:
-            pushed = apply_f_set(lvl, t.moduli)
+            pushed = t.images[idx - 2]
             bonding = t.levels[idx - 2].covers(pushed)
             if idx <= t.params.n0:
                 equality = pushed == t.levels[idx - 2]
@@ -275,13 +291,6 @@ def coherent_point_through(
     )
 
 
-def sample_loop_points(loop: PLLoop, count: int) -> list[TorusPoint]:
-    """count projected loop points at uniform rational parameters."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    return [loop.point_at(Fraction(i, count)) for i in range(count)]
-
-
 def base_sample_count(loop: PLLoop, delta: Fraction) -> int:
     """Enough uniform samples that every loop point is within delta (in the
     max-arc metric) of some sample: spacing below 2*delta / Lipschitz."""
@@ -291,14 +300,91 @@ def base_sample_count(loop: PLLoop, delta: Fraction) -> int:
     return math.floor(speed / (2 * delta)) + 1
 
 
-def coherent_base_sample(t: Tower) -> list[SolenoidPoint]:
-    """Coherent points through the tower whose level-N0 coordinates form a
-    delta-dense sample of the base loop's image."""
-    count = base_sample_count(t.base_loop, t.params.delta)
+def _close_intervals(start: Fraction, step: Fraction, delta: Fraction, lo: int, hi: int):
+    """The open intervals of real i, in increasing order, on which
+    start + step*i (step != 0) lies within delta of an integer n, one per n
+    the line meets while i runs over [lo, hi]; disjoint for delta <= 1/2."""
+    y0, y1 = sorted((start + step * lo, start + step * hi))
+    ns = range(math.floor(y0 - delta) + 1, math.ceil(y1 + delta))
+    return [
+        tuple(sorted(((n - delta - start) / step, (n + delta - start) / step)))
+        for n in (ns if step > 0 else reversed(ns))
+    ]
+
+
+def _intersect(xs: list, ys: list) -> list:
+    """Intersection of two increasing lists of disjoint open intervals."""
     out = []
-    for p in sample_loop_points(t.base_loop, count):
-        out.append(coherent_point_through(t, p, t.params.n0))
+    a = b = 0
+    while a < len(xs) and b < len(ys):
+        lo, hi = max(xs[a][0], ys[b][0]), min(xs[a][1], ys[b][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if xs[a][1] < ys[b][1]:
+            a += 1
+        else:
+            b += 1
     return out
+
+
+def first_close_sample(
+    loop: PLLoop, count: int, query: TorusPoint, delta: Fraction
+) -> int | None:
+    """The least i in 0..count-1 with torus_dist(query, loop.point_at(i/count))
+    < delta, or None, found without forming the samples.
+
+    The k pieces are uniform in time, so piece p holds the samples
+    i = ceil(p*count/k) .. ceil((p+1)*count/k) - 1, and on it coordinate c is
+    a_c + (i*k/count - p)*(b_c - a_c), linear in i.  Its arc distance to q_c
+    is below delta exactly on the open i-intervals where that line is within
+    delta of some q_c + n, n an integer; a constant coordinate passes for
+    every i of the piece or for none.  The least integer in the intersection
+    over the coordinates, piece by piece, is the answer.  A line meets about
+    |b_c - a_c| + 2 translates on its piece, so the cost does not depend on
+    count."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if delta > Fraction(1, 2):  # no two torus points are farther apart
+        return 0
+    k = loop.pieces
+    for p, (a, b) in enumerate(zip(loop.breakpoints, loop.breakpoints[1:])):
+        lo, hi = -(-p * count // k), -(-(p + 1) * count // k) - 1
+        window = [(Fraction(lo - 1), Fraction(hi + 1))]  # holds exactly lo..hi
+        for ac, bc, qc in zip(a, b, query.coords):
+            step = (bc - ac) * k / count
+            if step == 0:
+                if arc_dist(ac, qc) >= delta:
+                    window = []
+            else:
+                window = _intersect(
+                    window, _close_intervals(ac - p * (bc - ac) - qc, step, delta, lo, hi)
+                )
+            if not window:
+                break
+        for left, right in window:
+            i = math.floor(left) + 1
+            if i < right:
+                return i
+    return None
+
+
+def coherent_base_sample(
+    t: Tower, count: int, indices: Iterable[int]
+) -> dict[int, SolenoidPoint]:
+    """Coherent points through the tower from the base-loop samples
+    loop(i/count), i in indices, at level N0.
+
+    Threading the whole sample would show no more than that each sampled
+    point of a level L_k, k >= N0, has a preimage in L_(k+1).  Every point of
+    L_k has one exactly when f(L_(k+1)) covers L_k, which is checked first,
+    level by level."""
+    for k in range(t.params.n0, len(t.levels)):
+        if not t.images[k - 1].covers(t.level(k)):
+            raise NoPreimageInLevel(f"the image of level {k + 1} does not cover level {k}")
+    return {
+        i: coherent_point_through(t, t.base_loop.point_at(Fraction(i, count)), t.params.n0)
+        for i in sorted(set(indices))
+    }
 
 
 def coherent_deep_sample(t: Tower, count: int) -> list[SolenoidPoint]:
@@ -333,60 +419,34 @@ class EpsilonCheck:
     max_distance_with_tail: Fraction | None
 
 
-def first_close(
-    bases: list[TorusPoint], queries: list[TorusPoint], delta: Fraction
-) -> list[int | None]:
-    """For every query, the least index i with torus_dist(query, bases[i]) <
-    delta, or None.  Bases are bucketed on a grid of floor(1/delta) cells per
-    axis, each at least delta wide, so only the 3^r cells around a query (mod
-    the cell count) can hold a delta-close base."""
-    cells = max(1, math.floor(1 / delta))
-
-    def cell(p: TorusPoint) -> tuple[int, ...]:
-        return tuple(c.numerator * cells // c.denominator for c in p.coords)
-
-    grid: dict[tuple[int, ...], list[int]] = {}
-    for i, base in enumerate(bases):
-        grid.setdefault(cell(base), []).append(i)
-    out: list[int | None] = []
-    for q in queries:
-        here = cell(q)
-        near = {
-            tuple((h + d) % cells for h, d in zip(here, offset))
-            for offset in itertools.product((-1, 0, 1), repeat=len(here))
-        }
-        found = sorted(i for key in near for i in grid.get(key, ()))
-        out.append(next((i for i in found if torus_dist(q, bases[i]) < delta), None))
-    return out
-
-
 def epsilon_bound_check(
     t: Tower,
-    base_points: list[SolenoidPoint],
+    count: int,
     candidates: list[SolenoidPoint],
 ) -> EpsilonCheck:
-    """For every candidate, find the first base point delta-close at level
-    N0, then verify the first N0 coordinates stay epsilon/2-close and the
-    weighted distance (plus its truncation tail bound) stays below epsilon."""
+    """For every candidate, find the first of the count uniform base-loop
+    samples delta-close at level N0, thread it through the tower, then verify
+    the first N0 coordinates stay epsilon/2-close and the weighted distance
+    (plus its truncation tail bound) stays below epsilon."""
     n0 = t.params.n0
     eps, delta = t.params.epsilon, t.params.delta
-    for p in list(base_points) + list(candidates):
+    for p in candidates:
         if p.depth < n0:
             raise DepthTooSmall(f"point depth {p.depth} below N0 = {n0}")
     ok = True
     matched = 0
     worst: Fraction | None = None
     worst_tail: Fraction | None = None
-    firsts = first_close(
-        [b.levels[n0 - 1] for b in base_points],
-        [c.levels[n0 - 1] for c in candidates],
-        delta,
-    )
+    firsts = [
+        first_close_sample(t.base_loop, count, c.levels[n0 - 1], delta)
+        for c in candidates
+    ]
+    bases = coherent_base_sample(t, count, (i for i in firsts if i is not None))
     for cand, first in zip(candidates, firsts):
         if first is None:
             ok = False
             continue
-        match = base_points[first]
+        match = bases[first]
         matched += 1
         if any(
             torus_dist(cand.levels[i], match.levels[i]) >= eps / 2

@@ -30,9 +30,9 @@ from fupcon.lifting import PLLoop, lift, standard_lift_points
 from fupcon.loop_design import design_all_nonzero
 from fupcon.torus import TorusPoint, apply_f
 from fupcon.tower import (
+    base_sample_count,
     build_tower,
     choose_params,
-    coherent_base_sample,
     coherent_deep_sample,
     epsilon_bound_check,
     verify_tower,
@@ -255,9 +255,9 @@ def test_criterion_6_tower():
             assert check.connected and check.contains_base
             assert check.bonding_into_previous in (None, True)
             assert check.forward_equality in (None, True)
-        bases = coherent_base_sample(tower)
+        count = base_sample_count(tower.base_loop, params.delta)
         cands = coherent_deep_sample(tower, 20)
-        res = epsilon_bound_check(tower, bases, cands)
+        res = epsilon_bound_check(tower, count, cands)
         assert res.ok
         assert res.matched == res.candidates == 20
         assert res.max_distance_with_tail == Fr(271, 4608)
@@ -294,10 +294,10 @@ def test_criterion_7_negative_controls():
         disconnected = [c for c in bad_report.checks if not c.connected]
         assert disconnected and disconnected[0].component_count == 6
 
-        # (c) a base sample violating the delta density loses candidates
-        bases = coherent_base_sample(tower)
+        # (c) a base sample violating the delta density loses candidates:
+        # the single sample loop(0)
         cands = coherent_deep_sample(tower, 20)
-        sparse = epsilon_bound_check(tower, bases[:1], cands)
+        sparse = epsilon_bound_check(tower, 1, cands)
         assert not sparse.ok
         assert sparse.matched < sparse.candidates
 

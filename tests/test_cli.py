@@ -1,14 +1,18 @@
 """In-process CLI tests: report shapes, determinism, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import fupcon
+from fupcon import cli, hitting
 from fupcon.cli import main
+from fupcon.torus import SegmentSet, TorusPoint
 
 CERTIFY = ["certify", "--moduli", "2,3", "--winding", "2,3", "--range", "0..3"]
 TOWER = ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "1/2"]
@@ -177,10 +181,54 @@ def test_tower_size_guard_trips_without_computing_the_size():
         # stage 10^8: trip before any stage forms m^(n + 1)
         ["certify", "--moduli", "2,3", "--winding", "1,1",
          "--range", "100000000..100000000"],
+        # 10^9 candidates x 6 levels x 6 preimages: trip before any candidate
+        TOWER + ["--candidates", "1000000000"],
     ]:
         proc = _run_python(["-m", "fupcon", *argv])
         assert proc.returncode == 3, argv
         assert "exceeds guard" in proc.stderr
+
+
+def test_tiny_epsilon_tower_finishes():
+    # 10460353203000001 base samples: the epsilon check never builds them
+    argv = ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "1/1000000"]
+    proc = _run_python(["-m", "fupcon", *argv], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    check = json.loads(proc.stdout)["results"]["epsilon_check"]
+    assert check["base_samples"] == 10460353203000001
+    assert check["ok"] and check["matched"] == 20
+
+
+@pytest.mark.parametrize("cut, defect", [
+    (4, "MembershipFails"),  # the lift level: deep points fall out of it
+    (6, "NoPreimageInLevel"),  # the deepest level: f of it misses part of L_5
+])
+def test_tower_defect_exits_1(capsys, monkeypatch, cut, defect):
+    real = cli.build_tower
+
+    def truncated(*args, **kwargs):
+        t = real(*args, **kwargs)
+        arc = t.levels[cut - 1].arcs[0]
+        levels = list(t.levels)
+        levels[cut - 1] = SegmentSet(
+            arcs=(dataclasses.replace(arc, length=arc.length / 12),), points=()
+        )
+        return dataclasses.replace(t, levels=tuple(levels))
+
+    monkeypatch.setattr(cli, "build_tower", truncated)
+    assert main(TOWER) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {defect}: ")
+
+
+def test_non_witness_exits_1(capsys, monkeypatch):
+    # (1/2, 1/2) is no preimage of the base point on (2, 3)
+    off = TorusPoint((Fraction(1, 2), Fraction(1, 2)))
+    monkeypatch.setattr(hitting, "standard_point", lambda *args: off)
+    assert main(CERTIFY) == 1
+    err = capsys.readouterr().err
+    assert err == "error: AssertionError: witness construction produced a non-witness\n"
 
 
 def test_certify_on_three_moduli_finishes():

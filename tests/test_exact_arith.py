@@ -17,6 +17,7 @@ from fupcon.exact_arith import (
     madic_decomposition,
     parse_rational,
 )
+from fupcon.hitting import level_condition
 
 # Frozen input/output pairs, checked by hand.
 CRT_CASES = [
@@ -122,6 +123,25 @@ def test_gcd_condition_frozen():
 def test_gcd_condition_is_monotone_in_stage(s, m, n):
     if gcd_certificate_condition(s, m, n):
         assert gcd_certificate_condition(s, m, n + 1)
+
+
+@given(
+    st.integers(min_value=-5000, max_value=5000),
+    st.integers(min_value=2, max_value=30),
+    st.integers(min_value=0, max_value=20),
+)
+def test_gcd_condition_matches_the_direct_form(s, m, n):
+    """Past n = |s|.bit_length() the condition is answered without forming
+    m^(n+1); the direct form is the oracle."""
+    g = math.gcd(abs(s), m ** (n + 1))
+    assert gcd_certificate_condition(s, m, n) is (m**n % g == 0)
+
+
+def test_gcd_condition_on_a_huge_stage_returns_at_once():
+    assert gcd_certificate_condition(6, 2, 10**9) is True
+    assert gcd_certificate_condition(-(3**40), 3, 10**9) is True
+    assert gcd_certificate_condition(0, 2, 12) is False  # s = 0 never holds
+    assert level_condition((1, 1), Moduli((2, 3)), 10**9) is True
 
 
 @given(st.fractions(max_denominator=10**6))

@@ -18,6 +18,15 @@ GOLDEN = {
         ["tower", "--moduli", "2,3", "--winding", "-1,1", "--epsilon", "1/2"], 0,
         "3f6459a791863fbfb770f8a6b5a3f1396c92fb370428609236cc174413f537c2", {},
     ),
+    "tower-23-11-eps-1/8": (
+        ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "1/8"], 0,
+        "b22720efc9231bda3b3032859c8c820e28f241329ce185fb2201c2cbfd193305", {},
+    ),
+    "tower-25-11-50-candidates": (
+        ["tower", "--moduli", "2,5", "--winding", "1,1", "--epsilon", "1/2",
+         "--candidates", "50"], 0,
+        "0e178e379c51791623b9d065e5c6e926a5964b2585fab800fba830872215765f", {},
+    ),
     "tower-25-11": (
         ["tower", "--moduli", "2,5", "--winding", "1,1", "--epsilon", "1"], 0,
         "a260d85b00cc069287827f301f60b20a4eade1963b59b2817febede9f669aab2", {},

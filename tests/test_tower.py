@@ -1,6 +1,8 @@
 """Unit tests for neighborhood towers and the epsilon bound."""
 
 import dataclasses
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,8 +23,7 @@ from fupcon.tower import (
     coherent_deep_sample,
     coherent_point_through,
     epsilon_bound_check,
-    first_close,
-    sample_loop_points,
+    first_close_sample,
     verify_tower,
 )
 
@@ -151,11 +152,19 @@ def test_coherent_point_through_detects_missing_preimages():
         coherent_point_through(broken, probe, 3)
 
 
+def sample_loop_points(loop, count):
+    """Oracle: count projected loop points at uniform rational parameters."""
+    return [loop.point_at(Fr(i, count)) for i in range(count)]
+
+
 def test_base_sample_is_delta_dense():
     t = good_tower()
-    bases = coherent_base_sample(t)
     loop = t.base_loop
-    assert len(bases) == base_sample_count(loop, t.params.delta) == 55
+    count = base_sample_count(loop, t.params.delta)
+    threaded = coherent_base_sample(t, count, range(count))
+    bases = [threaded[i] for i in range(count)]
+    assert len(bases) == count == 55
+    assert [z.levels[t.params.n0 - 1] for z in bases] == sample_loop_points(loop, count)
     n0 = t.params.n0
     # every probe point on the deepest forward level is delta-close to a sample
     probes = sample_loop_points(loop, 200)
@@ -173,9 +182,9 @@ def test_base_sample_is_delta_dense():
 
 def test_epsilon_check_frozen():
     t = good_tower()
-    bases = coherent_base_sample(t)
+    count = base_sample_count(t.base_loop, t.params.delta)
     cands = coherent_deep_sample(t, 20)
-    res = epsilon_bound_check(t, bases, cands)
+    res = epsilon_bound_check(t, count, cands)
     assert res.ok
     assert (res.candidates, res.matched) == (20, 20)
     assert res.max_distance == Fr(235, 4608)
@@ -185,19 +194,31 @@ def test_epsilon_check_frozen():
 
 def test_epsilon_check_fails_on_sparse_base_sample():
     t = good_tower()
-    bases = coherent_base_sample(t)
     cands = coherent_deep_sample(t, 20)
-    res = epsilon_bound_check(t, bases[:1], cands)
+    res = epsilon_bound_check(t, 1, cands)  # the single sample loop(0)
     assert not res.ok
     assert res.matched < res.candidates
 
 
 def test_epsilon_check_needs_depth():
     t = good_tower()
-    bases = coherent_base_sample(t)
-    shallow = SolenoidPoint(M23, bases[0].levels[:2])
+    count = base_sample_count(t.base_loop, t.params.delta)
+    base = coherent_base_sample(t, count, [0])[0]
+    shallow = SolenoidPoint(M23, base.levels[:2])
     with pytest.raises(DepthTooSmall):
-        epsilon_bound_check(t, bases, [shallow])
+        epsilon_bound_check(t, count, [shallow])
+
+
+def test_uncovered_level_past_n0_has_no_preimage():
+    """L_6 maps 6-to-1 onto L_5; cut to a twelfth of its geodesic, its image
+    is half of L_5 > N0, so not every sample of L_5 could be threaded."""
+    t = good_tower()
+    arc = t.levels[5].arcs[0]
+    levels = list(t.levels)
+    levels[5] = SegmentSet(arcs=(dataclasses.replace(arc, length=arc.length / 12),), points=())
+    broken = dataclasses.replace(t, levels=tuple(levels))
+    with pytest.raises(NoPreimageInLevel, match="level 6 does not cover level 5"):
+        coherent_base_sample(broken, 55, [])
 
 
 def scanned_first_close(bases, queries, delta):
@@ -208,27 +229,92 @@ def scanned_first_close(bases, queries, delta):
     ]
 
 
+def grid_first_close(bases, queries, delta):
+    """Oracle for many bases: bucket them on floor(1/delta) cells per axis,
+    each at least delta wide, and scan the 3^r cells around each query (mod
+    the cell count) in ascending base index."""
+    cells = max(1, math.floor(1 / delta))
+
+    def cell(p):
+        return tuple(c.numerator * cells // c.denominator for c in p.coords)
+
+    grid = {}
+    for i, base in enumerate(bases):
+        grid.setdefault(cell(base), []).append(i)
+    out = []
+    for q in queries:
+        near = {
+            tuple((h + d) % cells for h, d in zip(cell(q), offset))
+            for offset in itertools.product((-1, 0, 1), repeat=q.r)
+        }
+        found = sorted(i for key in near for i in grid.get(key, ()))
+        out.append(next((i for i in found if torus_dist(q, bases[i]) < delta), None))
+    return out
+
+
+cover_coords = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 coords = st.fractions(min_value=0, max_value=1, max_denominator=40)
-nudges = st.fractions(min_value=Fr(-1, 5), max_value=Fr(1, 5), max_denominator=40)
 
 
-@settings(max_examples=100)
+@st.composite
+def pl_loops(draw):
+    """Random PL loops with r = 1..3 and 1-4 pieces, constant pieces and
+    constant coordinates included."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=4))
+    bps = [tuple(Fr(0) for _ in range(r))]
+    for _ in range(k - 1):
+        if draw(st.booleans()):
+            bps.append(bps[-1])  # a constant piece
+        else:
+            bps.append(tuple(
+                bps[-1][c] if draw(st.booleans()) else draw(cover_coords)
+                for c in range(r)
+            ))
+    bps.append(tuple(
+        bps[-1][c] if draw(st.booleans()) and bps[-1][c].denominator == 1
+        else Fr(draw(st.integers(min_value=-3, max_value=3)))
+        for c in range(r)
+    ))
+    return PLLoop(tuple(bps))
+
+
+@settings(max_examples=150)
 @given(
-    st.integers(min_value=1, max_value=3),
+    pl_loops(),
+    st.integers(min_value=1, max_value=60),
     st.one_of(
-        # 1/delta = 4.5 is not an integer; fewer than 3 cells, which wrap
-        st.sampled_from([Fr(2, 9), Fr(3, 7), Fr(3, 5)]),
-        st.fractions(min_value=Fr(1, 60), max_value=Fr(59, 60), max_denominator=60),
+        st.sampled_from([Fr(1, 2), Fr(3, 5), Fr(1, 60)]),
+        st.fractions(min_value=Fr(1, 120), max_value=Fr(1, 2), max_denominator=120),
     ),
     st.data(),
 )
-def test_grid_matching_agrees_with_the_linear_scan(r, delta, data):
-    def point(near=None):
-        if near is None:
-            return TorusPoint(tuple(data.draw(coords) for _ in range(r)))
-        return TorusPoint(tuple(c + data.draw(nudges) for c in near.coords))
+def test_closed_form_first_match_agrees_with_the_linear_scan(loop, count, delta, data):
+    samples = sample_loop_points(loop, count)
+    queries = [TorusPoint(tuple(data.draw(coords) for _ in range(loop.r)))
+               for _ in range(data.draw(st.integers(min_value=1, max_value=3)))]
+    # on a sample point, on the piece boundaries, and exactly delta off a
+    # sample in every coordinate
+    queries += [samples[data.draw(st.integers(min_value=0, max_value=count - 1))]]
+    queries += [TorusPoint(b) for b in loop.breakpoints]
+    queries += [TorusPoint(tuple(c + delta * data.draw(st.sampled_from([-1, 1]))
+                                 for c in samples[-1].coords))]
+    got = [first_close_sample(loop, count, q, delta) for q in queries]
+    assert got == scanned_first_close(samples, queries, delta)
 
-    bases = [point() for _ in range(data.draw(st.integers(min_value=0, max_value=10)))]
-    queries = [point() for _ in range(data.draw(st.integers(min_value=1, max_value=4)))]
-    queries += [point(near=b) for b in bases[:4]]
-    assert first_close(bases, queries, delta) == scanned_first_close(bases, queries, delta)
+
+@pytest.mark.parametrize("epsilon", [Fr(1, 2), Fr(1, 4)])
+def test_closed_form_first_match_agrees_with_the_grid_on_tower_samples(epsilon):
+    """The real tower sample (55 and 325 points) against the grid oracle, for
+    the deep candidates and for points on and between the samples."""
+    params = choose_params(epsilon, M23, (1, 1))
+    t = build_tower(PLLoop.straight((1, 1)), params, M23)
+    count, delta, n0 = base_sample_count(t.base_loop, params.delta), params.delta, params.n0
+    samples = sample_loop_points(t.base_loop, count)
+    queries = [z.levels[n0 - 1] for z in coherent_deep_sample(t, 40)]
+    queries += samples[::7]
+    queries += [t.base_loop.point_at(Fr(2 * i + 1, 2 * count)) for i in range(0, count, 5)]
+    queries += [TorusPoint((Fr(1, 3), Fr(1, 5)))]  # off the loop
+    got = [first_close_sample(t.base_loop, count, q, delta) for q in queries]
+    assert got == grid_first_close(samples, queries, delta)
+    assert got[-1] is None
