@@ -124,8 +124,9 @@ def cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
         mini: int | None = minimal_level(w, moduli)
     except NotFoundWithin:
         mini = None
-    # the deepest check of the range, preimage_connected_check at n_hi,
-    # enumerates prod m^(n_hi + 2): trip before any stage forms m^(n + 1)
+    # one guard for the whole range, before any stage forms m^(n + 1): the
+    # hitting sweep's period is at most prod m^(n_hi + 1), and the bound
+    # prod m^(n_hi + 2) is kept so that no input changes its exit code
     check_size(moduli, cfg.n_hi + 2, cfg.size_guard)
     levels = []
     ok = True
@@ -159,21 +160,12 @@ def cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
         verified = cert.verify()
         if not verified:
             ok = False
-        recipe = None
-        if cert.recipe is not None:
-            recipe = {
-                "alphas": list(cert.recipe.alphas),
-                "units": list(cert.recipe.units),
-                "betas": list(cert.recipe.betas),
-                "cofactor": cert.recipe.cofactor,
-                "cofactor_parts": list(cert.recipe.cofactor_parts),
-            }
         certificate = {
             "stage": cert.stage,
             "witnesses": [
                 {"target": list(t), "time": k} for t, k in cert.witnesses
             ],
-            "recipe": recipe,
+            "recipe": None if cert.recipe is None else dataclasses.asdict(cert.recipe),
             "verified": verified,
         }
     report = {
@@ -205,8 +197,10 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
     overridden = cfg.n1_override is not None
     if overridden:
         params = dataclasses.replace(params, n1=cfg.n1_override)
-    # coherent_deep_sample threads every candidate through every level
+    # coherent_deep_sample threads every candidate through every level, and
+    # first_close_sample lists about |s_c| + 2 intervals per coordinate for each
     check_size(moduli, 1, cfg.size_guard, (cfg.candidates, params.levels_total))
+    check_size((), 0, cfg.size_guard, (cfg.candidates, sum(abs(e) + 2 for e in w)))
     tower = build_tower(PLLoop.straight(w), params, moduli, cfg.size_guard)
     report_levels = verify_tower(tower)
     base_samples = base_sample_count(tower.base_loop, params.delta)
@@ -238,19 +232,7 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
                 "valuation_level": params.valuation,
                 "minimal_level": params.minimal,
             },
-            "levels": [
-                {
-                    "index": c.index,
-                    "role": c.role,
-                    "segment_count": c.segment_count,
-                    "connected": c.connected,
-                    "component_count": c.component_count,
-                    "contains_base": c.contains_base,
-                    "bonding_into_previous": c.bonding_into_previous,
-                    "forward_equality": c.forward_equality,
-                }
-                for c in report_levels.checks
-            ],
+            "levels": [dataclasses.asdict(c) for c in report_levels.checks],
             "epsilon_check": {
                 "ok": eps_check.ok,
                 "candidates": eps_check.candidates,
@@ -270,7 +252,7 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
 
 
 def cmd_combine(cfg: RunConfig) -> tuple[dict, int]:
-    design = design_all_nonzero(cfg.loops)
+    design = design_all_nonzero(cfg.loops, cfg.size_guard)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "combine",

@@ -15,8 +15,6 @@ canonical segment sets.
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Union
-
 from fractions import Fraction
 
 from .exact_arith import (
@@ -64,8 +62,9 @@ def check_size(
     moduli: Moduli, exponent: int, size_guard: int, factors: tuple[int, ...] = ()
 ):
     """Raise SizeGuardExceeded when the product of the positive factors and
-    prod m_i^exponent exceeds size_guard.  Every m_i >= 2, so an exponent
-    above size_guard.bit_length() trips the guard before any m_i^exponent is
+    prod m_i^exponent exceeds size_guard; with no moduli, () and exponent 0,
+    only the factors count.  Every m_i >= 2, so an exponent above
+    size_guard.bit_length() trips the guard before any m_i^exponent is
     formed; needed is then a power expression, as it is when the product has
     too many digits to print."""
     power = " * ".join([str(f) for f in factors] + [f"{m}^{exponent}" for m in moduli])
@@ -239,24 +238,15 @@ def hitting_check(
     return len(seen) == wanted
 
 
-LoopOrWinding = Union[PLLoop, WindingVector, tuple, list]
-
-
-def _as_loop(loop_or_s: LoopOrWinding) -> PLLoop:
-    if isinstance(loop_or_s, PLLoop):
-        return loop_or_s
-    return PLLoop.straight(as_winding(loop_or_s))
-
-
 def preimage_equality_check(
-    loop_or_s: LoopOrWinding,
+    s: WindingLike,
     moduli: Moduli,
     n: int,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> bool:
     """Does the full preimage of the stage-n image equal the stage-(n+1)
     image, as exact point sets?"""
-    loop = _as_loop(loop_or_s)
+    loop = PLLoop.straight(s)
     _require_admissible(loop.winding())
     check_size(moduli, n + 2, size_guard)
     stage_n = image_set(loop, n, moduli)
@@ -264,13 +254,13 @@ def preimage_equality_check(
 
 
 def preimage_connected_check(
-    loop_or_s: LoopOrWinding,
+    s: WindingLike,
     moduli: Moduli,
     n: int,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> tuple[bool, int]:
     """(connected?, component count) of the preimage of the stage-n image."""
-    loop = _as_loop(loop_or_s)
+    loop = PLLoop.straight(s)
     _require_admissible(loop.winding())
     check_size(moduli, n + 2, size_guard)
     comps = components(preimage_set(image_set(loop, n, moduli), moduli))

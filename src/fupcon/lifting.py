@@ -6,6 +6,11 @@ integer vector — its winding vector.  The stage-n lift divides the periodic
 extension's cover coordinates by m_i^n; it is the unique lift sending 0 to
 the base point.  Integer-time samples of the lift depend only on the winding,
 which is what makes the standard straight-line loops a sufficient model.
+
+For a straight loop with an all-nonzero winding the stage-n lift is
+periodic, and one period of it is a single segment: image_set forms that
+closed geodesic directly, without lifting the blocks of the period one by
+one.
 """
 
 import math
@@ -15,10 +20,6 @@ from typing import Sequence, Union
 
 from .exact_arith import Moduli
 from .torus import SegmentSet, TorusPoint, TorusSegment, Vec, _vec
-
-
-class NonperiodicWithoutHorizon(ValueError):
-    """Image requested for a loop with a zero winding entry and no horizon."""
 
 
 class NonadmissibleWinding(ValueError):
@@ -257,27 +258,15 @@ def image_period(s: WindingLike, n: int, moduli: Moduli) -> int:
     return math.lcm(*(m**n // math.gcd(abs(e), m**n) for e, m in zip(w, moduli)))
 
 
-def image_set(
-    loop: PLLoop, n: int, moduli: Moduli, horizon: int | None = None
-) -> SegmentSet:
-    """Image of the stage-n lift as a canonical segment set.
+def image_set(loop: PLLoop, n: int, moduli: Moduli) -> SegmentSet:
+    """Image of the stage-n lift of a straight loop as a canonical segment set.
 
-    For admissible windings one full period suffices and is used by default;
-    otherwise an explicit horizon must be supplied."""
-    if loop.r != moduli.r:
-        raise ValueError("loop and moduli dimension differ")
+    Over one period P = image_period(s, n) the lift of the straight loop of
+    winding s is the single segment from 0 to (s_i * P / m_i^n), the closed
+    geodesic through the base point; later periods retrace it."""
+    if loop.pieces != 1:
+        raise ValueError("image_set takes a straight loop (one piece)")
     w = loop.winding()
-    if horizon is None:
-        if not w.admissible:
-            raise NonperiodicWithoutHorizon(
-                "zero winding entry: supply an explicit horizon"
-            )
-        horizon = image_period(w, n, moduli)
-    path = lift(loop, n, moduli, horizon)
-    segs, pts = [], []
-    for a, b in zip(path.breakpoints, path.breakpoints[1:]):
-        if a == b:
-            pts.append(TorusPoint(a))
-        else:
-            segs.append(TorusSegment(a, b))
-    return SegmentSet.from_segments(segs, pts)
+    period = image_period(w, n, moduli)
+    end = tuple(Fraction(e * period, m**n) for e, m in zip(w, moduli))
+    return SegmentSet.from_segments([TorusSegment((Fraction(0),) * w.r, end)])

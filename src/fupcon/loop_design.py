@@ -12,6 +12,7 @@ where t_i = 0 the entry stays s_i != 0, and where t_i != 0 the bound gives
 from dataclasses import dataclass
 from typing import Sequence
 
+from .hitting import DEFAULT_SIZE_GUARD, check_size
 from .lifting import PLLoop, WindingLike, WindingVector, as_winding
 
 
@@ -104,9 +105,15 @@ class NonvanishingDesign:
     steps: tuple[CombineStep, ...]
 
 
-def design_all_nonzero(family: Sequence[WindingLike]) -> NonvanishingDesign:
+def design_all_nonzero(
+    family: Sequence[WindingLike], size_guard: int = DEFAULT_SIZE_GUARD
+) -> NonvanishingDesign:
     """Run the combination scheme over a family of r windings, the i-th with
-    nonzero i-th entry, producing an all-nonzero winding and its loop."""
+    nonzero i-th entry, producing an all-nonzero winding and its loop.
+
+    The loop has 2 + sum(l) breakpoints of r coordinates each, l the
+    repetition counts; that size is checked against size_guard before any
+    breakpoint is built."""
     loops = [as_winding(s) for s in family]
     if not loops:
         raise BadInputFamily("empty family")
@@ -119,7 +126,6 @@ def design_all_nonzero(family: Sequence[WindingLike]) -> NonvanishingDesign:
         if w[i] == 0:
             raise BadInputFamily(f"family loop {i} has zero entry {i}")
     current = loops[0]
-    pl = PLLoop.straight(current)
     coefficients = [1]
     steps: list[CombineStep] = []
     for stage in range(1, r):
@@ -135,10 +141,13 @@ def design_all_nonzero(family: Sequence[WindingLike]) -> NonvanishingDesign:
                 after=after,
             )
         )
-        pl = PLLoop.straight(injected).repeat(l).concat(pl)
         coefficients.append(l)
         current = after
     assert current.admissible
+    check_size((), 0, size_guard, (2 + sum(coefficients[1:]), r))
+    pl = PLLoop.straight(loops[0])
+    for step in steps:
+        pl = PLLoop.straight(step.injected).repeat(step.repetitions).concat(pl)
     assert pl.winding() == current
     return NonvanishingDesign(
         coefficients=tuple(coefficients),

@@ -183,6 +183,16 @@ def test_tower_size_guard_trips_without_computing_the_size():
          "--range", "100000000..100000000"],
         # 10^9 candidates x 6 levels x 6 preimages: trip before any candidate
         TOWER + ["--candidates", "1000000000"],
+        # 20 candidates x (|s_1| + 2 + |s_2| + 2) intervals each: trip before
+        # the first delta-close samples are looked for
+        ["tower", "--moduli", "2,3", "--winding", "100001,1", "--epsilon", "1/2"],
+        ["tower", "--moduli", "2,3", "--winding",
+         str(2**131 + 3) + ",1", "--epsilon", "1/2"],
+        # (2 + sum of repetition counts) x r loop coordinates: trip before
+        # any breakpoint is built
+        ["combine", "--loops", "1000000,0;0,1"],
+        ["combine", "--loops", "15,1,2,3,4,5;1,15,2,3,4,5;1,2,15,3,4,5;"
+         "1,2,3,15,4,5;1,2,3,4,15,5;1,2,3,4,5,15"],
     ]:
         proc = _run_python(["-m", "fupcon", *argv])
         assert proc.returncode == 3, argv

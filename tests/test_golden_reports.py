@@ -52,12 +52,31 @@ GOLDEN = {
         ["certify", "--moduli", "2,3,5", "--winding", "2,1,3", "--range", "0..1"], 0,
         "31ebc6e3fd88d7ee9add1769589d5f6ce7800273f3e22a14a26615e46c48be64", {},
     ),
+    "certify-235-111-stage-2": (
+        ["certify", "--moduli", "2,3,5", "--winding", "1,1,1", "--range", "2..2"], 0,
+        "1b0afa4b51f2665bcb06e203fde9482dd03e1e6d4a24b7ee01d66ed0acb17581", {},
+    ),
+    "certify-43-21": (  # 2 has no m-adic splitting on 4: the valuation note
+        ["certify", "--moduli", "4,3", "--winding", "2,1", "--range", "0..2"], 0,
+        "308a495ac5ae294349f4d11d434e0e360062929d0feafcb7c538936968eee2c1", {},
+    ),
+    "certify-25-m35": (
+        ["certify", "--moduli", "2,5", "--winding", "-3,5", "--range", "0..2"], 0,
+        "bac9c32422935f7348362b23230364ff578af68a73bcce0a4d92cd338597b4f7", {},
+    ),
     "export-image": (
         ["export", "--moduli", "2,3", "--winding", "1,2", "--image-n", "2",
          "--out-dir", "out"], 0,
         "734ad7f25fe16e4a54fed3f778787f970ac0b61f0f3381a95ddd36653812a840",
         {"image_stage_2.csv":
          "75e3e33763c7b7aa68e25b413912b01a182bdfd94af679404d78766d17596128"},
+    ),
+    "export-image-stage-5": (  # one image period is 7776 blocks
+        ["export", "--moduli", "2,3", "--winding", "1,2", "--image-n", "5",
+         "--out-dir", "out"], 0,
+        "03cb75ed3513bac7c8c3dd82772f1c37fb77fb02dd9f6db7eadb2bc837894aca",
+        {"image_stage_5.csv":
+         "a02b3497278dcee52e1bb85d55d016c71c282a90cc0c2af4f9c5f1700350221f"},
     ),
     "export-tower": (
         ["export", "--moduli", "2,3", "--winding", "1,1", "--tower-levels",

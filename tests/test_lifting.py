@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fupcon.exact_arith import Moduli
 from fupcon.lifting import (
-    NonperiodicWithoutHorizon,
+    NonadmissibleWinding,
     PLLoop,
     WindingVector,
     coordinate_liftable,
@@ -20,6 +20,7 @@ from fupcon.lifting import (
 from fupcon.torus import SegmentSet, TorusPoint, TorusSegment, apply_f
 
 M23 = Moduli.of(2, 3)
+ORACLE_MODULI = [(2, 3), (2, 5), (4, 3), (9, 2), (3,), (2, 3, 5)]
 
 Fr = Fraction
 
@@ -30,6 +31,21 @@ PERIOD_CASES = [
     (((1, 1), 0), 1),
     (((2, 3), 2), 6),
 ]
+
+
+def enumerated_image(loop, n, moduli, horizon=None):
+    """Oracle for image_set: lift the periodic extension over [0, horizon]
+    (one image period by default) block by block and merge the pieces."""
+    if horizon is None:
+        horizon = image_period(loop.winding(), n, moduli)
+    path = lift(loop, n, moduli, horizon)
+    segs, pts = [], []
+    for a, b in zip(path.breakpoints, path.breakpoints[1:]):
+        if a == b:
+            pts.append(TorusPoint(a))
+        else:
+            segs.append(TorusSegment(a, b))
+    return SegmentSet.from_segments(segs, pts)
 
 
 def wiggly(s):
@@ -185,17 +201,55 @@ def test_image_set_stage_one_frozen():
 
 def test_image_set_needs_horizon_when_not_admissible():
     loop = PLLoop.straight((1, 0))
-    with pytest.raises(NonperiodicWithoutHorizon):
+    with pytest.raises(NonadmissibleWinding):
         image_set(loop, 1, M23)
-    img = image_set(loop, 1, M23, horizon=2)
+    with pytest.raises(NonadmissibleWinding):
+        enumerated_image(loop, 1, M23)
+    img = enumerated_image(loop, 1, M23, horizon=2)
     assert not img.is_empty
 
 
 def test_image_set_of_constant_loop_is_a_point():
     # zero winding in every coordinate, so a horizon must be given
-    img = image_set(PLLoop.constant(2), 0, M23, horizon=1)
+    with pytest.raises(NonadmissibleWinding):
+        image_set(PLLoop.constant(2), 0, M23)
+    img = enumerated_image(PLLoop.constant(2), 0, M23, horizon=1)
     assert not img.arcs
     assert img.points == ((Fr(0), Fr(0)),)
+
+
+def test_image_set_takes_only_a_straight_loop():
+    with pytest.raises(ValueError, match="one piece"):
+        image_set(wiggly((1, 1)), 1, M23)
+    with pytest.raises(ValueError, match="one piece"):
+        image_set(PLLoop.straight((1, 1)).repeat(2), 0, M23)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A modulus tuple, a nonzero winding in +-1..12, and a stage n with
+    prod m^n <= 5000, so the oracle lifts at most 5000 blocks."""
+    moduli = Moduli(draw(st.sampled_from(ORACLE_MODULI)))
+    entry = st.integers(min_value=1, max_value=12).flatmap(
+        lambda e: st.sampled_from((e, -e)))
+    s = draw(st.tuples(*[entry] * moduli.r))
+    n_max = 0
+    while moduli.product() ** (n_max + 1) <= 5000:
+        n_max += 1
+    return s, draw(st.integers(min_value=0, max_value=n_max)), moduli
+
+
+@settings(max_examples=40, deadline=None)
+@given(oracle_cases())
+@example(((1, 1), 4, Moduli.of(2, 3)))  # 1296 blocks
+@example(((2, 1), 3, Moduli.of(4, 3)))  # no m-adic splitting of 2 on 4
+@example(((-5, 7), 2, Moduli.of(9, 2)))
+@example(((-12,), 7, Moduli.of(3)))
+@example(((1, -1, 1), 2, Moduli.of(2, 3, 5)))
+def test_image_set_matches_the_enumerated_period(case):
+    s, n, moduli = case
+    loop = PLLoop.straight(s)
+    assert image_set(loop, n, moduli) == enumerated_image(loop, n, moduli)
 
 
 def test_cover_speed_is_a_lipschitz_bound():

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fupcon.hitting import SizeGuardExceeded
 from fupcon.lifting import PLLoop
 from fupcon.loop_design import (
     BadInputFamily,
@@ -119,3 +120,13 @@ def test_design_properties(family):
     # the assembled loop realizes it
     assert tuple(design.loop.winding()) == expected
     assert isinstance(design.loop, PLLoop)
+    # the size the guard checks: 2 + sum(l) breakpoints
+    assert len(design.loop.breakpoints) == 2 + sum(design.coefficients[1:])
+
+
+def test_design_size_guard_trips_before_the_loop_is_built():
+    # (2 + 11) breakpoints x 2 coordinates
+    with pytest.raises(SizeGuardExceeded, match="size 26 exceeds guard 25"):
+        design_all_nonzero([(10, 0), (0, 1)], size_guard=25)
+    design = design_all_nonzero([(10, 0), (0, 1)], size_guard=26)
+    assert len(design.loop.breakpoints) == 13
