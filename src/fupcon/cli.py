@@ -11,6 +11,7 @@ byte-identical across repeated runs.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import tempfile
@@ -314,7 +315,10 @@ def cmd_export(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it
+    was (the append action copies its default list before appending)."""
     parser = argparse.ArgumentParser(
         prog="fupcon",
         description="Exact hitting certificates and small connected "

@@ -211,8 +211,13 @@ def hitting_check(
     n: int,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> bool:
-    """Brute-force ground truth: does the stage-(n+1) standard lift pass
-    through every preimage of the base point within one full period?"""
+    """Ground truth by direct evaluation: does the stage-(n+1) standard lift
+    pass through every preimage of the base point within one full period?
+
+    Coordinate i is on the fiber at time k exactly when m_i^n divides s_i*k,
+    that is when m_i^n / gcd(s_i, m_i^n) divides k; so only the multiples of
+    Q = image_period(s, n) can land on a preimage, and only they are
+    visited, at most prod m_i of them per period."""
     w = as_winding(s)
     _require_dims(w, moduli)
     _require_admissible(w)
@@ -224,7 +229,7 @@ def hitting_check(
     stage = [m**n for m in moduli]
     wanted = moduli.product()
     seen: set[tuple[int, ...]] = set()
-    for k in range(period):
+    for k in range(0, period, image_period(w, n, moduli)):
         js = []
         for e, big, mn in zip(w, powers, stage):
             rem = (e * k) % big

@@ -25,6 +25,15 @@ on one closed geodesic of direction w exactly when their anchors agree, and
 then differ by the difference of their taus.  Each segment set indexes its
 arcs by key (direction, anchor); a membership query costs one anchor per
 distinct direction plus an interval test.
+
+Preimages are closed-form too.  The moduli are pairwise coprime, so the
+kernel of f is the cyclic group prod Z/m_i, generated by
+e = (1/m_1, ..., 1/m_r).  The preimage of the closed geodesic of primitive
+direction w through a is the M/g parallel closed geodesics of direction
+u = primitive(w_i/m_i) through (a_i + c)/m_i, c = 0..M/g-1, where
+M = prod m_i and g = gcd_i(u_i*m_i) is the number of kernel points on one
+of them; a partial arc has g sub-arcs on each.  So the preimage of a
+closed geodesic is connected exactly when g = M.
 """
 
 import csv
@@ -327,23 +336,7 @@ class SegmentSet:
         for seg in segments:
             key, interval = _segment_to_arc_data(seg)
             grouped.setdefault(key, []).append(interval)
-        arcs = []
-        for key in sorted(grouped):
-            merged, full = _merge_on_circle(grouped[key])
-            w, anchor = key
-            if full:
-                arcs.append(Arc(w, anchor, Fraction(0), Fraction(1)))
-            else:
-                for s, l in merged:
-                    arcs.append(Arc(w, anchor, s, l))
-        arcs.sort()
-        bare = cls(arcs=tuple(arcs), points=())
-        pts = set()
-        for p in points:
-            q = p if isinstance(p, TorusPoint) else TorusPoint(_vec(p))
-            if not bare.contains_point(q):
-                pts.add(q.coords)
-        return cls(arcs=bare.arcs, points=tuple(sorted(pts)))
+        return _from_circle_intervals(grouped, points)
 
     @property
     def is_empty(self) -> bool:
@@ -401,6 +394,29 @@ class SegmentSet:
     def total_arc_length(self) -> Fraction:
         """Total length in the unit-speed circle parameterizations."""
         return sum((a.length for a in self.arcs), Fraction(0))
+
+
+def _from_circle_intervals(grouped: dict, points: Iterable) -> SegmentSet:
+    """The canonical set of closed circle intervals grouped by geodesic key
+    {(direction, canonical anchor): [(start, length), ...]}, plus the given
+    points that lie on none of them."""
+    arcs = []
+    for key in sorted(grouped):
+        merged, full = _merge_on_circle(grouped[key])
+        w, anchor = key
+        if full:
+            arcs.append(Arc(w, anchor, Fraction(0), Fraction(1)))
+        else:
+            for s, l in merged:
+                arcs.append(Arc(w, anchor, s, l))
+    arcs.sort()
+    bare = SegmentSet(arcs=tuple(arcs), points=())
+    pts = set()
+    for p in points:
+        q = p if isinstance(p, TorusPoint) else TorusPoint(_vec(p))
+        if not bare.contains_point(q):
+            pts.add(q.coords)
+    return SegmentSet(arcs=bare.arcs, points=tuple(sorted(pts)))
 
 
 def equal_as_point_sets(a: SegmentSet, b: SegmentSet) -> bool:
@@ -547,7 +563,9 @@ def _pieces_touch(x, y) -> bool:
 
 def components(s: SegmentSet) -> list[SegmentSet]:
     """Connected components, via union-find over canonical pieces with the
-    exact do-they-share-a-point test as adjacency."""
+    exact do-they-share-a-point test as adjacency.  Any subset of a canonical
+    set's pieces is canonical, so each component is assembled from its
+    pieces as they are."""
     pieces: list = list(s.arcs) + list(s.points)
     if not pieces:
         return []
@@ -559,11 +577,14 @@ def components(s: SegmentSet) -> list[SegmentSet]:
     groups: dict[int, list] = {}
     for idx, piece in enumerate(pieces):
         groups.setdefault(uf.find(idx), []).append(piece)
-    comps = []
-    for members in groups.values():
-        segs = [p.to_segment() for p in members if isinstance(p, Arc)]
-        pts = [p for p in members if not isinstance(p, Arc)]
-        comps.append(SegmentSet.from_segments(segs, pts))
+    # members keep the sorted order of s.arcs and s.points
+    comps = [
+        SegmentSet(
+            arcs=tuple(p for p in members if isinstance(p, Arc)),
+            points=tuple(p for p in members if not isinstance(p, Arc)),
+        )
+        for members in groups.values()
+    ]
     comps.sort(key=lambda c: (0, c.arcs[0]) if c.arcs else (1, c.points[0]))
     return comps
 
@@ -585,27 +606,44 @@ def apply_f_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
 
 
 def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
-    """Full preimage under the power map: the preimage sheets of every arc
-    and the preimages of every isolated point, recanonicalized."""
-    pts = [q.coords for vec in s.points for q in f_preimages(TorusPoint(vec), moduli)]
-    return SegmentSet.from_segments(preimage_sheets(s, moduli), pts)
+    """Full preimage under the power map, in closed form from the kernel.
 
-
-def preimage_sheets(s: SegmentSet, moduli: Moduli) -> list[TorusSegment]:
-    """The raw (uncanonicalized) preimage sheets: the prod(m_i) rescaled
-    translates of every arc."""
-    segs = []
-    sheets = list(itertools.product(*(range(m) for m in moduli)))
-    for arc in s.arcs:
-        cs, ce = arc.cover_endpoints()
-        for js in sheets:
-            segs.append(
-                TorusSegment(
-                    tuple((c + j) / m for c, j, m in zip(cs, js, moduli)),
-                    tuple((c + j) / m for c, j, m in zip(ce, js, moduli)),
+    A point a + t*w of a closed geodesic (w primitive) has the preimages
+    (a + t*w + j)/m, j integer.  With u = primitive(w_i/m_i) and
+    g = gcd_i(u_i*m_i), so that w/m = u/g, they are a/m + k + (t/g)*u for k
+    in the kernel K = {(j_i/m_i)} of f.  The moduli are pairwise coprime, so
+    K is cyclic of order M = prod m_i, generated by e = (1/m_1, ..., 1/m_r).
+    Its points on the geodesic of direction u through 0 are (k/g)*u,
+    k = 0..g-1, the subgroup of order g, and its cosets are c*e + that
+    subgroup for c = 0..M/g-1.  So the preimage of the arc [t0, t0+L] lies
+    on the M/g parallel closed geodesics of direction u through
+    (a_i + c)/m_i; on the one through that point, with parameter tau_c from
+    its anchor, it is the g intervals starting at (t0 + k)/g - tau_c of
+    length L/g, the whole geodesic when the arc is full.  Without
+    coprimality K is not cyclic and e reaches only some of the cosets.
+    Isolated points go through f_preimages."""
+    grouped: dict = {}
+    for w, geodesics in s._geodesics.items():
+        u, scale = _primitive(tuple(Fraction(x, m) for x, m in zip(w, moduli)))
+        g = scale.denominator  # w/m = u/g: gcd(w) = 1, so scale = 1/g
+        cosets = moduli.product() // g
+        for anchor, arcs in geodesics.items():
+            for c in range(cosets):
+                key_anchor, tau = _anchor_for(
+                    tuple((a + c) / m for a, m in zip(anchor, moduli)), u
                 )
-            )
-    return segs
+                intervals = grouped.setdefault((u, key_anchor), [])
+                for arc in arcs:
+                    if arc.is_full:
+                        intervals.append((Fraction(0), Fraction(1)))
+                    else:
+                        length = arc.length / g
+                        intervals.extend(
+                            (frac_mod1((arc.start + k) / g - tau), length)
+                            for k in range(g)
+                        )
+    pts = [q.coords for vec in s.points for q in f_preimages(TorusPoint(vec), moduli)]
+    return _from_circle_intervals(grouped, pts)
 
 
 # ---------------------------------------------------------------------------

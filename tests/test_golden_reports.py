@@ -31,6 +31,11 @@ GOLDEN = {
         ["tower", "--moduli", "2,5", "--winding", "1,1", "--epsilon", "1"], 0,
         "a260d85b00cc069287827f301f60b20a4eade1963b59b2817febede9f669aab2", {},
     ),
+    "tower-2357-1111": (
+        ["tower", "--moduli", "2,3,5,7", "--winding", "1,1,1,1", "--epsilon", "1",
+         "--size-guard", "10000000000"], 0,
+        "7678a34e39686c1700e9655c3cda6e684abfdd68171dacb378949451090bb9c2", {},
+    ),
     "tower-23-23-n1-0": (  # negative control: the stage is too small
         ["tower", "--moduli", "2,3", "--winding", "2,3", "--epsilon", "1/2",
          "--n1", "0"], 1,
@@ -55,6 +60,11 @@ GOLDEN = {
     "certify-235-111-stage-2": (
         ["certify", "--moduli", "2,3,5", "--winding", "1,1,1", "--range", "2..2"], 0,
         "1b0afa4b51f2665bcb06e203fde9482dd03e1e6d4a24b7ee01d66ed0acb17581", {},
+    ),
+    "certify-2357-1111": (
+        ["certify", "--moduli", "2,3,5,7", "--winding", "1,1,1,1", "--range", "0..1",
+         "--size-guard", "10000000000"], 0,
+        "7be8ba75ce6c02c9c8cb7431b568d1386faf814612ce22b9ff98f0bb6dc22ec4", {},
     ),
     "certify-43-21": (  # 2 has no m-adic splitting on 4: the valuation note
         ["certify", "--moduli", "4,3", "--winding", "2,1", "--range", "0..2"], 0,

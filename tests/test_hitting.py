@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fupcon.exact_arith import Moduli, NoDecomposition
 from fupcon.hitting import (
@@ -218,6 +218,27 @@ def test_hitting_matches_condition_randomized(case):
     if moduli.product() ** (n + 1) > 10**4:
         return
     assert hitting_check(s, moduli, n) is level_condition(s, moduli, n)
+
+
+@st.composite
+def sweep_case(draw):
+    moduli = Moduli(draw(st.sampled_from(
+        [(2, 3), (2, 5), (4, 3), (9, 2), (3,), (2, 3, 5), (4, 9), (8, 3, 5)]
+    )))
+    entry = st.integers(min_value=1, max_value=60)
+    s = tuple(draw(entry) * draw(st.sampled_from([1, -1])) for _ in moduli)
+    n = draw(st.integers(min_value=0, max_value=3))
+    assume(moduli.product() ** (n + 1) <= 2 * 10**4)
+    return s, moduli, n
+
+
+@settings(max_examples=80, deadline=None)
+@given(sweep_case())
+def test_hitting_check_matches_full_sweep(case):
+    # hitting_check visits only the multiples of image_period(s, n); the
+    # oracle visits every time in one period of the stage-(n+1) lift
+    s, moduli, n = case
+    assert hitting_check(s, moduli, n) is brute_force_hits(s, tuple(moduli), n)
 
 
 @settings(max_examples=40, deadline=None)

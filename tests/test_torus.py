@@ -1,5 +1,6 @@
 """Unit tests for exact torus geometry: segment sets, preimages, metrics."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -22,7 +23,6 @@ from fupcon.torus import (
     f_preimages,
     intersect,
     preimage_set,
-    preimage_sheets,
     read_segment_set_csv,
     segment_intersections,
     solenoid_distance,
@@ -46,6 +46,38 @@ def sset(*segments):
 
 
 DIAGONAL = sset(seg((0, 0), (1, 1)))
+
+
+def preimage_sheets(s, moduli):
+    """Oracle: the raw (uncanonicalized) preimage sheets, the prod(m_i)
+    rescaled translates of every arc."""
+    segs = []
+    sheets = list(itertools.product(*(range(m) for m in moduli)))
+    for arc in s.arcs:
+        cs, ce = arc.cover_endpoints()
+        for js in sheets:
+            segs.append(
+                TorusSegment(
+                    tuple((c + j) / m for c, j, m in zip(cs, js, moduli)),
+                    tuple((c + j) / m for c, j, m in zip(ce, js, moduli)),
+                )
+            )
+    return segs
+
+
+def sheet_preimage(s, moduli):
+    """Oracle for preimage_set: every sheet and every point preimage,
+    recanonicalized."""
+    pts = [q.coords for vec in s.points for q in f_preimages(TorusPoint(vec), moduli)]
+    return SegmentSet.from_segments(preimage_sheets(s, moduli), pts)
+
+
+def rebuilt_components(s):
+    """Oracle for components: each component rebuilt through from_segments."""
+    return [
+        SegmentSet.from_segments([arc.to_segment() for arc in c.arcs], c.points)
+        for c in components(s)
+    ]
 
 
 def test_point_normalization_and_base():
@@ -160,6 +192,73 @@ def test_preimage_sheet_count_and_inverse():
         sheets = preimage_sheets(base, M23)
         assert len(sheets) == M23.product() * len(base.segments)
         assert apply_f_set(preimage_set(base, M23), M23) == base
+
+
+PREIMAGE_MODULI = [(2, 3), (4, 3), (9, 2), (2, 3, 5), (8, 3, 5)]
+DIRECTIONS = [0, 0, 1, -1, 2, 3, -4, 5]
+
+
+@st.composite
+def preimage_case(draw):
+    """A moduli tuple and a set of partial and full arcs in several
+    directions (zero entries included) plus isolated points."""
+    moduli = Moduli(draw(st.sampled_from(PREIMAGE_MODULI)))
+    r = moduli.r
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    segments = []
+    for _ in range(draw(st.integers(1, 3))):
+        start = tuple(draw(coord) for _ in range(r))
+        d = tuple(draw(st.sampled_from(DIRECTIONS)) for _ in range(r))
+        assume(any(d))
+        length = draw(st.sampled_from([Fr(1), Fr(2), Fr(1, 2), Fr(1, 3), Fr(5, 7)]))
+        segments.append(seg(start, tuple(a + length * x for a, x in zip(start, d))))
+    points = draw(st.lists(st.tuples(*[coord] * r), max_size=2))
+    return moduli, SegmentSet.from_segments(segments, points)
+
+
+@settings(max_examples=80, deadline=None)
+@given(preimage_case())
+def test_preimage_set_matches_sheet_oracle(case):
+    moduli, s = case
+    pre = preimage_set(s, moduli)
+    assert pre == sheet_preimage(s, moduli)
+    assert components(s) == rebuilt_components(s)
+    if len({arc.direction for arc in pre.arcs}) == 1:
+        # pieces in several directions make components quadratic in
+        # crossing tests, too slow for hundreds of preimage arcs
+        assert components(pre) == rebuilt_components(pre)
+
+
+@pytest.mark.parametrize(
+    "moduli, direction",
+    [((2, 3), (1, 1)), ((2, 3), (2, 3)), ((2, 3), (1, 0)), ((4, 3), (2, 1)),
+     ((9, 2), (3, -1)), ((2, 3, 5), (1, 1, 1)), ((2, 3, 5), (2, 3, 5)),
+     ((8, 3, 5), (4, 0, 5)), ((8, 3, 5), (1, -2, 3))],
+)
+def test_preimage_of_a_geodesic_has_m_over_g_components(moduli, direction):
+    # u = primitive(w_i/m_i), g = gcd(u_i*m_i): M/g parallel geodesics
+    moduli = Moduli(moduli)
+    start = (Fr(1, 7),) * moduli.r
+    s = SegmentSet.from_segments(
+        [TorusSegment(start, tuple(a + x for a, x in zip(start, direction)))]
+    )
+    den = math.lcm(*(Fr(x, m).denominator for x, m in zip(direction, moduli)))
+    u = [int(Fr(x, m) * den) for x, m in zip(direction, moduli)]
+    u = [x // math.gcd(*u) for x in u]
+    g = math.gcd(*(x * m for x, m in zip(u, moduli)))
+    comps = components(preimage_set(s, moduli))
+    assert len(comps) == moduli.product() // g
+    assert all(len(c.arcs) == 1 and c.arcs[0].is_full for c in comps)
+
+
+def test_components_match_rebuilt_components():
+    s = SegmentSet.from_segments(
+        [seg((0, 0), (1, 1)), seg((Fr(1, 2), 0), (Fr(1, 2), Fr(1, 3))),
+         seg((0, Fr(1, 2)), (Fr(1, 3), Fr(1, 2))), seg((Fr(3, 4), 0), (1, 1))],
+        points=[(Fr(1, 7), Fr(2, 7)), (Fr(1, 3), Fr(1, 2))],
+    )
+    assert components(s) == rebuilt_components(s)
+    assert len(components(s)) == 4
 
 
 def test_preimage_contains_all_base_preimages():
