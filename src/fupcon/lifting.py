@@ -132,15 +132,6 @@ class PLLoop:
             raise ValueError("times must be >= 1")
         return PLLoop(extend_periodic(self, times))
 
-    def reversed(self) -> "PLLoop":
-        last = self.breakpoints[-1]
-        return PLLoop(
-            tuple(
-                tuple(c - d for c, d in zip(bp, last))
-                for bp in reversed(self.breakpoints)
-            )
-        )
-
     def point_at(self, t: Fraction) -> TorusPoint:
         """Projected value at parameter t in [0, 1] (pieces uniform in time)."""
         t = Fraction(t)
@@ -164,14 +155,6 @@ class PLLoop:
             for x, y in zip(a, b):
                 best = max(best, abs(y - x) * k)
         return best
-
-
-def coordinate_liftable(loop: PLLoop, i: int) -> bool:
-    """Whether the i-th coordinate (0-based) lifts through the exponential
-    covering of its circle, i.e. that winding entry is zero."""
-    if not 0 <= i < loop.r:
-        raise ValueError(f"coordinate {i} out of range for dimension {loop.r}")
-    return loop.winding()[i] == 0
 
 
 def extend_periodic(loop: PLLoop, horizon: int) -> tuple[Vec, ...]:

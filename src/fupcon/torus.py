@@ -3,10 +3,10 @@
 Points with rational angle coordinates, the coordinatewise power map
 f(z_1, ..., z_r) = (z_1^{m_1}, ..., z_r^{m_r}) written additively as
 x -> (m_1 x_1, ..., m_r x_r) mod 1, and finite unions of closed geodesic
-segments with a canonical form, so that set equality, containment,
-intersections and connected components are all decidable in exact
-arithmetic.  Truncated solenoid points (finite coherent sequences under f)
-and the weighted metric on them live here too.
+segments with a canonical form, so that set equality, containment and
+connected components are all decidable in exact arithmetic.  Truncated
+solenoid points (finite coherent sequences under f) and the weighted metric
+on them live here too.
 
 Canonical form: every nondegenerate rational segment lies on a unique closed
 geodesic; the geodesic is keyed by its primitive sign-normalized integer
@@ -15,6 +15,14 @@ having integer pivot coordinate.  A segment then becomes an arc, an interval
 in the unit-speed parameterization of that circle, and overlapping/touching
 arcs on the same circle are merged into maximal ones.  Isolated points (from
 degenerate inputs such as constant loops) are carried separately.
+
+The canonical form decides the rest.  Arcs on one closed geodesic are
+disjoint, distinct parallel geodesics are disjoint, and isolated points lie
+on no arc.  So an arc is covered exactly when merging it into the arcs on
+its own geodesic changes nothing, and two pieces of a set meet only when
+they are arcs of different directions that cross: components need the
+crossing search only across direction groups, and a set in one direction
+has one component per arc and per isolated point.
 
 Point location is closed-form.  The pivot-zero points of the geodesic
 through x with primitive direction w are x + (first + j)/v* * w for j mod v*
@@ -269,53 +277,11 @@ def _merge_on_circle(intervals):
     return sorted((frac_mod1(s + g), l) for s, l in merged), False
 
 
-def _interval_covered(query, pieces, full: bool) -> bool:
-    """Is the closed circle interval `query` = (start, length) covered by the
-    union of the closed intervals `pieces` (full = whole circle)?"""
-    if full:
-        return True
-    qs, ql = query
-    cands = []
-    for s, l in pieces:
-        s2 = frac_mod1(s - qs)
-        for shift in (0, -1):
-            a, b = s2 + shift, s2 + shift + l
-            lo, hi = max(a, Fraction(0)), min(b, ql)
-            if lo <= hi:
-                cands.append((lo, hi))
-    cands.sort()
-    reach = Fraction(0)
-    for a, b in cands:
-        if a > reach:
-            return False
-        reach = max(reach, b)
-        if reach >= ql:
-            return True
-    return reach >= ql
-
-
-def _arc_point_params(arc: Arc, x: Vec) -> Fraction | None:
-    """The circle parameter u in [0,1) with anchor + u*direction = x on the
-    torus, or None when x is off the arc's geodesic.  The anchor need not be
-    canonical: both points are located on their geodesics of the arc's
-    direction, and x + tau_x*w = anchor + tau_arc*w gives u."""
-    canonical, tau_arc = _anchor_for(arc.anchor, arc.direction)
-    anchor_x, tau_x = _anchor_for(x, arc.direction)
-    if anchor_x != canonical:
-        return None
-    return frac_mod1(tau_arc - tau_x)
-
-
 def _arc_contains_u(arc: Arc, u: Fraction) -> bool:
     if arc.is_full:
         return True
     lo, hi = arc.start, arc.start + arc.length
     return lo <= u <= hi or lo <= u + 1 <= hi
-
-
-def _arc_holds(arc: Arc, x: Vec) -> bool:
-    u = _arc_point_params(arc, x)
-    return u is not None and _arc_contains_u(arc, u)
 
 
 @dataclass(frozen=True)
@@ -379,15 +345,15 @@ class SegmentSet:
     def covers(self, other: "SegmentSet") -> bool:
         """Is `other` a subset of self?  Decided exactly on canonical data:
         an arc can only be covered by same-geodesic arcs (any other geodesic
-        meets it in finitely many points)."""
+        meets it in finitely many points), and it is covered exactly when
+        merging it into them leaves their merge unchanged."""
         for vec in other.points:
             if not self.contains_point(TorusPoint(vec)):
                 return False
         for arc in other.arcs:
             same = self._geodesics.get(arc.direction, {}).get(arc.anchor, [])
-            pieces = [(a.start, a.length) for a in same if not a.is_full]
-            full = any(a.is_full for a in same)
-            if not _interval_covered((arc.start, arc.length), pieces, full):
+            pieces = [(a.start, a.length) for a in same]
+            if _merge_on_circle(pieces + [(arc.start, arc.length)]) != _merge_on_circle(pieces):
                 return False
         return True
 
@@ -417,32 +383,6 @@ def _from_circle_intervals(grouped: dict, points: Iterable) -> SegmentSet:
         if not bare.contains_point(q):
             pts.add(q.coords)
     return SegmentSet(arcs=bare.arcs, points=tuple(sorted(pts)))
-
-
-def equal_as_point_sets(a: SegmentSet, b: SegmentSet) -> bool:
-    """Mutual-containment fallback equality (independent of canonical-form
-    equality; used to cross-check it)."""
-    return a.covers(b) and b.covers(a)
-
-
-def _same_key_intersection(a: Arc, b: Arc):
-    """Intersection of two arcs on the same circle: (intervals, touch_params),
-    both in absolute circle coordinates of the shared key."""
-    if a.is_full:
-        return [(b.start, b.length)], []
-    if b.is_full:
-        return [(a.start, a.length)], []
-    la, lb = a.length, b.length
-    b0 = frac_mod1(b.start - a.start)
-    ivs, pts = [], []
-    for shift in (0, -1):
-        lo, hi = b0 + shift, b0 + shift + lb
-        lo2, hi2 = max(lo, Fraction(0)), min(hi, la)
-        if lo2 < hi2:
-            ivs.append((frac_mod1(a.start + lo2), hi2 - lo2))
-        elif lo2 == hi2:
-            pts.append(frac_mod1(a.start + lo2))
-    return ivs, pts
 
 
 def _cross_intersections(a: Arc, b: Arc) -> list[Vec]:
@@ -489,45 +429,6 @@ def _cross_intersections(a: Arc, b: Arc) -> list[Vec]:
     return sorted(found)
 
 
-def intersect(s1: SegmentSet, s2: SegmentSet) -> SegmentSet:
-    """Exact intersection of two segment sets (arcs plus isolated points)."""
-    segs: list[TorusSegment] = []
-    pts: list[Vec] = []
-    for a in s1.arcs:
-        for b in s2.arcs:
-            if a.key == b.key:
-                ivs, us = _same_key_intersection(a, b)
-                for s, l in ivs:
-                    piece = Arc(a.direction, a.anchor, s, min(l, Fraction(1)))
-                    segs.append(piece.to_segment())
-                for u in us:
-                    pts.append(
-                        tuple(
-                            frac_mod1(c + u * v)
-                            for c, v in zip(a.anchor, a.direction)
-                        )
-                    )
-            elif a.direction == b.direction:
-                continue  # parallel distinct circles are disjoint
-            else:
-                pts.extend(_cross_intersections(a, b))
-    for vec in s1.points:
-        if s2.contains_point(TorusPoint(vec)):
-            pts.append(vec)
-    for vec in s2.points:
-        if s1.contains_point(TorusPoint(vec)):
-            pts.append(vec)
-    return SegmentSet.from_segments(segs, pts)
-
-
-def segment_intersections(a: TorusSegment, b: TorusSegment) -> SegmentSet:
-    """Common points of two torus segments: isolated crossings come back as
-    points, shared sub-geodesics as arcs."""
-    return intersect(
-        SegmentSet.from_segments([a]), SegmentSet.from_segments([b])
-    )
-
-
 class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
@@ -544,49 +445,35 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _pieces_touch(x, y) -> bool:
-    """Do two canonical pieces (Arc or point Vec) share at least one point?"""
-    xa, ya = isinstance(x, Arc), isinstance(y, Arc)
-    if xa and ya:
-        if x.key == y.key:
-            ivs, pts = _same_key_intersection(x, y)
-            return bool(ivs) or bool(pts)
-        if x.direction == y.direction:
-            return False
-        return bool(_cross_intersections(x, y))
-    if xa and not ya:
-        return _arc_holds(x, y)
-    if ya and not xa:
-        return _arc_holds(y, x)
-    return False  # distinct isolated points
-
-
 def components(s: SegmentSet) -> list[SegmentSet]:
-    """Connected components, via union-find over canonical pieces with the
-    exact do-they-share-a-point test as adjacency.  Any subset of a canonical
-    set's pieces is canonical, so each component is assembled from its
-    pieces as they are."""
-    pieces: list = list(s.arcs) + list(s.points)
-    if not pieces:
-        return []
-    uf = _UnionFind(len(pieces))
-    for i in range(len(pieces)):
-        for j in range(i + 1, len(pieces)):
-            if uf.find(i) != uf.find(j) and _pieces_touch(pieces[i], pieces[j]):
-                uf.union(i, j)
-    groups: dict[int, list] = {}
-    for idx, piece in enumerate(pieces):
-        groups.setdefault(uf.find(idx), []).append(piece)
-    # members keep the sorted order of s.arcs and s.points
-    comps = [
-        SegmentSet(
-            arcs=tuple(p for p in members if isinstance(p, Arc)),
-            points=tuple(p for p in members if not isinstance(p, Arc)),
-        )
-        for members in groups.values()
+    """Connected components of s.  Precondition: s is canonical, as every
+    set built by from_segments is; a hand-built SegmentSet with touching
+    arcs on one geodesic, or a point on an arc, gets wrong components.
+
+    In canonical form two pieces meet only when they are arcs of different
+    directions that cross, so union-find joins crossing arcs across
+    direction groups only, and each isolated point is a component of its
+    own.  Any subset of a canonical set's pieces is canonical, so each
+    component is assembled from its pieces as they are.  Components come in
+    the order of their first piece, arcs before points."""
+    arcs = s.arcs
+    uf = _UnionFind(len(arcs))
+    by_direction: dict = {}
+    for i, arc in enumerate(arcs):
+        by_direction.setdefault(arc.direction, []).append(i)
+    groups = list(by_direction.values())
+    for g, xs in enumerate(groups):
+        for ys in groups[g + 1:]:
+            for i in xs:
+                for j in ys:
+                    if uf.find(i) != uf.find(j) and _cross_intersections(arcs[i], arcs[j]):
+                        uf.union(i, j)
+    members: dict[int, list] = {}
+    for i, arc in enumerate(arcs):
+        members.setdefault(uf.find(i), []).append(arc)
+    return [SegmentSet(arcs=tuple(m), points=()) for m in members.values()] + [
+        SegmentSet(arcs=(), points=(p,)) for p in s.points
     ]
-    comps.sort(key=lambda c: (0, c.arcs[0]) if c.arcs else (1, c.points[0]))
-    return comps
 
 
 def apply_f_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:

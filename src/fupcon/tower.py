@@ -389,24 +389,21 @@ def coherent_base_sample(
 
 def coherent_deep_sample(t: Tower, count: int) -> list[SolenoidPoint]:
     """Coherent points threaded from `count` spread samples of the deepest
-    level; below the deepest level everything is determined by the map."""
+    level; below the deepest level everything is determined by the map.
+    build_tower takes only an admissible winding, so that level has arcs."""
     deepest = t.levels[-1]
     total_idx = len(t.levels)
     pts: list[TorusPoint] = []
-    if deepest.arcs:
-        total_len = deepest.total_arc_length()
-        positions = [Fraction(2 * c + 1, 2 * count) * total_len for c in range(count)]
-        walked = Fraction(0)
-        arc_iter = iter(deepest.arcs)
-        arc = next(arc_iter)
-        for pos in positions:
-            while pos > walked + arc.length:
-                walked += arc.length
-                arc = next(arc_iter)
-            pts.append(arc.point_at(pos - walked))
-    else:
-        vecs = deepest.points
-        pts = [TorusPoint(vecs[i % len(vecs)]) for i in range(count)]
+    total_len = deepest.total_arc_length()
+    positions = [Fraction(2 * c + 1, 2 * count) * total_len for c in range(count)]
+    walked = Fraction(0)
+    arc_iter = iter(deepest.arcs)
+    arc = next(arc_iter)
+    for pos in positions:
+        while pos > walked + arc.length:
+            walked += arc.length
+            arc = next(arc_iter)
+        pts.append(arc.point_at(pos - walked))
     return [coherent_point_through(t, p, total_idx) for p in pts]
 
 

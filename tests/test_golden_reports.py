@@ -41,6 +41,11 @@ GOLDEN = {
          "--n1", "0"], 1,
         "6d01d5c577877ff7979af73971dbcbdb59cffe1bdb3d3b1eef2004453f64dceb", {},
     ),
+    "tower-235-235-n1-0": (  # negative control: levels 3-4 have 30 components
+        ["tower", "--moduli", "2,3,5", "--winding", "2,3,5", "--epsilon", "1",
+         "--n1", "0"], 1,
+        "81e2161e2d8d2ecf6dd0a1541d5b2a59842a86e6fce7dbecfe1fc35efbf71523", {},
+    ),
     "certify-23-23": (
         ["certify", "--moduli", "2,3", "--winding", "2,3", "--range", "0..3"], 0,
         "47a7649d298ca257d5c04fa95be292cb4d414314e86a6cc4e3070c72cadf032d", {},
@@ -65,6 +70,10 @@ GOLDEN = {
         ["certify", "--moduli", "2,3,5,7", "--winding", "1,1,1,1", "--range", "0..1",
          "--size-guard", "10000000000"], 0,
         "7be8ba75ce6c02c9c8cb7431b568d1386faf814612ce22b9ff98f0bb6dc22ec4", {},
+    ),
+    "certify-835-835": (  # the stage-0 preimage is 120 parallel geodesics
+        ["certify", "--moduli", "8,3,5", "--winding", "8,3,5", "--range", "0..0"], 0,
+        "acd9e01819f0ec0423790e12b146743fad144a315a6888eaeed1ad5a4b793231", {},
     ),
     "certify-43-21": (  # 2 has no m-adic splitting on 4: the valuation note
         ["certify", "--moduli", "4,3", "--winding", "2,1", "--range", "0..2"], 0,

@@ -10,7 +10,6 @@ from fupcon.lifting import (
     NonadmissibleWinding,
     PLLoop,
     WindingVector,
-    coordinate_liftable,
     extend_periodic,
     image_period,
     image_set,
@@ -79,7 +78,6 @@ def test_winding_algebra():
     b = wiggly((1, -1))
     assert tuple(a.concat(b).winding()) == (3, 2)
     assert tuple(a.repeat(3).winding()) == (6, 9)
-    assert tuple(a.reversed().winding()) == (-2, -3)
     assert tuple(b.winding()) == (1, -1)
 
 
@@ -105,12 +103,6 @@ def test_repeat_is_the_concat_chain(loop, times):
     for _ in range(times - 1):
         chain = chain.concat(loop)
     assert loop.repeat(times).breakpoints == chain.breakpoints
-
-
-def test_coordinate_liftable_only_without_winding():
-    loop = PLLoop.straight((0, 2))
-    assert coordinate_liftable(loop, 0)
-    assert not coordinate_liftable(loop, 1)
 
 
 def test_extend_periodic():

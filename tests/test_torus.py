@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from fupcon import torus
 from fupcon.exact_arith import Moduli, frac_mod1
 from fupcon.torus import (
     Arc,
@@ -19,18 +20,15 @@ from fupcon.torus import (
     arc_dist,
     base_point,
     components,
-    equal_as_point_sets,
     f_preimages,
-    intersect,
     preimage_set,
     read_segment_set_csv,
-    segment_intersections,
     solenoid_distance,
     solenoid_tail_bound,
     torus_dist,
     write_segment_set_csv,
 )
-from fupcon.torus import _anchor_for, _arc_contains_u, _arc_point_params
+from fupcon.torus import _anchor_for, _arc_contains_u, _cross_intersections
 
 M23 = Moduli.of(2, 3)
 
@@ -77,6 +75,92 @@ def rebuilt_components(s):
     return [
         SegmentSet.from_segments([arc.to_segment() for arc in c.arcs], c.points)
         for c in components(s)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# intersections: the general pairwise geometry, kept here as the oracle of
+# covers and components
+
+
+def _same_key_intersection(a, b):
+    """Intersection of two arcs on the same circle: (intervals, touch_params),
+    both in absolute circle coordinates of the shared key."""
+    if a.is_full:
+        return [(b.start, b.length)], []
+    if b.is_full:
+        return [(a.start, a.length)], []
+    la, lb = a.length, b.length
+    b0 = frac_mod1(b.start - a.start)
+    ivs, pts = [], []
+    for shift in (0, -1):
+        lo, hi = b0 + shift, b0 + shift + lb
+        lo2, hi2 = max(lo, Fr(0)), min(hi, la)
+        if lo2 < hi2:
+            ivs.append((frac_mod1(a.start + lo2), hi2 - lo2))
+        elif lo2 == hi2:
+            pts.append(frac_mod1(a.start + lo2))
+    return ivs, pts
+
+
+def intersect(s1, s2):
+    """Exact intersection of two segment sets (arcs plus isolated points)."""
+    segs, pts = [], []
+    for a in s1.arcs:
+        for b in s2.arcs:
+            if a.key == b.key:
+                ivs, us = _same_key_intersection(a, b)
+                for s, l in ivs:
+                    piece = Arc(a.direction, a.anchor, s, min(l, Fr(1)))
+                    segs.append(piece.to_segment())
+                for u in us:
+                    pts.append(
+                        tuple(frac_mod1(c + u * v) for c, v in zip(a.anchor, a.direction))
+                    )
+            elif a.direction == b.direction:
+                continue  # parallel distinct circles are disjoint
+            else:
+                pts.extend(_cross_intersections(a, b))
+    for vec in s1.points:
+        if s2.contains_point(TorusPoint(vec)):
+            pts.append(vec)
+    for vec in s2.points:
+        if s1.contains_point(TorusPoint(vec)):
+            pts.append(vec)
+    return SegmentSet.from_segments(segs, pts)
+
+
+def segment_intersections(a, b):
+    """Common points of two torus segments: isolated crossings come back as
+    points, shared sub-geodesics as arcs."""
+    return intersect(SegmentSet.from_segments([a]), SegmentSet.from_segments([b]))
+
+
+def equal_as_point_sets(a, b):
+    """Mutual-containment equality (independent of canonical-form equality;
+    used to cross-check it)."""
+    return a.covers(b) and b.covers(a)
+
+
+def pairwise_components(s):
+    """Oracle for components: join two pieces whenever their intersection is
+    nonempty, testing every pair."""
+    pieces = [SegmentSet(arcs=(a,), points=()) for a in s.arcs]
+    pieces += [SegmentSet(arcs=(), points=(p,)) for p in s.points]
+    label = list(range(len(pieces)))
+    for i, j in itertools.combinations(range(len(pieces)), 2):
+        if label[i] != label[j] and not intersect(pieces[i], pieces[j]).is_empty:
+            old, new = label[j], label[i]
+            label = [new if x == old else x for x in label]
+    groups = {}
+    for i, piece in enumerate(pieces):
+        groups.setdefault(label[i], []).append(piece)
+    return [
+        SegmentSet(
+            arcs=tuple(a for p in members for a in p.arcs),
+            points=tuple(v for p in members for v in p.points),
+        )
+        for members in groups.values()
     ]
 
 
@@ -222,11 +306,11 @@ def test_preimage_set_matches_sheet_oracle(case):
     moduli, s = case
     pre = preimage_set(s, moduli)
     assert pre == sheet_preimage(s, moduli)
-    assert components(s) == rebuilt_components(s)
+    assert components(s) == rebuilt_components(s) == pairwise_components(s)
     if len({arc.direction for arc in pre.arcs}) == 1:
         # pieces in several directions make components quadratic in
         # crossing tests, too slow for hundreds of preimage arcs
-        assert components(pre) == rebuilt_components(pre)
+        assert components(pre) == rebuilt_components(pre) == pairwise_components(pre)
 
 
 @pytest.mark.parametrize(
@@ -257,8 +341,72 @@ def test_components_match_rebuilt_components():
          seg((0, Fr(1, 2)), (Fr(1, 3), Fr(1, 2))), seg((Fr(3, 4), 0), (1, 1))],
         points=[(Fr(1, 7), Fr(2, 7)), (Fr(1, 3), Fr(1, 2))],
     )
-    assert components(s) == rebuilt_components(s)
+    assert components(s) == rebuilt_components(s) == pairwise_components(s)
     assert len(components(s)) == 4
+
+
+def test_one_direction_components_need_no_crossing_search(monkeypatch):
+    # the stage-0 image of winding (8,3,5) is the geodesic of direction
+    # (8,3,5); its preimage is 120 parallel full geodesics of direction (1,1,1)
+    moduli = Moduli.of(8, 3, 5)
+    pre = preimage_set(SegmentSet.from_segments([seg((0, 0, 0), (8, 3, 5))]), moduli)
+    assert len(pre.arcs) == 120
+
+    def no_crossings(a, b):
+        raise AssertionError("crossing search on parallel arcs")
+
+    monkeypatch.setattr(torus, "_cross_intersections", no_crossings)
+    comps = components(pre)
+    assert len(comps) == 120
+    assert [c.arcs for c in comps] == [(arc,) for arc in pre.arcs]
+
+
+@st.composite
+def covers_case(draw):
+    """A set A of partial and full arcs in several directions plus isolated
+    points, in 2 or 3 dimensions, and a set B: half the time sub-arcs of A's
+    arcs plus one of A's points, otherwise drawn like A."""
+    r = draw(st.integers(2, 3))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    length = st.sampled_from([Fr(1), Fr(2), Fr(1, 2), Fr(1, 3), Fr(5, 7), Fr(1, 6)])
+
+    def random_set():
+        segments = []
+        for _ in range(draw(st.integers(0, 3))):
+            start = tuple(draw(coord) for _ in range(r))
+            d = tuple(draw(st.sampled_from(DIRECTIONS)) for _ in range(r))
+            assume(any(d))
+            t = draw(length)
+            segments.append(seg(start, tuple(a + t * x for a, x in zip(start, d))))
+        points = draw(st.lists(st.tuples(*[coord] * r), max_size=2))
+        return SegmentSet.from_segments(segments, points)
+
+    a = random_set()
+    if not draw(st.booleans()):
+        return a, random_set()
+    assume(a.arcs)
+    fraction = st.fractions(min_value=0, max_value=1, max_denominator=8)
+    segments = []
+    for _ in range(draw(st.integers(1, 2))):
+        arc = draw(st.sampled_from(a.arcs))
+        lo, hi = sorted((draw(fraction), draw(fraction)))
+        assume(lo < hi)
+        start, _ = arc.cover_endpoints()
+        segments.append(seg(
+            tuple(c + lo * arc.length * v for c, v in zip(start, arc.direction)),
+            tuple(c + hi * arc.length * v for c, v in zip(start, arc.direction)),
+        ))
+    arc = draw(st.sampled_from(a.arcs))
+    points = [arc.point_at(draw(fraction) * arc.length).coords] + list(a.points[:1])
+    return a, SegmentSet.from_segments(segments, points[: draw(st.integers(1, 2))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(covers_case())
+def test_covers_matches_intersection_oracle(case):
+    a, b = case
+    assert a.covers(b) == (intersect(a, b) == b)
+    assert a.covers(a) and equal_as_point_sets(a, a)
 
 
 def test_preimage_contains_all_base_preimages():
@@ -449,7 +597,11 @@ def test_closed_form_point_location_matches_enumeration(data, r):
         x = TorusPoint(tuple(data.draw(rationals) for _ in range(r))).coords
     expected = enumerated_arc_point_params(arc, x)
     assert len(expected) <= 1  # a closed geodesic of primitive direction is simple
-    assert _arc_point_params(arc, x) == (expected[0] if expected else None)
+    # x + tau_x*w = anchor + tau_arc*w on one geodesic gives u = tau_arc - tau_x
+    canonical, tau_arc = _anchor_for(arc.anchor, w)
+    anchor_x, tau_x = _anchor_for(x, w)
+    u = frac_mod1(tau_arc - tau_x) if anchor_x == canonical else None
+    assert u == (expected[0] if expected else None)
 
 
 def test_indexed_membership_matches_scan_on_parallel_geodesics():
