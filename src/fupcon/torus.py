@@ -254,17 +254,17 @@ def _merge_on_circle(intervals):
     if any(l >= 1 for _, l in intervals):
         return [], True
     ivs = sorted((s, s + l) for s, l in intervals)
-    s0, cur = ivs[0]
-    # the wrapped copy of ivs[0] starts at s0 + 1 > cur, so the loop either
-    # finds a gap or returns the full circle
-    for a, b in ivs[1:] + [(a + 1, b + 1) for a, b in ivs]:
+    # the intervals that wrap past 1 cover [0, cur] of [0,1) and nothing else
+    # there, so the first point of the sweep past cur lies on no interval;
+    # a sweep that never finds one has covered [cur, cur + 1]
+    cur = max(b for _, b in ivs) - 1
+    for a, b in ivs:
         if a > cur:
             gap = (cur + a) / 2
             break
-        if b > cur:
-            cur = b
-        if cur >= s0 + 1:
-            return [], True
+        cur = max(cur, b)
+    else:
+        return [], True
     g = frac_mod1(gap)
     shifted = sorted((frac_mod1(s - g), l) for s, l in intervals)
     merged: list[list[Fraction]] = []

@@ -212,6 +212,52 @@ def test_canonical_form_ignores_orientation_translation_splitting():
     assert whole.total_arc_length() == split.total_arc_length()
 
 
+def test_merge_cuts_outside_arcs_that_wrap():
+    # [1/2, 7/5] wraps past 1 and holds the two short arcs; a cut point taken
+    # between the short arcs would lie inside it
+    pieces = [(Fr(1, 10), Fr(1, 20)), (Fr(7, 20), Fr(1, 100)), (Fr(1, 2), Fr(9, 10))]
+    s = sset(*(seg((a, 0), (a + l, 0)) for a, l in pieces))
+    assert s.arcs == (Arc((1, 0), (Fr(0), Fr(0)), Fr(1, 2), Fr(9, 10)),)
+    assert len(components(s)) == 1
+    assert s.covers(sset(seg((Fr(1, 10), 0), (Fr(3, 20), 0))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 3), (1, -2)]),
+    st.tuples(*[st.fractions(min_value=-1, max_value=1, max_denominator=5)] * 2),
+    st.lists(
+        st.tuples(
+            st.fractions(min_value=0, max_value=1, max_denominator=12),
+            st.fractions(min_value=Fr(1, 12), max_value=Fr(13, 12), max_denominator=12),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_canonical_arcs_on_one_geodesic_are_disjoint(w, p0, pieces):
+    """Arcs of different lengths on one closed geodesic, many of them
+    wrapping: the canonical arcs are pairwise disjoint and not touching, hold
+    the same points as the input, and each is a component of its own."""
+    def at(u):
+        return tuple(c + u * x for c, x in zip(p0, w))
+
+    s = sset(*(seg(at(a), at(a + l)) for a, l in pieces))
+    for a, b in itertools.combinations(s.arcs, 2):
+        assert a.key == b.key
+        assert _same_key_intersection(a, b) == ([], [])
+    # both unions have their ends among the input ends, so agreeing on the
+    # ends and on a point between each two neighbors is agreeing everywhere
+    ends = sorted({frac_mod1(u) for a, l in pieces for u in (a, a + l)})
+    probes = ends + [(x + y) / 2 for x, y in zip(ends, ends[1:] + [ends[0] + 1])]
+    for u in probes:
+        held = any(frac_mod1(u - a) <= l for a, l in pieces)
+        assert s.contains_point(TorusPoint(at(u))) == held
+    assert components(s) == pairwise_components(s)
+    assert len(components(s)) == len(s.arcs)
+    assert all(s.covers(sset(seg(at(a), at(a + l)))) for a, l in pieces)
+
+
 def test_covers_and_point_membership():
     half = sset(seg((0, 0), (Fr(1, 2), Fr(1, 2))))
     assert DIAGONAL.covers(half)
