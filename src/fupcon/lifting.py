@@ -215,19 +215,6 @@ def standard_point(s: WindingLike, moduli: Moduli, n: int, k: int) -> TorusPoint
     return TorusPoint(tuple(Fraction(e * k, m**n) for e, m in zip(s, moduli)))
 
 
-def standard_lift_points(
-    s: WindingLike, n: int, moduli: Moduli, count: int
-) -> list[TorusPoint]:
-    """Integer-time samples of the stage-n lift of the straight loop with
-    winding s: the points (s_i * k / m_i^n mod 1) for k = 0..count."""
-    w = as_winding(s)
-    if w.r != moduli.r:
-        raise ValueError("winding and moduli dimension differ")
-    if n < 0 or count < 0:
-        raise ValueError("n and count must be >= 0")
-    return [standard_point(w, moduli, n, k) for k in range(count + 1)]
-
-
 def image_period(s: WindingLike, n: int, moduli: Moduli) -> int:
     """Least P > 0 with the stage-n standard lift P-periodic as a set sweep:
     lcm over i of m_i^n / gcd(s_i, m_i^n).  Requires an admissible winding."""

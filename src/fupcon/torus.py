@@ -6,7 +6,10 @@ x -> (m_1 x_1, ..., m_r x_r) mod 1, and finite unions of closed geodesic
 segments with a canonical form, so that set equality, containment and
 connected components are all decidable in exact arithmetic.  Truncated
 solenoid points (finite coherent sequences under f) and the weighted metric
-on them live here too.
+on them live here too.  Point arithmetic runs on numerators and
+denominators: f takes a coordinate n/d to (m*n mod d)/d, its preimages are
+(n + j*d)/(m*d), and distances are compared as integer pairs, so each output
+coordinate costs one Fraction.
 
 Canonical form: every nondegenerate rational segment lies on a unique closed
 geodesic; the geodesic is keyed by its primitive sign-normalized integer
@@ -95,31 +98,56 @@ def _check_dims(r: int, other: int):
         raise DimensionMismatch(f"dimension {r} vs {other}")
 
 
+def _reduced_point(coords: Vec) -> TorusPoint:
+    """A TorusPoint of coordinates already reduced into [0, 1), built
+    without normalizing them again."""
+    p = object.__new__(TorusPoint)
+    object.__setattr__(p, "coords", coords)
+    return p
+
+
 def apply_f(p: TorusPoint, moduli: Moduli) -> TorusPoint:
-    """The coordinatewise power map: angle x_i -> m_i * x_i mod 1."""
+    """The coordinatewise power map: angle n/d -> (m*n mod d)/d."""
     _check_dims(p.r, moduli.r)
-    return TorusPoint(tuple(m * c for m, c in zip(moduli, p.coords)))
+    return _reduced_point(tuple(
+        Fraction(m * c.numerator % c.denominator, c.denominator)
+        for m, c in zip(moduli, p.coords)
+    ))
 
 
 def f_preimages(p: TorusPoint, moduli: Moduli) -> list[TorusPoint]:
     """All prod(m_i) preimages of p under the power map, sorted."""
     _check_dims(p.r, moduli.r)
-    # each coordinate's candidates (c + j)/m increase with j, so the product
-    # comes out in lexicographic order
-    columns = [[(c + j) / m for j in range(m)] for c, m in zip(p.coords, moduli)]
-    return [TorusPoint(coords) for coords in itertools.product(*columns)]
+    # coordinate n/d has the preimages (n + j*d)/(m*d), j = 0..m-1, which
+    # increase with j, so the product comes out in lexicographic order
+    columns = [
+        [Fraction(c.numerator + j * c.denominator, m * c.denominator) for j in range(m)]
+        for c, m in zip(p.coords, moduli)
+    ]
+    return [_reduced_point(coords) for coords in itertools.product(*columns)]
+
+
+def _arc_dist_terms(a, b) -> tuple[int, int]:
+    """(n, d) with n/d the shorter-arc distance of the rationals a and b."""
+    d = a.denominator * b.denominator
+    n = (a.numerator * b.denominator - b.numerator * a.denominator) % d
+    return min(n, d - n), d
 
 
 def arc_dist(a: Fraction, b: Fraction) -> Fraction:
     """Shorter-arc distance on R/Z, values in [0, 1/2]."""
-    d = frac_mod1(Fraction(a) - Fraction(b))
-    return min(d, 1 - d)
+    return Fraction(*_arc_dist_terms(a, b))
 
 
 def torus_dist(p: TorusPoint, q: TorusPoint) -> Fraction:
     """Max over coordinates of the arc distance; diameter 1/2."""
     _check_dims(p.r, q.r)
-    return max(arc_dist(a, b) for a, b in zip(p.coords, q.coords))
+    best_n, best_d = 0, 1
+    for a, b in zip(p.coords, q.coords):
+        n, d = _arc_dist_terms(a, b)
+        if n * best_d > best_n * d:
+            best_n, best_d = n, d
+    return Fraction(best_n, best_d)
 
 
 # ---------------------------------------------------------------------------
@@ -585,26 +613,40 @@ class SolenoidPoint:
             raise ValueError("need at least one level")
         for z in self.levels:
             _check_dims(z.r, self.moduli.r)
+        # m * n1/d1 = n0/d0 mod 1 exactly when d0*d1 divides m*n1*d0 - n0*d1
         for k in range(len(self.levels) - 1):
-            if apply_f(self.levels[k + 1], self.moduli) != self.levels[k]:
-                raise ValueError(f"levels {k + 1} and {k + 2} are not coherent under f")
+            for m, c0, c1 in zip(self.moduli, self.levels[k].coords, self.levels[k + 1].coords):
+                n0, d0, n1, d1 = c0.numerator, c0.denominator, c1.numerator, c1.denominator
+                if (m * n1 * d0 - n0 * d1) % (d0 * d1):
+                    raise ValueError(f"levels {k + 1} and {k + 2} are not coherent under f")
 
     @property
     def depth(self) -> int:
         return len(self.levels)
 
 
-def solenoid_distance(x: SolenoidPoint, y: SolenoidPoint) -> Fraction:
+def solenoid_distance(
+    x: SolenoidPoint, y: SolenoidPoint, level_dists: Sequence[Fraction] | None = None
+) -> Fraction:
     """Sum over shared levels of 2^-n times the torus distance.  The tail past
-    depth K is bounded by solenoid_tail_bound(K), reported separately."""
+    depth K is bounded by solenoid_tail_bound(K), reported separately.
+
+    level_dists, when given, are those torus distances, already computed.
+    The power map takes a coordinate's denominator to a divisor of it, so
+    each distance has a denominator dividing the lcm D of the deepest
+    coordinates' denominators, and the sum is added up in integers over the
+    common denominator 2^K * D."""
     if x.moduli != y.moduli:
         raise ValueError("points from different solenoid products")
     if x.depth != y.depth:
         raise DepthMismatch(f"depth {x.depth} vs {y.depth}")
-    total = Fraction(0)
-    for n, (a, b) in enumerate(zip(x.levels, y.levels), start=1):
-        total += Fraction(1, 2**n) * torus_dist(a, b)
-    return total
+    if level_dists is None:
+        level_dists = [torus_dist(a, b) for a, b in zip(x.levels, y.levels)]
+    den = math.lcm(*(c.denominator for c in x.levels[-1].coords + y.levels[-1].coords))
+    total = 0
+    for dist in level_dists:
+        total = 2 * total + dist.numerator * (den // dist.denominator)
+    return Fraction(total, den << len(level_dists))
 
 
 def solenoid_tail_bound(depth: int) -> Fraction:

@@ -20,7 +20,8 @@ coordinate of the loop is linear in the sample index on each piece), and
 only the matched samples are threaded; that the rest could be threaded too
 is checked exactly, as f(L_{k+1}) covering L_k for every k >= N0.  So the
 sample is never built, and the cost of the check grows with the number of
-levels, not with the sample count.
+levels, not with the sample count.  Threading takes, level by level, the
+first preimage in sorted order that lies in the next level.
 """
 
 import functools
@@ -266,7 +267,11 @@ def coherent_point_through(
 ) -> SolenoidPoint:
     """Thread a point at tower level `level_index` (1-based) into a full
     coherent sequence: downward by applying the power map, upward by the
-    least preimage lying in the next level."""
+    least preimage lying in the next level.
+
+    f_preimages lists the preimages in sorted order, so the least member is
+    the first one found, and the rest are never tested; on a preimage level
+    every preimage is a member, so one membership test is all it takes."""
     total = len(t.levels)
     if not 1 <= level_index <= total:
         raise ValueError(f"level index {level_index} outside 1..{total}")
@@ -278,14 +283,14 @@ def coherent_point_through(
         if not t.level(idx).contains_point(seq[idx]):
             raise MembershipFails(f"forward image escapes level {idx}")
     for idx in range(level_index + 1, total + 1):
-        nxt = [
-            q
-            for q in f_preimages(seq[idx - 1], t.moduli)
-            if t.level(idx).contains_point(q)
-        ]
-        if not nxt:
+        level = t.level(idx)
+        nxt = next(
+            (q for q in f_preimages(seq[idx - 1], t.moduli) if level.contains_point(q)),
+            None,
+        )
+        if nxt is None:
             raise NoPreimageInLevel(f"no preimage of level-{idx - 1} point in level {idx}")
-        seq[idx] = min(nxt)
+        seq[idx] = nxt
     return SolenoidPoint(
         moduli=t.moduli, levels=tuple(seq[i] for i in range(1, total + 1))
     )
@@ -424,9 +429,12 @@ def epsilon_bound_check(
     """For every candidate, find the first of the count uniform base-loop
     samples delta-close at level N0, thread it through the tower, then verify
     the first N0 coordinates stay epsilon/2-close and the weighted distance
-    (plus its truncation tail bound) stays below epsilon."""
+    (plus its truncation tail bound) stays below epsilon.  Each candidate's
+    torus distances to its match are computed once, level by level, and
+    serve both tests."""
     n0 = t.params.n0
     eps, delta = t.params.epsilon, t.params.delta
+    half_eps = eps / 2
     for p in candidates:
         if p.depth < n0:
             raise DepthTooSmall(f"point depth {p.depth} below N0 = {n0}")
@@ -445,13 +453,11 @@ def epsilon_bound_check(
             continue
         match = bases[first]
         matched += 1
-        if any(
-            torus_dist(cand.levels[i], match.levels[i]) >= eps / 2
-            for i in range(n0)
-        ):
+        dists = [torus_dist(a, b) for a, b in zip(cand.levels, match.levels)]
+        if any(d >= half_eps for d in dists[:n0]):
             ok = False
             continue
-        dist = solenoid_distance(cand, match)
+        dist = solenoid_distance(cand, match, dists)
         with_tail = dist + solenoid_tail_bound(cand.depth)
         if worst is None or dist > worst:
             worst = dist

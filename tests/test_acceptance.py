@@ -26,7 +26,7 @@ from fupcon.hitting import (
     valuation_level,
     witness_recipe,
 )
-from fupcon.lifting import PLLoop, lift, standard_lift_points
+from fupcon.lifting import PLLoop, lift
 from fupcon.loop_design import design_all_nonzero
 from fupcon.torus import TorusPoint, apply_f
 from fupcon.tower import (
@@ -37,6 +37,8 @@ from fupcon.tower import (
     epsilon_bound_check,
     verify_tower,
 )
+
+from test_lifting import standard_lift_points
 
 M23 = Moduli.of(2, 3)
 

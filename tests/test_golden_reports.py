@@ -36,6 +36,23 @@ GOLDEN = {
          "--size-guard", "10000000000"], 0,
         "7678a34e39686c1700e9655c3cda6e684abfdd68171dacb378949451090bb9c2", {},
     ),
+    "tower-23-m11-eps-1": (
+        ["tower", "--moduli", "2,3", "--winding", "1,-1", "--epsilon", "1"], 0,
+        "e959ff01e1c7bdb80167e6954f0e9d6ce4fdb23b210720f10969850b8851f443", {},
+    ),
+    "tower-23-11-eps-1/4": (
+        ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "1/4"], 0,
+        "58ec8603d1a395d8f3f2cd1185dcb59387f52805218020edd2ca3fd9a2217ecf", {},
+    ),
+    "tower-25-m11": (
+        ["tower", "--moduli", "2,5", "--winding", "1,-1", "--epsilon", "1"], 0,
+        "e35d7dba8cf723b6de6b73103a94d7b4c446928da57c6137c2827a110f10f9c9", {},
+    ),
+    "tower-23-827": (  # N1 = 216: the weighted distance over 221 levels
+        ["tower", "--moduli", "2,3", "--winding", "8,27", "--epsilon", "1/2",
+         "--size-guard", str(10**200)], 0,
+        "2a3c320496cb81bdeccd469a5c2b0c456d4474457a190dd28c36c529b0cef06a", {},
+    ),
     "tower-23-23-n1-0": (  # negative control: the stage is too small
         ["tower", "--moduli", "2,3", "--winding", "2,3", "--epsilon", "1/2",
          "--n1", "0"], 1,

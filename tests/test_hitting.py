@@ -24,8 +24,10 @@ from fupcon.hitting import (
     valuation_level,
     witness_recipe,
 )
-from fupcon.lifting import PLLoop, standard_lift_points
+from fupcon.lifting import PLLoop
 from fupcon.torus import TorusPoint
+
+from test_lifting import standard_lift_points
 
 M23 = Moduli.of(2, 3)
 M4 = Moduli.of(4)

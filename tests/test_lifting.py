@@ -14,7 +14,6 @@ from fupcon.lifting import (
     image_period,
     image_set,
     lift,
-    standard_lift_points,
 )
 from fupcon.torus import SegmentSet, TorusPoint, TorusSegment, apply_f
 
@@ -30,6 +29,15 @@ PERIOD_CASES = [
     (((1, 1), 0), 1),
     (((2, 3), 2), 6),
 ]
+
+
+def standard_lift_points(s, n, moduli, count):
+    """Oracle: the integer-time samples (s_i * k / m_i^n mod 1), k = 0..count,
+    of the stage-n lift of the straight loop with winding s."""
+    return [
+        TorusPoint(tuple(Fr(e * k, m**n) for e, m in zip(s, moduli)))
+        for k in range(count + 1)
+    ]
 
 
 def enumerated_image(loop, n, moduli, horizon=None):

@@ -560,6 +560,128 @@ def test_solenoid_triangle_inequality(ka, kb, kc):
     assert solenoid_distance(a, c) <= solenoid_distance(a, b) + solenoid_distance(b, c)
 
 
+# Fraction oracles for the integer-residue point kernels: the power map as a
+# multiply then frac_mod1, preimages as (c + j)/m, arc distance through a
+# subtraction, and the weighted sum level by level.
+
+
+def fraction_apply_f(p, moduli):
+    return TorusPoint(tuple(m * c for m, c in zip(moduli, p.coords)))
+
+
+def fraction_f_preimages(p, moduli):
+    columns = [[(c + j) / m for j in range(m)] for c, m in zip(p.coords, moduli)]
+    return [TorusPoint(coords) for coords in itertools.product(*columns)]
+
+
+def fraction_arc_dist(a, b):
+    d = frac_mod1(Fraction(a) - Fraction(b))
+    return min(d, 1 - d)
+
+
+def fraction_torus_dist(p, q):
+    return max(fraction_arc_dist(a, b) for a, b in zip(p.coords, q.coords))
+
+
+def fraction_solenoid_distance(x, y):
+    total = Fraction(0)
+    for n, (a, b) in enumerate(zip(x.levels, y.levels), start=1):
+        total += Fraction(1, 2**n) * fraction_torus_dist(a, b)
+    return total
+
+
+def fraction_coherent(levels, moduli):
+    return all(
+        fraction_apply_f(levels[k + 1], moduli) == levels[k]
+        for k in range(len(levels) - 1)
+    )
+
+
+KERNEL_MODULI = [(2, 3), (2, 5), (2, 3, 5), (8, 3, 5)]
+cover_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=60)
+
+
+@st.composite
+def kernel_points(draw, r):
+    return TorusPoint(tuple(draw(cover_rationals) for _ in range(r)))
+
+
+@st.composite
+def threaded_pair(draw):
+    """Two coherent sequences of one depth on one of KERNEL_MODULI: a
+    deepest point each, pushed down by the oracle power map."""
+    moduli = Moduli(draw(st.sampled_from(KERNEL_MODULI)))
+    depth = draw(st.integers(min_value=1, max_value=7))
+    pair = []
+    for _ in range(2):
+        levels = [draw(kernel_points(moduli.r))]
+        for _ in range(depth - 1):
+            levels.insert(0, fraction_apply_f(levels[0], moduli))
+        pair.append(tuple(levels))
+    return moduli, pair
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(cover_rationals, st.integers(min_value=-5, max_value=5)),
+    st.one_of(cover_rationals, st.integers(min_value=-5, max_value=5)),
+)
+def test_integer_arc_dist_matches_the_fraction_oracle(a, b):
+    """Coordinates outside [0, 1), negative ones and integers included."""
+    assert arc_dist(a, b) == fraction_arc_dist(a, b)
+    assert arc_dist(Fraction(a), Fraction(b) + 7) == fraction_arc_dist(a, b)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(KERNEL_MODULI).flatmap(
+    lambda ms: st.tuples(st.just(Moduli(ms)), kernel_points(len(ms)), kernel_points(len(ms)))
+))
+def test_integer_power_map_kernels_match_the_fraction_oracles(case):
+    moduli, p, q = case
+    image = apply_f(p, moduli)
+    assert image == fraction_apply_f(p, moduli)
+    assert TorusPoint(image.coords) == image  # already reduced into [0, 1)
+    pre = f_preimages(p, moduli)
+    assert pre == fraction_f_preimages(p, moduli)
+    assert pre == sorted(pre)
+    assert all(TorusPoint(z.coords) == z for z in pre)
+    assert torus_dist(p, q) == fraction_torus_dist(p, q)
+
+
+@settings(max_examples=150)
+@given(threaded_pair())
+def test_integer_solenoid_distance_matches_the_fraction_oracle(case):
+    moduli, (xs, ys) = case
+    x, y = SolenoidPoint(moduli, xs), SolenoidPoint(moduli, ys)
+    want = fraction_solenoid_distance(x, y)
+    assert solenoid_distance(x, y) == want
+    dists = [fraction_torus_dist(a, b) for a, b in zip(xs, ys)]
+    assert solenoid_distance(x, y, dists) == want
+
+
+@settings(max_examples=100)
+@given(threaded_pair(), st.fractions(min_value=Fr(1, 60), max_value=Fr(59, 60), max_denominator=60))
+def test_coherence_check_matches_the_fraction_oracle(case, shift):
+    """A threaded sequence is accepted; each single-coordinate perturbation
+    is rejected exactly when the oracle finds it incoherent: always above
+    the deepest level, and there unless it moves to another preimage."""
+    moduli, (levels, _) = case
+    assert SolenoidPoint(moduli, levels).levels == levels
+    for k, z in enumerate(levels):
+        for i in range(moduli.r):
+            coords = list(z.coords)
+            coords[i] += shift
+            bent = levels[:k] + (TorusPoint(tuple(coords)),) + levels[k + 1:]
+            coherent = fraction_coherent(bent, moduli)
+            deepest = k == len(levels) - 1
+            assert coherent == (deepest and (k == 0 or (moduli.values[i] * shift).denominator == 1))
+            if coherent:
+                assert SolenoidPoint(moduli, bent).levels == bent
+            else:
+                with pytest.raises(ValueError, match="not coherent"):
+                    SolenoidPoint(moduli, bent)
+
+
 def enumerated_arc_point_params(arc, x):
     """Oracle: try all v* candidate parameters u = (first + j) / v*, where
     v* is the pivot entry of the direction, and keep those that land on x."""

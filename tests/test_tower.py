@@ -1,5 +1,6 @@
 """Unit tests for neighborhood towers and the epsilon bound."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -10,7 +11,15 @@ from hypothesis import given, settings, strategies as st
 
 from fupcon.exact_arith import Moduli
 from fupcon.lifting import PLLoop
-from fupcon.torus import SegmentSet, SolenoidPoint, TorusPoint, base_point, torus_dist
+from fupcon.torus import (
+    SegmentSet,
+    SolenoidPoint,
+    TorusPoint,
+    apply_f,
+    base_point,
+    f_preimages,
+    torus_dist,
+)
 from fupcon.tower import (
     DepthTooSmall,
     MembershipFails,
@@ -150,6 +159,97 @@ def test_coherent_point_through_detects_missing_preimages():
     probe = t.levels[2].arcs[0].point_at(Fr(1, 2))
     with pytest.raises(NoPreimageInLevel):
         coherent_point_through(broken, probe, 3)
+
+
+def threaded_by_min(t, point, level_index):
+    """Oracle for coherent_point_through: on every level past level_index,
+    test all prod(m_i) preimages and keep the least member."""
+    seq = {level_index: point}
+    for idx in range(level_index - 1, 0, -1):
+        seq[idx] = apply_f(seq[idx + 1], t.moduli)
+    for idx in range(level_index + 1, len(t.levels) + 1):
+        nxt = [q for q in f_preimages(seq[idx - 1], t.moduli) if t.level(idx).contains_point(q)]
+        if not nxt:
+            raise NoPreimageInLevel(f"no preimage of level-{idx - 1} point in level {idx}")
+        seq[idx] = min(nxt)
+    return SolenoidPoint(t.moduli, tuple(seq[i] for i in range(1, len(t.levels) + 1)))
+
+
+THREADING_TOWERS = [
+    ((2, 3), (1, 1), Fr(1, 2)),
+    ((2, 3), (2, 3), Fr(1, 2)),  # six lift levels
+    ((2, 5), (1, -1), Fr(1)),
+    ((2, 3, 5), (1, 1, 1), Fr(1)),
+]
+
+
+def threading_tower(moduli, s, epsilon):
+    moduli = Moduli(moduli)
+    params = choose_params(epsilon, moduli, s)
+    return build_tower(PLLoop.straight(s), params, moduli, size_guard=10**9)
+
+
+@pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
+def test_first_member_threading_agrees_with_the_min_oracle(moduli, s, epsilon):
+    """Points on every level, lift levels included, at several offsets."""
+    t = threading_tower(moduli, s, epsilon)
+    assert t.params.n1 >= 1
+    for idx, lvl in enumerate(t.levels, start=1):
+        for arc in lvl.arcs[:3]:
+            for offset in (Fr(0), arc.length / 7, arc.length * Fr(5, 9), arc.length):
+                p = arc.point_at(offset)
+                assert coherent_point_through(t, p, idx) == threaded_by_min(t, p, idx)
+
+
+def _cut_level(t, index, fraction):
+    """t with level `index` (1-based) cut to `fraction` of its first arc."""
+    arc = t.level(index).arcs[0]
+    levels = list(t.levels)
+    levels[index - 1] = SegmentSet(
+        arcs=(dataclasses.replace(arc, length=arc.length * fraction),), points=()
+    )
+    return dataclasses.replace(t, levels=tuple(levels))
+
+
+@pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
+def test_first_member_threading_fails_where_the_min_oracle_fails(moduli, s, epsilon):
+    """Cut each level past N0 to a sliver; a point threaded from the level
+    before it finds no preimage there in both, or the same one."""
+    t = threading_tower(moduli, s, epsilon)
+    failed = 0
+    for index in range(t.params.n0 + 1, len(t.levels) + 1):
+        broken = _cut_level(t, index, Fr(1, 1000))
+        arc = t.level(index - 1).arcs[0]
+        for offset in (arc.length / 2, arc.length / 3):
+            p = arc.point_at(offset)
+            try:
+                want = threaded_by_min(broken, p, index - 1)
+            except NoPreimageInLevel:
+                failed += 1
+                with pytest.raises(NoPreimageInLevel):
+                    coherent_point_through(broken, p, index - 1)
+            else:
+                assert coherent_point_through(broken, p, index - 1) == want
+    assert failed
+
+
+@pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
+def test_threading_tests_one_member_per_preimage_level(moduli, s, epsilon, monkeypatch):
+    t = threading_tower(moduli, s, epsilon)
+    calls = collections.Counter()
+    test_point = SegmentSet.contains_point
+
+    def counted(self, p):
+        calls[id(self)] += 1
+        return test_point(self, p)
+
+    monkeypatch.setattr(SegmentSet, "contains_point", counted)
+    coherent_point_through(t, t.base_loop.point_at(Fr(1, 3)), t.params.n0)
+    preimage_levels = range(t.params.n0 + t.params.n1 + 1, len(t.levels) + 1)
+    assert len(preimage_levels) == t.params.depth == 2
+    assert [calls[id(t.level(i))] for i in preimage_levels] == [1, 1]
+    m = math.prod(t.moduli.values)
+    assert all(1 <= calls[id(lvl)] <= m for lvl in t.levels)
 
 
 def sample_loop_points(loop, count):
