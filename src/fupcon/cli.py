@@ -5,8 +5,10 @@ input, 3 size guard exceeded, 4 I/O failure.  An internal defect is a
 verification failure too: a tower whose levels cannot carry a coherent
 point (NoPreimageInLevel, MembershipFails) or a witness that fails its own
 re-check (AssertionError) exits 1 with an `error:` line, not 2 or a
-traceback.  Reports go to stdout (or --out, written atomically) and are
-byte-identical across repeated runs.
+traceback.  Each command parses its own option strings, all of them before
+the moduli and winding are checked, so an argv with several bad values
+names the first one read.  Reports go to stdout (or --out, written
+atomically) and are byte-identical across repeated runs.
 """
 
 import argparse
@@ -25,7 +27,6 @@ from .exact_arith import (
 )
 from .hitting import (
     DEFAULT_SIZE_GUARD,
-    NotFoundWithin,
     SizeGuardExceeded,
     build_certificate,
     check_size,
@@ -45,7 +46,6 @@ from .reports import (
     EXIT_SIZE,
     EXIT_VERIFICATION,
     SCHEMA_VERSION,
-    RunConfig,
     render_report,
 )
 from .torus import write_segment_set_csv
@@ -113,35 +113,34 @@ def _default_guard() -> int:
     return guard
 
 
-def cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
-    moduli = Moduli(cfg.moduli)
-    w = WindingVector(cfg.winding)
+def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
+    n_lo, n_hi = _parse_range(args.stage_range)
+    values, entries = _parse_ints(args.moduli), _parse_ints(args.winding)
+    moduli, w = Moduli(values), WindingVector(entries)
+    guard = args.size_guard
     try:
         val: int | None = valuation_level(w, moduli)
         val_note = None
     except NoDecomposition as exc:
         val, val_note = None, str(exc)
-    try:
-        mini: int | None = minimal_level(w, moduli)
-    except NotFoundWithin:
-        mini = None
+    mini = minimal_level(w, moduli)
     # one guard for the whole range, before any stage forms m^(n + 1): the
     # hitting sweep's period is at most prod m^(n_hi + 1), and the bound
     # prod m^(n_hi + 2) is kept so that no input changes its exit code
-    check_size(moduli, cfg.n_hi + 2, cfg.size_guard)
+    check_size(moduli, n_hi + 2, guard)
     levels = []
     ok = True
     cert_stage = None
-    for n in range(cfg.n_lo, cfg.n_hi + 1):
+    for n in range(n_lo, n_hi + 1):
         condition = level_condition(w, moduli, n)
-        hit = hitting_check(w, moduli, n, cfg.size_guard)
-        eq = preimage_equality_check(w, moduli, n, cfg.size_guard)
-        conn, count = preimage_connected_check(w, moduli, n, cfg.size_guard)
+        hit = hitting_check(w, moduli, n, guard)
+        eq = preimage_equality_check(w, moduli, n, guard)
+        conn, count = preimage_connected_check(w, moduli, n, guard)
         if hit != condition:
             ok = False
         if hit and not (eq and conn):
             ok = False
-        if mini is not None and hit != (n >= mini):
+        if hit != (n >= mini):
             ok = False
         if condition and cert_stage is None:
             cert_stage = n
@@ -157,7 +156,7 @@ def cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
         )
     certificate = None
     if cert_stage is not None:
-        cert = build_certificate(w, moduli, cert_stage, cfg.size_guard)
+        cert = build_certificate(w, moduli, cert_stage, guard)
         verified = cert.verify()
         if not verified:
             ok = False
@@ -173,10 +172,10 @@ def cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
         "schema_version": SCHEMA_VERSION,
         "command": "certify",
         "inputs": {
-            "moduli": list(cfg.moduli),
-            "winding": list(cfg.winding),
-            "stage_range": [cfg.n_lo, cfg.n_hi],
-            "size_guard": cfg.size_guard,
+            "moduli": list(moduli),
+            "winding": list(w),
+            "stage_range": [n_lo, n_hi],
+            "size_guard": guard,
         },
         "results": {
             "valuation_level": val,
@@ -190,35 +189,39 @@ def cmd_certify(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
-    moduli = Moduli(cfg.moduli)
-    w = WindingVector(cfg.winding)
-    params = choose_params(cfg.epsilon, moduli, w, cfg.depth)
-    clamped = params.epsilon != cfg.epsilon
-    overridden = cfg.n1_override is not None
+def cmd_tower(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.candidates < 1:
+        raise ValueError("--candidates must be >= 1")
+    values, entries = _parse_ints(args.moduli), _parse_ints(args.winding)
+    epsilon = parse_rational(args.epsilon)
+    moduli, w = Moduli(values), WindingVector(entries)
+    guard = args.size_guard
+    params = choose_params(epsilon, moduli, w, args.depth)
+    clamped = params.epsilon != epsilon
+    overridden = args.n1 is not None
     if overridden:
-        params = dataclasses.replace(params, n1=cfg.n1_override)
+        params = dataclasses.replace(params, n1=args.n1)
     # coherent_deep_sample threads every candidate through every level, and
     # first_close_sample lists about |s_c| + 2 intervals per coordinate for each
-    check_size(moduli, 1, cfg.size_guard, (cfg.candidates, params.levels_total))
-    check_size((), 0, cfg.size_guard, (cfg.candidates, sum(abs(e) + 2 for e in w)))
-    tower = build_tower(PLLoop.straight(w), params, moduli, cfg.size_guard)
+    check_size(moduli, 1, guard, (args.candidates, params.levels_total))
+    check_size((), 0, guard, (args.candidates, sum(abs(e) + 2 for e in w)))
+    tower = build_tower(PLLoop.straight(w), params, moduli, guard)
     report_levels = verify_tower(tower)
     base_samples = base_sample_count(tower.base_loop, params.delta)
-    cands = coherent_deep_sample(tower, cfg.candidates)
+    cands = coherent_deep_sample(tower, args.candidates)
     eps_check = epsilon_bound_check(tower, base_samples, cands)
     ok = report_levels.all_ok and eps_check.ok
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "tower",
         "inputs": {
-            "moduli": list(cfg.moduli),
-            "winding": list(cfg.winding),
-            "epsilon": format_rational(cfg.epsilon),
-            "depth": cfg.depth,
-            "n1_override": cfg.n1_override,
-            "candidates": cfg.candidates,
-            "size_guard": cfg.size_guard,
+            "moduli": list(moduli),
+            "winding": list(w),
+            "epsilon": format_rational(epsilon),
+            "depth": args.depth,
+            "n1_override": args.n1,
+            "candidates": args.candidates,
+            "size_guard": guard,
         },
         "results": {
             "params": {
@@ -252,12 +255,13 @@ def cmd_tower(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_VERIFICATION
 
 
-def cmd_combine(cfg: RunConfig) -> tuple[dict, int]:
-    design = design_all_nonzero(cfg.loops, cfg.size_guard)
+def cmd_combine(args: argparse.Namespace) -> tuple[dict, int]:
+    loops = _parse_loops(args.loops)
+    design = design_all_nonzero(loops, args.size_guard)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "combine",
-        "inputs": {"loops": [list(l) for l in cfg.loops]},
+        "inputs": {"loops": [list(l) for l in loops]},
         "results": {
             "coefficients": list(design.coefficients),
             "final_winding": list(design.final),
@@ -278,37 +282,40 @@ def cmd_combine(cfg: RunConfig) -> tuple[dict, int]:
     return report, EXIT_OK
 
 
-def cmd_export(cfg: RunConfig) -> tuple[dict, int]:
-    moduli = Moduli(cfg.moduli)
-    w = WindingVector(cfg.winding)
+def cmd_export(args: argparse.Namespace) -> tuple[dict, int]:
+    if args.tower_levels and args.epsilon is None:
+        raise ValueError("--tower-levels requires --epsilon")
+    values, entries = _parse_ints(args.moduli), _parse_ints(args.winding)
+    epsilon = None if args.epsilon is None else parse_rational(args.epsilon)
+    moduli, w = Moduli(values), WindingVector(entries)
+    stages = sorted(set(args.image_stages))
     written: list[str] = []
-    out_dir = cfg.out_dir or "."
     loop = PLLoop.straight(w)
-    if cfg.image_stages or cfg.tower_levels:
-        os.makedirs(out_dir, exist_ok=True)
-    for n in sorted(set(cfg.image_stages)):
-        check_size(moduli, n, cfg.size_guard)
-        target = os.path.join(out_dir, f"image_stage_{n}.csv")
+    if stages or args.tower_levels:
+        os.makedirs(args.out_dir, exist_ok=True)
+    for n in stages:
+        check_size(moduli, n, args.size_guard)
+        target = os.path.join(args.out_dir, f"image_stage_{n}.csv")
         write_segment_set_csv(image_set(loop, n, moduli), target)
         written.append(target)
-    if cfg.tower_levels:
-        params = choose_params(cfg.epsilon, moduli, w, cfg.depth)
-        tower = build_tower(loop, params, moduli, cfg.size_guard)
+    if args.tower_levels:
+        params = choose_params(epsilon, moduli, w, args.depth)
+        tower = build_tower(loop, params, moduli, args.size_guard)
         for idx, lvl in enumerate(tower.levels, start=1):
-            target = os.path.join(out_dir, f"tower_level_{idx:02d}.csv")
+            target = os.path.join(args.out_dir, f"tower_level_{idx:02d}.csv")
             write_segment_set_csv(lvl, target)
             written.append(target)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "export",
         "inputs": {
-            "moduli": list(cfg.moduli),
-            "winding": list(cfg.winding),
-            "image_stages": sorted(set(cfg.image_stages)),
-            "tower_levels": cfg.tower_levels,
-            "epsilon": None if cfg.epsilon is None else format_rational(cfg.epsilon),
-            "depth": cfg.depth,
-            "out_dir": out_dir,
+            "moduli": list(moduli),
+            "winding": list(w),
+            "image_stages": stages,
+            "tower_levels": args.tower_levels,
+            "epsilon": None if epsilon is None else format_rational(epsilon),
+            "depth": args.depth,
+            "out_dir": args.out_dir,
         },
         "results": {"files": written},
     }
@@ -368,53 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    guard = args.size_guard if args.size_guard is not None else _default_guard()
-    if guard < 1:
-        raise ValueError("size guard must be positive")
-    common = dict(size_guard=guard, out=args.out, timing=args.timing)
-    if args.command == "certify":
-        lo, hi = _parse_range(args.stage_range)
-        return RunConfig(
-            command="certify",
-            moduli=_parse_ints(args.moduli),
-            winding=_parse_ints(args.winding),
-            n_lo=lo,
-            n_hi=hi,
-            **common,
-        )
-    if args.command == "tower":
-        if args.candidates < 1:
-            raise ValueError("--candidates must be >= 1")
-        return RunConfig(
-            command="tower",
-            moduli=_parse_ints(args.moduli),
-            winding=_parse_ints(args.winding),
-            epsilon=parse_rational(args.epsilon),
-            depth=args.depth,
-            n1_override=args.n1,
-            candidates=args.candidates,
-            **common,
-        )
-    if args.command == "combine":
-        return RunConfig(command="combine", loops=_parse_loops(args.loops), **common)
-    if args.command == "export":
-        if args.tower_levels and args.epsilon is None:
-            raise ValueError("--tower-levels requires --epsilon")
-        return RunConfig(
-            command="export",
-            moduli=_parse_ints(args.moduli),
-            winding=_parse_ints(args.winding),
-            image_stages=tuple(args.image_stages),
-            tower_levels=args.tower_levels,
-            epsilon=None if args.epsilon is None else parse_rational(args.epsilon),
-            depth=args.depth,
-            out_dir=args.out_dir,
-            **common,
-        )
-    raise ValueError(f"unknown command {args.command!r}")
-
-
 _COMMANDS = {
     "certify": cmd_certify,
     "tower": cmd_tower,
@@ -450,11 +410,11 @@ def main(argv=None) -> int:
         return EXIT_INVALID if exc.code not in (0,) else 0
     started = time.monotonic()
     try:
-        cfg = _config_from_args(args)
-        report, code = _COMMANDS[cfg.command](cfg)
-    except NotFoundWithin as exc:  # valid input, the stage search is bounded
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_SIZE
+        if args.size_guard is None:
+            args.size_guard = _default_guard()
+        elif args.size_guard < 1:
+            raise ValueError("size guard must be positive")
+        report, code = _COMMANDS[args.command](args)
     except (NoPreimageInLevel, MembershipFails, AssertionError) as exc:
         # an internal defect: the program's own construction failed its check
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
@@ -469,11 +429,11 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
     try:
-        _emit(render_report(report), cfg.out)
+        _emit(render_report(report), args.out)
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
-    if cfg.timing:
+    if args.timing:
         sys.stderr.write(f"elapsed: {time.monotonic() - started:.3f}s\n")
     return code
 

@@ -1,8 +1,8 @@
 """Exact integer and rational arithmetic.
 
-Reduced fractions, extended-Euclid CRT solving, and m-adic decompositions
-s = m^alpha * q with gcd(q, m) = 1.  Everything downstream routes its number
-theory through here; no floats anywhere.
+Reduced fractions, CRT solving, and m-adic decompositions s = m^alpha * q
+with gcd(q, m) = 1.  Everything downstream routes its number theory through
+here; no floats anywhere.
 """
 
 import math
@@ -86,19 +86,6 @@ class MAdicDecomposition:
     q: int
 
 
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r != 0:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_x, x = x, old_x - quot * x
-        old_y, y = y, old_y - quot * y
-    return old_r, old_x, old_y
-
-
 def crt_solve(residues: Sequence[int], moduli: Sequence[int]) -> int:
     """Least non-negative x with x = residues[i] (mod moduli[i]) for all i.
 
@@ -120,11 +107,7 @@ def crt_solve(residues: Sequence[int], moduli: Sequence[int]) -> int:
                 )
     x, n = residues[0] % mods[0], mods[0]
     for a, m in zip(residues[1:], mods[1:]):
-        if m == 1:
-            continue
-        g, inv, _ = _extended_gcd(n % m, m)
-        assert g == 1
-        t = ((a - x) * inv) % m
+        t = ((a - x) * pow(n, -1, m)) % m
         x += n * t
         n *= m
     return x % n

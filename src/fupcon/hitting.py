@@ -43,10 +43,6 @@ class ConditionFails(ValueError):
     """The divisibility condition fails at the requested stage."""
 
 
-class NotFoundWithin(ValueError):
-    """No stage within the search bound satisfies the condition."""
-
-
 class SizeGuardExceeded(RuntimeError):
     """The requested computation exceeds the configured size bound.  needed
     is the size, or a power expression for it when it is too large to
@@ -109,16 +105,22 @@ def valuation_level(s: WindingLike, moduli: Moduli) -> int:
     return moduli.product() ** alpha
 
 
-def minimal_level(s: WindingLike, moduli: Moduli, n_max: int = 64) -> int:
-    """Least stage n at which the divisibility condition holds.  Always exists;
-    NotFoundWithin signals only that n_max was too small."""
+def minimal_level(s: WindingLike, moduli: Moduli) -> int:
+    """Least stage n at which the divisibility condition holds.  The
+    condition is monotone in n and holds from n = max_i bit_length(|s_i|) on
+    (see gcd_certificate_condition), so the least stage is bisected within
+    0..that bound."""
     w = as_winding(s)
     _require_dims(w, moduli)
     _require_admissible(w)
-    for n in range(n_max + 1):
-        if level_condition(w, moduli, n):
-            return n
-    raise NotFoundWithin(f"no stage within 0..{n_max} satisfies the condition")
+    lo, hi = 0, max(abs(e).bit_length() for e in w)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if level_condition(w, moduli, mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 @dataclass(frozen=True)

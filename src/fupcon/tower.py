@@ -112,16 +112,16 @@ class TowerParams:
         return max(self.valuation, self.minimal)
 
 
-def choose_params(
-    epsilon, moduli: Moduli, s, depth: int = 2, n_max: int = 64
-) -> TowerParams:
+def choose_params(epsilon, moduli: Moduli, s, depth: int = 2) -> TowerParams:
     """Derive tower parameters from the target epsilon.
 
     epsilon is clamped into (0, 1]; N0 is least with 2^-N0 < epsilon/2;
     delta = min(epsilon, (epsilon/2) / (max m_i)^N0) so that all N0 forward
     images of delta-close points stay epsilon/2-close (the power map is
     (max m_i)-Lipschitz per application in the arc metric); N1 is the larger
-    of the two certificate levels (valuation route when defined)."""
+    of the two certificate levels (valuation route when defined).  The
+    minimal level always exists and is bisected within max_i
+    bit_length(|s_i|)."""
     eps = Fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
@@ -135,7 +135,7 @@ def choose_params(
         val: int | None = valuation_level(w, moduli)
     except NoDecomposition:
         val = None
-    mini = minimal_level(w, moduli, n_max)
+    mini = minimal_level(w, moduli)
     n1 = mini if val is None else max(val, mini)
     return TowerParams(
         epsilon=eps,

@@ -169,6 +169,82 @@ def test_invalid_inputs_exit_2(capsys):
         capsys.readouterr()
 
 
+# (argv, exit code, stderr): every parse error, in the order the inputs are
+# read, so an argv with two errors names the first one
+INVALID = [
+    (["certify", "--moduli", "2,x", "--winding", "1,1"], 2,
+     "error: not a comma-separated integer list: '2,x'\n"),
+    (["certify", "--moduli", "2,3", "--winding", "abc"], 2,
+     "error: not a comma-separated integer list: 'abc'\n"),
+    (["certify", "--moduli", "2,3", "--winding", "1,1", "--range", "3..1"], 2,
+     "error: bad stage range: '3..1'\n"),
+    (["certify", "--moduli", "2,3", "--winding", "1,1", "--range", "a..2"], 2,
+     "error: invalid literal for int() with base 10: 'a'\n"),
+    (["certify", "--moduli", "2,3", "--winding", "1,1", "--range=-1"], 2,
+     "error: bad stage range: '-1'\n"),
+    (["certify", "--moduli", "2,4", "--winding", "1,1"], 2,
+     "error: moduli 2 and 4 are not coprime\n"),
+    (["certify", "--moduli", "1,3", "--winding", "1,1"], 2,
+     "error: modulus 1 must be >= 2\n"),
+    (["certify", "--moduli", "2,3", "--winding", "0,1"], 2,
+     "error: winding has a zero entry\n"),
+    (["certify", "--moduli", "2,3", "--winding", "1,1,1"], 2,
+     "error: winding and moduli dimension differ\n"),
+    (["certify", "--moduli", "2,4", "--winding", "1,1", "--range", "3..1"], 2,
+     "error: bad stage range: '3..1'\n"),
+    (["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "zz"], 2,
+     "error: not a rational: 'zz'\n"),
+    (["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "1/0"], 2,
+     "error: not a rational: '1/0'\n"),
+    (["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "0"], 2,
+     "error: epsilon must be positive\n"),
+    (["tower", "--moduli", "2,4", "--winding", "1,1", "--epsilon", "zz"], 2,
+     "error: not a rational: 'zz'\n"),
+    (["tower", "--moduli", "2,3", "--winding", "0,1", "--epsilon", "1/2"], 2,
+     "error: winding has a zero entry\n"),
+    (TOWER + ["--size-guard", "0"], 2,
+     "error: size guard must be positive\n"),
+    (TOWER + ["--candidates", "0"], 2,
+     "error: --candidates must be >= 1\n"),
+    (["tower", "--moduli", "x", "--winding", "1,1", "--epsilon", "zz",
+      "--candidates", "0"], 2,
+     "error: --candidates must be >= 1\n"),
+    (TOWER + ["--n1=-1"], 2,
+     "error: n1 must be >= 0\n"),
+    (TOWER + ["--depth=-1"], 2,
+     "error: depth must be >= 0\n"),
+    (["combine", "--loops", ";"], 2,
+     "error: empty loop family\n"),
+    (["combine", "--loops", "1,a"], 2,
+     "error: not a comma-separated integer list: '1,a'\n"),
+    (["combine", "--loops", "0,1;1,1"], 2,
+     "error: family loop 0 has zero entry 0\n"),
+    (["combine", "--loops", "1,1", "--size-guard", "0"], 2,
+     "error: size guard must be positive\n"),
+    (["export", "--moduli", "2,3", "--winding", "1,1", "--tower-levels"], 2,
+     "error: --tower-levels requires --epsilon\n"),
+    (["export", "--moduli", "x", "--winding", "1,1", "--tower-levels"], 2,
+     "error: --tower-levels requires --epsilon\n"),
+    (["export", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "q"], 2,
+     "error: not a rational: 'q'\n"),
+    (["export", "--moduli", "2,3", "--winding", "1,1", "--tower-levels",
+      "--epsilon", "1/2", "--depth=-1", "--out-dir", "out"], 2,
+     "error: depth must be >= 0\n"),
+    (["nosuchcommand"], 2,
+     "usage: fupcon [-h] {certify,tower,combine,export} ...\n"
+     "fupcon: error: argument command: invalid choice: 'nosuchcommand' "
+     "(choose from 'certify', 'tower', 'combine', 'export')\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", INVALID)
+def test_invalid_input_messages(argv, code, err, capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (err, "")
+
+
 def _first_primes(count):
     primes = []
     k = 2
@@ -193,12 +269,14 @@ def test_size_guard_exit_3(capsys, tmp_path):
         capsys.readouterr()
 
 
-def test_stage_search_bound_exits_3(capsys):
-    # winding entry 2^131 on modulus 4: no stage within the search bound
-    argv = ["tower", "--moduli", "4,3", "--winding",
-            "2722258935367507707706996859454145691648,1", "--epsilon", "1/2"]
-    assert main(argv) == 3
-    assert "no stage within" in capsys.readouterr().err
+def test_certify_finds_a_stage_above_64(capsys):
+    # winding entry 2^131 on modulus 4: the least stage is ceil(131/2) = 66,
+    # so the stage cross-check runs
+    argv = ["certify", "--moduli", "4,3", "--winding", f"{2**131},1",
+            "--range", "0..0"]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["results"]["minimal_level"] == 66
 
 
 def _run_python(args, timeout=60):
@@ -226,6 +304,9 @@ def test_tower_size_guard_trips_without_computing_the_size():
         ["tower", "--moduli", "2,3", "--winding", "100001,1", "--epsilon", "1/2"],
         ["tower", "--moduli", "2,3", "--winding",
          str(2**131 + 3) + ",1", "--epsilon", "1/2"],
+        # stage 66 is found, and the 20 x (2^131 + 2 + 3) intervals trip
+        ["tower", "--moduli", "4,3", "--winding", f"{2**131},1",
+         "--epsilon", "1/2"],
         # (2 + sum of repetition counts) x r loop coordinates: trip before
         # any breakpoint is built
         ["combine", "--loops", "1000000,0;0,1"],
@@ -330,6 +411,13 @@ def test_size_guard_env_override(capsys, monkeypatch):
     monkeypatch.setenv("FUPCON_SIZE_GUARD", "1000000")
     assert main(CERTIFY) == 0
     capsys.readouterr()
+    for env, err in [
+        ("0", "error: FUPCON_SIZE_GUARD must be positive\n"),
+        ("abc", "error: invalid literal for int() with base 10: 'abc'\n"),
+    ]:
+        monkeypatch.setenv("FUPCON_SIZE_GUARD", env)
+        assert main(["combine", "--loops", "1,1"]) == 2
+        assert capsys.readouterr().err == err
 
 
 def test_io_failure_exit_4(tmp_path, capsys):

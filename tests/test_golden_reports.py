@@ -53,6 +53,16 @@ GOLDEN = {
          "--size-guard", str(10**200)], 0,
         "2a3c320496cb81bdeccd469a5c2b0c456d4474457a190dd28c36c529b0cef06a", {},
     ),
+    "tower-23-11-clamped-depth-3": (  # epsilon 2 is clamped to 1
+        ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "2",
+         "--depth", "3", "--candidates", "7"], 0,
+        "a9abaff2515ca007b9a12f278cb35841916543521dbd3872c3def73ca05767bf", {},
+    ),
+    "tower-25-m13-n1-1": (
+        ["tower", "--moduli", "2,5", "--winding=-1,3", "--epsilon", "1",
+         "--depth", "0", "--n1", "1"], 0,
+        "42470639332b3567df6ba7841dc810b9b1e69dfbf2684210f9c84d43e3d8dfde", {},
+    ),
     "tower-23-23-n1-0": (  # negative control: the stage is too small
         ["tower", "--moduli", "2,3", "--winding", "2,3", "--epsilon", "1/2",
          "--n1", "0"], 1,
@@ -96,6 +106,14 @@ GOLDEN = {
         ["certify", "--moduli", "4,3", "--winding", "2,1", "--range", "0..2"], 0,
         "308a495ac5ae294349f4d11d434e0e360062929d0feafcb7c538936968eee2c1", {},
     ),
+    "certify-23-11-default-range": (  # no --range: stages 0..3
+        ["certify", "--moduli", "2,3", "--winding", "1,1"], 0,
+        "b11a09b26eb8bd224255eeed73fd5019f790830970d123516845ce6b72941b77", {},
+    ),
+    "certify-23-11-stage-2": (  # the single-stage form of --range
+        ["certify", "--moduli", "2,3", "--winding", "1,1", "--range", "2"], 0,
+        "b3c5634211a8b90a3124ebac3f4dce4340fafe922ce84f6a1b194aa7ccf07508", {},
+    ),
     "certify-25-m35": (
         ["certify", "--moduli", "2,5", "--winding", "-3,5", "--range", "0..2"], 0,
         "bac9c32422935f7348362b23230364ff578af68a73bcce0a4d92cd338597b4f7", {},
@@ -133,6 +151,19 @@ GOLDEN = {
             "29dbab21f9a7d86a54d1e2ced9cdd16e910bb1012aa67e1a4e67286ef42df596",
         },
     ),
+    "export-tower-default-out-dir": (  # no --out-dir: the CSVs go to "."
+        ["export", "--moduli", "2,3", "--winding", "1,1", "--tower-levels",
+         "--epsilon", "1", "--depth", "0"], 0,
+        "f21d1b9882f4e00e7a76f92f66644c8ee80a80f890cb7be66df3d0db8e96e24c",
+        {
+            "tower_level_01.csv":
+            "100cd13465b8544a4749861d1d1d9136dcce7a6064b3fa0f233ba3a2e50b0a12",
+            "tower_level_02.csv":
+            "a137f82b78484de223d97c4929660e4433eb7dd12cabe8bd435da03344971a69",
+            "tower_level_03.csv":
+            "36232b8fbcac480a4bfec5f4babae7153670a3389c41fb46d230bda36289c440",
+        },
+    ),
     "combine-2": (
         ["combine", "--loops", "3,0;-2,1"], 0,
         "5a596f9cf745d53a7c7bd372f34efbd0055edebb7fa8e40840f7712b23ac3f83", {},
@@ -154,7 +185,7 @@ def test_golden_report(name, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # reports name the relative --out-dir
     assert main(argv) == code
     assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
-    out = tmp_path / "out"
+    out = tmp_path / "out" if "--out-dir" in argv else tmp_path
     written = sorted(p.name for p in out.iterdir()) if out.exists() else []
     assert written == sorted(csv_shas)
     for fname, sha in csv_shas.items():

@@ -12,7 +12,6 @@ from fupcon.exact_arith import Moduli, NoDecomposition
 from fupcon.hitting import (
     ConditionFails,
     HittingCertificate,
-    NotFoundWithin,
     SizeGuardExceeded,
     build_certificate,
     crt_witness,
@@ -97,12 +96,43 @@ def test_level_condition_matches_minimal():
 
 
 def test_minimal_level_error_paths():
-    with pytest.raises(NotFoundWithin):
-        minimal_level((8,), Moduli.of(2), n_max=2)  # true answer is 3
+    assert minimal_level((8,), Moduli.of(2)) == 3
     from fupcon.lifting import NonadmissibleWinding
 
     with pytest.raises(NonadmissibleWinding):
         minimal_level((0, 1), M23)
+
+
+# moduli whose prime powers the bisection oracle below scales the entries by
+BISECT_MODULI = [(2, 3), (4, 3), (4, 9), (8, 27), (9, 2), (2, 3, 5), (12, 5)]
+
+
+def _primes_of(m):
+    return [p for p in range(2, m + 1) if m % p == 0 and all(p % q for q in range(2, p))]
+
+
+@st.composite
+def high_valuation_case(draw):
+    moduli = Moduli(draw(st.sampled_from(BISECT_MODULI)))
+    s = []
+    for m in moduli:
+        unit = draw(st.integers(min_value=1, max_value=10**6).filter(
+            lambda u, m=m: math.gcd(u, m) == 1))
+        for p in _primes_of(m):
+            unit *= p ** draw(st.integers(min_value=0, max_value=300))
+        s.append(unit * draw(st.sampled_from([1, -1])))
+    return tuple(s), moduli
+
+
+@settings(max_examples=150, deadline=None)
+@given(high_valuation_case())
+def test_minimal_level_bisection_matches_linear_scan(case):
+    # prime powers up to p^300 put the least stage far past 64
+    s, moduli = case
+    least = next(n for n in itertools.count() if level_condition(s, moduli, n))
+    assert minimal_level(s, moduli) == least
+    for n in range(max(0, least - 2), least + 3):
+        assert level_condition(s, moduli, n) is (n >= least)
 
 
 def test_hitting_check_agrees_with_brute_force():
