@@ -289,22 +289,24 @@ def cmd_export(args: argparse.Namespace) -> tuple[dict, int]:
     epsilon = None if args.epsilon is None else parse_rational(args.epsilon)
     moduli, w = Moduli(values), WindingVector(entries)
     stages = sorted(set(args.image_stages))
-    written: list[str] = []
     loop = PLLoop.straight(w)
-    if stages or args.tower_levels:
-        os.makedirs(args.out_dir, exist_ok=True)
+    # every set is built, and every input checked, before anything is written
+    outputs = []
     for n in stages:
         check_size(moduli, n, args.size_guard)
-        target = os.path.join(args.out_dir, f"image_stage_{n}.csv")
-        write_segment_set_csv(image_set(loop, n, moduli), target)
-        written.append(target)
+        outputs.append((f"image_stage_{n}.csv", image_set(loop, n, moduli)))
     if args.tower_levels:
         params = choose_params(epsilon, moduli, w, args.depth)
         tower = build_tower(loop, params, moduli, args.size_guard)
         for idx, lvl in enumerate(tower.levels, start=1):
-            target = os.path.join(args.out_dir, f"tower_level_{idx:02d}.csv")
-            write_segment_set_csv(lvl, target)
-            written.append(target)
+            outputs.append((f"tower_level_{idx:02d}.csv", lvl))
+    if outputs:
+        os.makedirs(args.out_dir, exist_ok=True)
+    written: list[str] = []
+    for name, segments in outputs:
+        target = os.path.join(args.out_dir, name)
+        write_segment_set_csv(segments, target)
+        written.append(target)
     report = {
         "schema_version": SCHEMA_VERSION,
         "command": "export",

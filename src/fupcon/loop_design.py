@@ -7,9 +7,14 @@ l > max(|s_1|, ..., |s_{k+1}|) makes the first k+1 winding entries nonzero
 without disturbing what has been fixed.  The new entries are l*t_i + s_i;
 where t_i = 0 the entry stays s_i != 0, and where t_i != 0 the bound gives
 |l*t_i| >= l > |s_i|, so the sum cannot vanish.
+
+The literal loop is built in one pass: with straight-line representatives
+every breakpoint is an integer partial sum of the injected windings, the
+last stage's loop first, and the first family loop closes it up.
 """
 
 from dataclasses import dataclass
+from operator import add
 from typing import Sequence
 
 from .hitting import DEFAULT_SIZE_GUARD, check_size
@@ -113,7 +118,9 @@ def design_all_nonzero(
 
     The loop has 2 + sum(l) breakpoints of r coordinates each, l the
     repetition counts; that size is checked against size_guard before any
-    breakpoint is built."""
+    breakpoint is built.  The breakpoints are built in one pass of integer
+    partial sums: from the origin, each stage's injected winding is added
+    l times, the last stage first, and then the first family loop."""
     loops = [as_winding(s) for s in family]
     if not loops:
         raise BadInputFamily("empty family")
@@ -143,12 +150,20 @@ def design_all_nonzero(
         )
         coefficients.append(l)
         current = after
-    assert current.admissible
+    if not current.admissible:
+        raise PreconditionViolated("combined winding has a zero entry")
     check_size((), 0, size_guard, (2 + sum(coefficients[1:]), r))
-    pl = PLLoop.straight(loops[0])
-    for step in steps:
-        pl = PLLoop.straight(step.injected).repeat(step.repetitions).concat(pl)
-    assert pl.winding() == current
+    cur = (0,) * r
+    breakpoints = [cur]
+    for step in reversed(steps):
+        t = step.injected.entries
+        for _ in range(step.repetitions):
+            cur = tuple(map(add, cur, t))
+            breakpoints.append(cur)
+    breakpoints.append(tuple(map(add, cur, loops[0])))
+    pl = PLLoop(tuple(breakpoints))
+    if pl.winding() != current:
+        raise PreconditionViolated("assembled loop misses the combined winding")
     return NonvanishingDesign(
         coefficients=tuple(coefficients),
         final=current,

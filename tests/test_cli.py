@@ -105,6 +105,25 @@ def test_export_writes_stage_csv(tmp_path, capsys):
     assert rep["results"]["files"] == [str(path)]
 
 
+@pytest.mark.parametrize("extra, code, err", [
+    (["--image-n=-1"], 2, "error: stage n must be >= 0\n"),
+    (["--image-n", "2", "--image-n", "30"], 3,
+     "error: size 2^30 * 3^30 exceeds guard 1000000\n"),
+    (["--image-n", "2", "--tower-levels", "--epsilon", "1/2", "--depth=-1"], 2,
+     "error: depth must be >= 0\n"),
+])
+def test_invalid_export_writes_nothing(extra, code, err, tmp_path, capsys):
+    # every input is checked, and every set built, before out-dir is made
+    target = tmp_path / "out"
+    argv = ["export", "--moduli", "2,3", "--winding", "1,1", *extra,
+            "--out-dir", str(target)]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.err, captured.out) == (err, "")
+    assert not target.exists()
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_export_with_nothing_requested_writes_nothing(tmp_path, capsys):
     target = tmp_path / "sub"
     code, out = run(
@@ -312,10 +331,24 @@ def test_tower_size_guard_trips_without_computing_the_size():
         ["combine", "--loops", "1000000,0;0,1"],
         ["combine", "--loops", "15,1,2,3,4,5;1,15,2,3,4,5;1,2,15,3,4,5;"
          "1,2,3,15,4,5;1,2,3,4,15,5;1,2,3,4,5,15"],
+        # (2 + 84001 + 84002 + 84003) x 4 = 1008032 coordinates, just over
+        # the guard
+        ["combine", "--loops", "84000,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"],
     ]:
         proc = _run_python(["-m", "fupcon", *argv])
         assert proc.returncode == 3, argv
         assert "exceeds guard" in proc.stderr
+
+
+def test_combine_just_under_the_guard_finishes():
+    # (2 + 83001 + 83002 + 83003) x 4 = 996032 coordinates, just under the
+    # guard: the loop is built in one pass of partial sums, in seconds
+    argv = ["combine", "--loops", "83000,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"]
+    proc = _run_python(["-m", "fupcon", *argv], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    res = json.loads(proc.stdout)["results"]
+    assert res["loop_breakpoints"] == 249008
+    assert res["coefficients"] == [1, 83001, 83002, 83003]
 
 
 def test_tiny_epsilon_tower_finishes():

@@ -1,10 +1,11 @@
-"""Unit tests for the repeat-and-concatenate winding repair."""
+"""Unit tests for the winding repair and its one-pass loop build."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fupcon import loop_design
 from fupcon.hitting import SizeGuardExceeded
 from fupcon.lifting import PLLoop
 from fupcon.loop_design import (
@@ -130,3 +131,38 @@ def test_design_size_guard_trips_before_the_loop_is_built():
         design_all_nonzero([(10, 0), (0, 1)], size_guard=25)
     design = design_all_nonzero([(10, 0), (0, 1)], size_guard=26)
     assert len(design.loop.breakpoints) == 13
+
+
+def chained_loop(design) -> PLLoop:
+    """Oracle: the design's loop as the repeat-and-concatenate chain, each
+    stage's injected straight loop repeated l times in front of the loop so
+    far."""
+    pl = PLLoop.straight(design.steps[0].before if design.steps else design.final)
+    for step in design.steps:
+        pl = PLLoop.straight(step.injected).repeat(step.repetitions).concat(pl)
+    return pl
+
+
+@settings(max_examples=80)
+@given(valid_family())
+def test_one_pass_loop_matches_the_chain(family):
+    design = design_all_nonzero(family)
+    assert design.loop.breakpoints == chained_loop(design).breakpoints
+
+
+def test_design_builds_no_intermediate_loops(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the design must not repeat or concatenate loops")
+
+    monkeypatch.setattr(PLLoop, "repeat", refuse)
+    monkeypatch.setattr(PLLoop, "concat", refuse)
+    design = design_all_nonzero([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    assert design.loop.breakpoints[-1] == (1, 2, 3)
+    assert len(design.loop.breakpoints) == 2 + 2 + 3
+
+
+def test_assembled_loop_is_checked_against_the_winding(monkeypatch):
+    # a faulty partial sum must be caught by a raise, which python -O keeps
+    monkeypatch.setattr(loop_design, "add", lambda a, b: a + 2 * b)
+    with pytest.raises(PreconditionViolated, match="misses the combined winding"):
+        design_all_nonzero([(3, 0), (-2, 1)])
