@@ -31,7 +31,9 @@ Point location is closed-form.  The pivot-zero points of the geodesic
 through x with primitive direction w are x + (first + j)/v* * w for j mod v*
 (v* the pivot entry of w); walking the later coordinates in order, the least
 value of each pins j to a finer coset, so the canonical anchor and the
-parameter tau with x + tau*w = anchor cost O(r), not O(v*).  Two points lie
+parameter tau with x + tau*w = anchor cost O(r), not O(v*); the moduli,
+steps and modular inverses of that walk depend on w alone and are planned
+once per direction.  Two points lie
 on one closed geodesic of direction w exactly when their anchors agree, and
 then differ by the difference of their taus.  Each segment set indexes its
 arcs by key (direction, anchor); a membership query costs one anchor per
@@ -190,6 +192,24 @@ def _primitive(d: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
     return tuple(sign * c for c in w), Fraction(sign * g, den)
 
 
+@functools.lru_cache(maxsize=4096)
+def _anchor_plan(w: tuple[int, ...]) -> tuple[int, int, tuple]:
+    """The point-independent part of _anchor_for for the primitive direction
+    w: the pivot, v*, and for each later coordinate k the tuple
+    (k, w_k, n, the inverse of step*w_k/g mod n, step), step being the coset
+    step before coordinate k.  The cache is bounded, so a long run over many
+    directions keeps its memory flat."""
+    idx = next(i for i, c in enumerate(w) if c != 0)
+    v_star = w[idx]  # positive by sign normalization
+    walk, step = [], 1
+    for k in range(idx + 1, len(w)):
+        g = math.gcd(step * w[k], v_star)
+        n = v_star // g
+        walk.append((k, w[k], n, pow(step * w[k] // g, -1, n), step))
+        step *= n
+    return idx, v_star, tuple(walk)
+
+
 def _anchor_for(point: Sequence[Fraction], w: tuple[int, ...]) -> tuple[Vec, Fraction]:
     """Canonical anchor of the closed geodesic through `point` with primitive
     direction w: among the finitely many geodesic points whose pivot coordinate
@@ -201,26 +221,24 @@ def _anchor_for(point: Sequence[Fraction], w: tuple[int, ...]) -> tuple[Vec, Fra
     mod 1, b its value at j0.  With g = gcd(step*w_k, v*) and n = v*/g that
     is b + s/n, s = t*(step*w_k/g) mod n a unit multiple of t, so the least
     value b - floor(b*n)/n is taken at s = -floor(b*n): t is fixed mod n and
-    the coset step becomes step*n.  The geodesic is simple, so one j is left."""
-    idx = next(i for i, c in enumerate(w) if c != 0)
-    v_star = w[idx]  # positive by sign normalization
+    the coset step becomes step*n.  The geodesic is simple, so one j is left.
+    Only b depends on the point: g, n, the unit's inverse mod n and the steps
+    depend on w alone, and come from its plan (_anchor_plan), made once per
+    direction."""
+    idx, v_star, walk = _anchor_plan(w)
     fd = point[idx].denominator
     fn = -point[idx].numerator % fd  # first = ceil(x_pivot) - x_pivot = fn/fd
     anchor = [frac_mod1(c) for c in point[:idx]]  # w is 0 before the pivot
     anchor.append(Fraction(0))
-    j, step = 0, 1
-    for k in range(idx + 1, len(w)):
-        wk, pk = w[k], point[k]
+    j = 0
+    for k, wk, n, inv, step in walk:
+        pk = point[k]
         # b = frac(pk + (first + j) * wk / v*) = rem / den
         den = pk.denominator * fd * v_star
         rem = (pk.numerator * fd * v_star + (fn + j * fd) * wk * pk.denominator) % den
-        g = math.gcd(step * wk, v_star)
-        n = v_star // g
         floor_bn, least = divmod(rem * n, den)
         anchor.append(Fraction(least, den * n))
-        if n > 1:
-            j += step * (-floor_bn * pow(step * wk // g, -1, n) % n)
-            step *= n
+        j += step * (-floor_bn * inv % n)
     return tuple(anchor), Fraction(fn + j * fd, fd * v_star)
 
 

@@ -10,8 +10,8 @@ the hitting certificate levels.  build_tower then lays out the levels
     L_{N0+N1+j}, j = 1..d   full preimages  f^-j(Im gamma^(N1))
 
 and verify_tower checks, per level, connectedness, membership of the base
-point, the bonding containment f(L_{n+1}) contained in L_n, and equality of
-the bonding at the forward levels.
+point, the bonding containment f(L_{n+1}) contained in L_n (Tower.bonded),
+and equality of the bonding at the forward levels.
 
 epsilon_bound_check compares coherent points threaded down from the deepest
 level with the delta-dense uniform sample of the base loop at level N0.  The
@@ -20,8 +20,11 @@ coordinate of the loop is linear in the sample index on each piece), and
 only the matched samples are threaded; that the rest could be threaded too
 is checked exactly, as f(L_{k+1}) covering L_k for every k >= N0.  So the
 sample is never built, and the cost of the check grows with the number of
-levels, not with the sample count.  Threading takes, level by level, the
-first preimage in sorted order that lies in the next level.
+levels, not with the sample count; the intervals are compared in integers.
+Threading down tests membership only below a bonding the tower does not
+satisfy, since a proven bonding carries membership down from the start
+point; threading up takes, level by level, the first preimage in sorted
+order that lies in the next level.
 """
 
 import functools
@@ -42,9 +45,9 @@ from .torus import (
     SegmentSet,
     SolenoidPoint,
     TorusPoint,
+    _arc_dist_terms,
     apply_f,
     apply_f_set,
-    arc_dist,
     base_point,
     components,
     f_preimages,
@@ -169,6 +172,12 @@ class Tower:
         bonding directions."""
         return tuple(apply_f_set(lvl, self.moduli) for lvl in self.levels[1:])
 
+    @functools.cached_property
+    def bonded(self) -> tuple[bool, ...]:
+        """Entry k-1 says whether L_k covers f(L_(k+1)), the bonding
+        containment that verify_tower reports and threading relies on."""
+        return tuple(lvl.covers(img) for lvl, img in zip(self.levels, self.images))
+
 
 def build_tower(
     base_loop: PLLoop,
@@ -243,10 +252,9 @@ def verify_tower(t: Tower) -> TowerReport:
         bonding = None
         equality = None
         if idx >= 2:
-            pushed = t.images[idx - 2]
-            bonding = t.levels[idx - 2].covers(pushed)
+            bonding = t.bonded[idx - 2]
             if idx <= t.params.n0:
-                equality = pushed == t.levels[idx - 2]
+                equality = t.images[idx - 2] == t.levels[idx - 2]
         checks.append(
             LevelCheck(
                 index=idx,
@@ -269,9 +277,12 @@ def coherent_point_through(
     coherent sequence: downward by applying the power map, upward by the
     least preimage lying in the next level.
 
-    f_preimages lists the preimages in sorted order, so the least member is
-    the first one found, and the rest are never tested; on a preimage level
-    every preimage is a member, so one membership test is all it takes."""
+    The start point is tested.  Going down, f(x) lies in L_k whenever x lies
+    in L_(k+1) and L_k covers f(L_(k+1)), so membership is tested only on a
+    level below an unproven bonding (Tower.bonded).  Going up, f_preimages
+    lists the preimages in sorted order, so the least member is the first
+    one found, and the rest are never tested; on a preimage level every
+    preimage is a member, so one membership test is all it takes."""
     total = len(t.levels)
     if not 1 <= level_index <= total:
         raise ValueError(f"level index {level_index} outside 1..{total}")
@@ -280,7 +291,7 @@ def coherent_point_through(
     seq: dict[int, TorusPoint] = {level_index: point}
     for idx in range(level_index - 1, 0, -1):
         seq[idx] = apply_f(seq[idx + 1], t.moduli)
-        if not t.level(idx).contains_point(seq[idx]):
+        if not t.bonded[idx - 1] and not t.level(idx).contains_point(seq[idx]):
             raise MembershipFails(f"forward image escapes level {idx}")
     for idx in range(level_index + 1, total + 1):
         level = t.level(idx)
@@ -305,16 +316,31 @@ def base_sample_count(loop: PLLoop, delta: Fraction) -> int:
     return math.floor(speed / (2 * delta)) + 1
 
 
-def _close_intervals(start: Fraction, step: Fraction, delta: Fraction, lo: int, hi: int):
-    """The open intervals of real i, in increasing order, on which
-    start + step*i (step != 0) lies within delta of an integer n, one per n
-    the line meets while i runs over [lo, hi]; disjoint for delta <= 1/2."""
-    y0, y1 = sorted((start + step * lo, start + step * hi))
-    ns = range(math.floor(y0 - delta) + 1, math.ceil(y1 + delta))
-    return [
-        tuple(sorted(((n - delta - start) / step, (n + delta - start) / step)))
-        for n in (ns if step > 0 else reversed(ns))
-    ]
+def _close_line(
+    a: Fraction, b: Fraction, q: Fraction, delta: Fraction, p: int, k: int, count: int
+):
+    """Integers (A, B, C, R) such that a + (i*k/count - p)*(b - a), the
+    coordinate of sample i on piece p, lies within delta of q + n, n an
+    integer, exactly when |A + i*B - n*C| < R: the line times a common
+    denominator of a, b, q and delta, and count."""
+    den = math.lcm(a.denominator, b.denominator, q.denominator, delta.denominator)
+    an, bn, qn, dn = (x.numerator * (den // x.denominator) for x in (a, b, q, delta))
+    rise = bn - an
+    return count * (an - p * rise - qn), k * rise, count * den, count * dn
+
+
+def _close_intervals(line, lo: int, hi: int, scale: int) -> list:
+    """The open intervals of real i, times `scale` (a multiple of B != 0) and
+    in increasing order, on which |A + i*B - n*C| < R, one per integer n the
+    line meets while i runs over [lo, hi]; disjoint when 2R <= C.  Each is
+    centered on (n*C - A)/B with half-width R/|B|."""
+    a, b, c, r = line
+    y0, y1 = sorted((a + b * lo, a + b * hi))
+    first, stop = (y0 - r) // c + 1, -((-y1 - r) // c)  # n*C in (y0 - R, y1 + R)
+    s = scale // b
+    half, step = r * abs(s), c * abs(s)
+    low = (first if s > 0 else stop - 1) * c * s - a * s  # the least center
+    return [(m - half, m + half) for m in range(low, low + (stop - first) * step, step)]
 
 
 def _intersect(xs: list, ys: list) -> list:
@@ -346,7 +372,9 @@ def first_close_sample(
     every i of the piece or for none.  The least integer in the intersection
     over the coordinates, piece by piece, is the answer.  A line meets about
     |b_c - a_c| + 2 translates on its piece, so the cost does not depend on
-    count."""
+    count.  Everything is compared in integers: each line is written as
+    |A + i*B - n*C| < R, and the interval ends are held times D, the lcm of
+    the B of the piece's moving coordinates."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if delta > Fraction(1, 2):  # no two torus points are farther apart
@@ -354,22 +382,25 @@ def first_close_sample(
     k = loop.pieces
     for p, (a, b) in enumerate(zip(loop.breakpoints, loop.breakpoints[1:])):
         lo, hi = -(-p * count // k), -(-(p + 1) * count // k) - 1
-        window = [(Fraction(lo - 1), Fraction(hi + 1))]  # holds exactly lo..hi
+        lines = []
         for ac, bc, qc in zip(a, b, query.coords):
-            step = (bc - ac) * k / count
-            if step == 0:
-                if arc_dist(ac, qc) >= delta:
-                    window = []
+            if ac != bc:
+                lines.append(_close_line(ac, bc, qc, delta, p, k, count))
             else:
-                window = _intersect(
-                    window, _close_intervals(ac - p * (bc - ac) - qc, step, delta, lo, hi)
-                )
-            if not window:
-                break
-        for left, right in window:
-            i = math.floor(left) + 1
-            if i < right:
-                return i
+                n, d = _arc_dist_terms(ac, qc)
+                if n * delta.denominator >= delta.numerator * d:
+                    break
+        else:  # every constant coordinate of the piece is delta-close
+            scale = math.lcm(*(abs(line[1]) for line in lines))
+            window = [((lo - 1) * scale, (hi + 1) * scale)]  # holds exactly lo..hi
+            for line in lines:
+                window = _intersect(window, _close_intervals(line, lo, hi, scale))
+                if not window:
+                    break
+            for left, right in window:
+                i = left // scale + 1
+                if i * scale < right:
+                    return i
     return None
 
 

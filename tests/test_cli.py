@@ -393,6 +393,16 @@ def test_non_witness_exits_1(capsys, monkeypatch):
     assert err == "error: AssertionError: witness construction produced a non-witness\n"
 
 
+def test_tower_at_the_interval_guard_edge_finishes():
+    # 20 candidates x (49,003 + 3) close-sample intervals, just under the
+    # guard: guards the integer interval lists against a return to Fraction
+    # intervals, which took 21-28 s here
+    argv = ["tower", "--moduli", "2,3", "--winding", "49001,1", "--epsilon", "1/2"]
+    proc = _run_python(["-m", "fupcon", *argv], timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["results"]["verified"] is True
+
+
 def test_certify_on_three_moduli_finishes():
     # guards the canonical anchor against a search linear in the pivot entry
     # of the direction, which made this run take minutes

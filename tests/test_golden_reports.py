@@ -53,6 +53,15 @@ GOLDEN = {
          "--size-guard", str(10**200)], 0,
         "2a3c320496cb81bdeccd469a5c2b0c456d4474457a190dd28c36c529b0cef06a", {},
     ),
+    "tower-23-10001-1": (  # 10,006 close-sample intervals per candidate
+        ["tower", "--moduli", "2,3", "--winding", "10001,1", "--epsilon", "1/2"], 0,
+        "311fdb369b16cc9e440ca38d41c7030e9f0dcb63a6c122990cea1054fed51ec4", {},
+    ),
+    "tower-235-4-9-25": (  # N1 = 900: 905 levels
+        ["tower", "--moduli", "2,3,5", "--winding", "4,9,25", "--epsilon", "1/2",
+         "--size-guard", str(10**1400)], 0,
+        "c1f0b30a0cb5d7883cae82684fda1757b3e224324f2f0f3db72cfdb2d561b0cc", {},
+    ),
     "tower-23-11-clamped-depth-3": (  # epsilon 2 is clamped to 1
         ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "2",
          "--depth", "3", "--candidates", "7"], 0,

@@ -28,7 +28,7 @@ from fupcon.torus import (
     torus_dist,
     write_segment_set_csv,
 )
-from fupcon.torus import _anchor_for, _arc_contains_u, _cross_intersections
+from fupcon.torus import _anchor_for, _anchor_plan, _arc_contains_u, _cross_intersections
 
 M23 = Moduli.of(2, 3)
 
@@ -749,6 +749,72 @@ def test_closed_form_anchor_matches_enumeration(data, r, shared):
     coords = st.fractions(min_value=-3, max_value=3, max_denominator=30)
     point = tuple(data.draw(coords) for _ in w)
     assert _anchor_for(point, w) == enumerated_anchor(point, w)
+
+
+def inverse_per_point_anchor(point, w):
+    """Oracle for the anchor plan: the same coset walk, with g, n and the
+    modular inverse computed afresh for every point."""
+    idx = next(i for i, c in enumerate(w) if c != 0)
+    v_star = w[idx]
+    fd = point[idx].denominator
+    fn = -point[idx].numerator % fd
+    anchor = [frac_mod1(c) for c in point[:idx]]
+    anchor.append(Fr(0))
+    j, step = 0, 1
+    for k in range(idx + 1, len(w)):
+        wk, pk = w[k], point[k]
+        den = pk.denominator * fd * v_star
+        rem = (pk.numerator * fd * v_star + (fn + j * fd) * wk * pk.denominator) % den
+        g = math.gcd(step * wk, v_star)
+        n = v_star // g
+        floor_bn, least = divmod(rem * n, den)
+        anchor.append(Fr(least, den * n))
+        if n > 1:
+            j += step * (-floor_bn * pow(step * wk // g, -1, n) % n)
+            step *= n
+    return tuple(anchor), Fr(fn + j * fd, fd * v_star)
+
+
+huge_entries = st.integers(min_value=-(10**30), max_value=10**30)
+
+
+@st.composite
+def huge_primitive_directions(draw, r):
+    """Primitive directions with entries up to 10^30, where the v* pivot
+    candidates cannot be enumerated; some entries are zero, and some share
+    a factor with the others."""
+    shared = draw(st.integers(min_value=2, max_value=10**15))
+    raw = [
+        draw(st.one_of(huge_entries, huge_entries.map(lambda v: v // 10**15 * shared), st.just(0)))
+        for _ in range(r)
+    ]
+    g = math.gcd(*raw)
+    assume(g != 0)
+    w = [v // g for v in raw]
+    sign = 1 if next(v for v in w if v != 0) > 0 else -1
+    return tuple(sign * v for v in w)
+
+
+@settings(max_examples=200)
+@given(st.data(), st.integers(min_value=1, max_value=4))
+def test_anchor_plan_matches_the_inverse_per_point_walk(data, r):
+    w = data.draw(huge_primitive_directions(r))
+    coords = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+    point = tuple(data.draw(coords) for _ in w)
+    assert _anchor_for(point, w) == inverse_per_point_anchor(point, w)
+
+
+def test_anchor_plan_is_made_once_per_direction():
+    w = (10**30 + 1, -(10**29 + 7), 3, 0, 10**30)
+    points = [(Fr(1, 3), Fr(2, 7), Fr(5, 11), Fr(0), Fr(1, 2)),
+              (Fr(1, 5), Fr(3, 7), Fr(1, 2), Fr(1, 9), Fr(4, 5))]
+    before = _anchor_plan.cache_info()
+    assert _anchor_for(points[0], w) == inverse_per_point_anchor(points[0], w)
+    made = _anchor_plan.cache_info()
+    assert _anchor_for(points[1], w) == inverse_per_point_anchor(points[1], w)
+    reused = _anchor_plan.cache_info()
+    assert (made.misses, made.hits) == (before.misses + 1, before.hits)
+    assert (reused.misses, reused.hits) == (made.misses, made.hits + 1)
 
 
 @settings(max_examples=150)

@@ -16,6 +16,7 @@ from fupcon.torus import (
     SolenoidPoint,
     TorusPoint,
     apply_f,
+    arc_dist,
     base_point,
     f_preimages,
     torus_dist,
@@ -233,9 +234,8 @@ def test_first_member_threading_fails_where_the_min_oracle_fails(moduli, s, epsi
     assert failed
 
 
-@pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
-def test_threading_tests_one_member_per_preimage_level(moduli, s, epsilon, monkeypatch):
-    t = threading_tower(moduli, s, epsilon)
+def count_membership_tests(monkeypatch):
+    """A Counter of SegmentSet.contains_point calls, keyed by id of the set."""
     calls = collections.Counter()
     test_point = SegmentSet.contains_point
 
@@ -244,12 +244,68 @@ def test_threading_tests_one_member_per_preimage_level(moduli, s, epsilon, monke
         return test_point(self, p)
 
     monkeypatch.setattr(SegmentSet, "contains_point", counted)
-    coherent_point_through(t, t.base_loop.point_at(Fr(1, 3)), t.params.n0)
-    preimage_levels = range(t.params.n0 + t.params.n1 + 1, len(t.levels) + 1)
-    assert len(preimage_levels) == t.params.depth == 2
-    assert [calls[id(t.level(i))] for i in preimage_levels] == [1, 1]
+    return calls
+
+
+@pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
+def test_threading_tests_one_member_per_preimage_level(moduli, s, epsilon, monkeypatch):
+    t = threading_tower(moduli, s, epsilon)
+    assert all(t.bonded)
+    calls = count_membership_tests(monkeypatch)
+    n0, n1 = t.params.n0, t.params.n1
+    coherent_point_through(t, t.base_loop.point_at(Fr(1, 3)), n0)
+    tested = [calls[id(lvl)] for lvl in t.levels]
+    # below the start every bonding is proven, so nothing is tested there
+    assert tested[:n0 - 1] == [0] * (n0 - 1)
+    assert tested[n0 - 1] == 1  # the start point itself
+    lifts = tested[n0:n0 + n1]
     m = math.prod(t.moduli.values)
-    assert all(1 <= calls[id(lvl)] <= m for lvl in t.levels)
+    assert all(1 <= c <= m for c in lifts)
+    assert tested[n0 + n1:] == [1] * t.params.depth == [1, 1]
+
+
+def descended_with_every_test(t, point, level_index):
+    """Oracle for the downward half of coherent_point_through: test the
+    start point and every forward image, proven bonding or not."""
+    if not t.level(level_index).contains_point(point):
+        raise MembershipFails(f"point not in level {level_index}")
+    seq = [point]
+    for idx in range(level_index - 1, 0, -1):
+        seq.append(apply_f(seq[-1], t.moduli))
+        if not t.level(idx).contains_point(seq[-1]):
+            raise MembershipFails(f"forward image escapes level {idx}")
+    return seq[::-1]
+
+
+@pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
+def test_threading_tests_a_point_below_an_unproven_bonding(moduli, s, epsilon, monkeypatch):
+    """Cut each level below the deepest to a sliver, so that it no longer
+    covers the image of the level above it: points threaded down from the
+    deepest level are tested there, and there only, and fail there exactly
+    when testing every level fails."""
+    t = threading_tower(moduli, s, epsilon)
+    total = len(t.levels)
+    calls = count_membership_tests(monkeypatch)
+    raised = 0
+    for index in range(1, total):
+        broken = _cut_level(t, index, Fr(1, 1000))
+        assert [i + 1 for i, ok in enumerate(broken.bonded) if not ok] == [index]
+        arc = broken.levels[-1].arcs[0]
+        for offset in (Fr(0), arc.length / 7, arc.length * Fr(5, 9), arc.length):
+            p = arc.point_at(offset)
+            try:
+                want = descended_with_every_test(broken, p, total)
+            except MembershipFails as exc:
+                raised += 1
+                calls.clear()
+                with pytest.raises(MembershipFails, match=f"^{exc}$"):
+                    coherent_point_through(broken, p, total)
+            else:
+                calls.clear()
+                assert coherent_point_through(broken, p, total).levels == tuple(want)
+            tested = [calls[id(lvl)] for lvl in broken.levels]
+            assert tested == [int(i in (index, total)) for i in range(1, total + 1)]
+    assert raised
 
 
 def sample_loop_points(loop, count):
@@ -352,6 +408,60 @@ def grid_first_close(bases, queries, delta):
     return out
 
 
+def fraction_close_intervals(start, step, delta, lo, hi):
+    """The open intervals of real i, in increasing order, on which
+    start + step*i (step != 0) lies within delta of an integer n, one per n
+    the line meets while i runs over [lo, hi]; disjoint for delta <= 1/2."""
+    y0, y1 = sorted((start + step * lo, start + step * hi))
+    ns = range(math.floor(y0 - delta) + 1, math.ceil(y1 + delta))
+    return [
+        tuple(sorted(((n - delta - start) / step, (n + delta - start) / step)))
+        for n in (ns if step > 0 else reversed(ns))
+    ]
+
+
+def fraction_intersect(xs, ys):
+    """Intersection of two increasing lists of disjoint open intervals."""
+    out = []
+    a = b = 0
+    while a < len(xs) and b < len(ys):
+        lo, hi = max(xs[a][0], ys[b][0]), min(xs[a][1], ys[b][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if xs[a][1] < ys[b][1]:
+            a += 1
+        else:
+            b += 1
+    return out
+
+
+def fraction_first_close(loop, count, query, delta):
+    """Oracle for first_close_sample: the same interval intersection, piece
+    by piece, held in Fractions."""
+    if delta > Fr(1, 2):
+        return 0
+    k = loop.pieces
+    for p, (a, b) in enumerate(zip(loop.breakpoints, loop.breakpoints[1:])):
+        lo, hi = -(-p * count // k), -(-(p + 1) * count // k) - 1
+        window = [(Fr(lo - 1), Fr(hi + 1))]  # holds exactly lo..hi
+        for ac, bc, qc in zip(a, b, query.coords):
+            step = (bc - ac) * k / count
+            if step == 0:
+                if arc_dist(ac, qc) >= delta:
+                    window = []
+            else:
+                window = fraction_intersect(
+                    window, fraction_close_intervals(ac - p * (bc - ac) - qc, step, delta, lo, hi)
+                )
+            if not window:
+                break
+        for left, right in window:
+            i = math.floor(left) + 1
+            if i < right:
+                return i
+    return None
+
+
 cover_coords = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 coords = st.fractions(min_value=0, max_value=1, max_denominator=40)
 
@@ -418,3 +528,56 @@ def test_closed_form_first_match_agrees_with_the_grid_on_tower_samples(epsilon):
     got = [first_close_sample(t.base_loop, count, q, delta) for q in queries]
     assert got == grid_first_close(samples, queries, delta)
     assert got[-1] is None
+
+
+# rises spread over every magnitude up to 10^5; the Fraction oracle lists
+# about |rise| + 2 intervals for each, so one rise per loop is drawn from
+# them and the others stay small
+big_rises = st.integers(min_value=0, max_value=5).flatmap(
+    lambda e: st.integers(min_value=-(10**e), max_value=10**e)
+)
+
+
+@st.composite
+def wide_loops(draw):
+    """PL loops with r = 1..3 and 1-3 pieces; one coordinate of one piece
+    rises by up to 10^5, the others by up to 30, some by a rational amount,
+    some not at all."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=3))
+    big = draw(st.integers(min_value=0, max_value=k * r - 1))
+    bps = [tuple(Fr(0) for _ in range(r))]
+    for p in range(k):
+        step = []
+        for c in range(r):
+            rise = Fr(draw(big_rises if p * r + c == big else st.integers(-30, 30)))
+            if p < k - 1 and draw(st.booleans()):
+                rise += draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
+            step.append(rise)
+        bps.append(tuple(c + d for c, d in zip(bps[-1], step)))
+    last = tuple(Fr(round(c)) for c in bps[-1])
+    return PLLoop(tuple(bps[:-1]) + (last,))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    wide_loops(),
+    st.integers(min_value=1, max_value=10**16),
+    st.one_of(
+        st.sampled_from([Fr(1, 2), Fr(3, 5), Fr(1, 10**6)]),
+        st.fractions(min_value=Fr(1, 10**6), max_value=Fr(1, 2), max_denominator=10**6),
+    ),
+    st.data(),
+)
+def test_integer_first_match_agrees_with_the_fraction_oracle(loop, count, delta, data):
+    """Counts, windings and deltas the linear scan cannot reach."""
+    coords = st.fractions(min_value=0, max_value=1, max_denominator=10**6)
+    queries = [TorusPoint(tuple(data.draw(coords) for _ in range(loop.r)))]
+    # on a sample, and exactly delta off one in every coordinate
+    sample = loop.point_at(Fr(data.draw(st.integers(min_value=0, max_value=count - 1)), count))
+    queries += [sample]
+    queries += [TorusPoint(tuple(c + delta * data.draw(st.sampled_from([-1, 1]))
+                                 for c in sample.coords))]
+    for q in queries:
+        assert first_close_sample(loop, count, q, delta) == fraction_first_close(
+            loop, count, q, delta)
