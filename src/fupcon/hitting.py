@@ -2,10 +2,12 @@
 
 For a winding s and moduli M, the stage-(n+1) standard lift hits all
 prod(m_i) preimages of the base point exactly when gcd(s_i, m_i^(n+1))
-divides m_i^n for every i.  Two constructions of explicit integer-time
-witnesses are provided: the valuation recipe k = u * x built from the
-splittings s_i = m_i^alpha_i * q_i (when they exist), and a direct
-congruence solve that works unconditionally.  Both reduce to one CRT call.
+divides m_i^n for every i.  One construction gives the explicit
+integer-time witnesses: the least solution of s_i * k = j_i * m_i^n
+(mod m_i^(n+1)), one CRT call mod prod m_i per fiber point.  The valuation
+recipe k = u * x built from the splittings s_i = m_i^alpha_i * q_i (when
+they exist) is reported bookkeeping; where it applies, its witness is the
+same least solution.
 
 The geometric consequences — the preimage of the stage-n image equals the
 stage-(n+1) image, and that preimage is connected — are checked exactly on
@@ -15,7 +17,6 @@ canonical segment sets.
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exact_arith import (
     Moduli,
@@ -32,9 +33,8 @@ from .lifting import (
     as_winding,
     image_period,
     image_set,
-    standard_point,
 )
-from .torus import TorusPoint, components, preimage_set
+from .torus import components, preimage_set
 
 DEFAULT_SIZE_GUARD = 10**6
 
@@ -129,7 +129,9 @@ class WitnessRecipe:
     s_i = m_i^alphas[i] * units[i], betas[i] = n - alphas[i],
     cofactor u = prod m_i^betas[i], cofactor_parts[i] = u / m_i^betas[i].
     The witness for target (j_1, ..., j_r) is k = u * x where
-    cofactor_parts[i] * units[i] * x = j_i (mod m_i) for all i."""
+    cofactor_parts[i] * units[i] * x = j_i (mod m_i) for all i.  It is the
+    least solution that crt_witness returns: all solutions form one class
+    mod prod m_i^(n+1-alpha_i) = u * prod m_i, and u * x lies below that."""
 
     alphas: tuple[int, ...]
     units: tuple[int, ...]
@@ -163,15 +165,32 @@ def witness_recipe(s: WindingLike, moduli: Moduli, n: int) -> WitnessRecipe | No
     )
 
 
+def _fiber_target(w, moduli: Moduli, n: int, k: int) -> tuple[int, ...] | None:
+    """The target j with the stage-(n+1) standard lift at integer time k on
+    the preimage point (j_1/m_1, ..., j_r/m_r) of the base point, that is
+    with s_i * k = j_i * m_i^n (mod m_i^(n+1)) for every i; None when time
+    k is off that fiber."""
+    js = []
+    for e, m in zip(w, moduli):
+        j, rem = divmod(e * k % m ** (n + 1), m**n)
+        if rem:
+            return None
+        js.append(j)
+    return tuple(js)
+
+
 def crt_witness(
     s: WindingLike, moduli: Moduli, n: int, target: tuple[int, ...]
 ) -> int:
-    """Integer time k >= 0 with the stage-(n+1) standard lift at time k equal
-    to the preimage point (target_1/m_1, ..., target_r/m_r).
+    """Least integer time k >= 0 with the stage-(n+1) standard lift at time k
+    equal to the preimage point (target_1/m_1, ..., target_r/m_r).
 
-    Uses the valuation recipe when it applies, otherwise solves
-    s_i * k = target_i * m_i^n (mod m_i^(n+1)) directly; either way one CRT
-    call produces the canonical least witness for its construction."""
+    Solves s_i * k = target_i * m_i^n (mod m_i^(n+1)).  The divisibility
+    condition makes g_i = gcd(s_i, m_i^n) = gcd(s_i, m_i^(n+1)), so the
+    congruence says that k is a multiple of d_i = m_i^n / g_i and that
+    (s_i / g_i) * k / d_i = target_i (mod m_i).  The d_i are pairwise coprime,
+    so k = D * x with D = prod d_i and x solved by one CRT call mod prod m_i:
+    all solutions form one class mod D * prod m_i, and D * x lies below it."""
     w = as_winding(s)
     _require_dims(w, moduli)
     if len(target) != moduli.r:
@@ -181,28 +200,15 @@ def crt_witness(
             raise ValueError(f"target entry {j} outside 0..{m - 1}")
     if not level_condition(w, moduli, n):
         raise ConditionFails(f"divisibility condition fails at stage {n}")
-    recipe = witness_recipe(w, moduli, n)
-    if recipe is not None:
-        residues = []
-        for j, m, part, q in zip(
-            target, moduli, recipe.cofactor_parts, recipe.units
-        ):
-            inv = pow(part * q % m, -1, m)
-            residues.append(j * inv % m)
-        k = recipe.cofactor * crt_solve(residues, tuple(moduli))
-    else:
-        residues, mods = [], []
-        for e, m, j in zip(w, moduli, target):
-            big = m ** (n + 1)
-            g = math.gcd(abs(e), big)
-            mod = big // g
-            rhs = j * m**n // g
-            inv = pow((e // g) % mod, -1, mod) if mod > 1 else 0
-            residues.append(rhs * inv % mod if mod > 1 else 0)
-            mods.append(mod)
-        k = crt_solve(residues, mods)
-    expected = TorusPoint(tuple(Fraction(j, m) for j, m in zip(target, moduli)))
-    if standard_point(w, moduli, n + 1, k) != expected:
+    gs = [math.gcd(e, m**n) for e, m in zip(w, moduli)]
+    ds = [m**n // g for m, g in zip(moduli, gs)]
+    residues = []
+    for i, (e, m, g, j) in enumerate(zip(w, moduli, gs, target)):
+        # D / d_i mod m_i, from the other d_l reduced mod m_i
+        part = math.prod(d % m for l, d in enumerate(ds) if l != i)
+        residues.append(j * pow(e // g * part % m, -1, m) % m)
+    k = math.prod(ds) * crt_solve(residues, tuple(moduli))
+    if _fiber_target(w, moduli, n, k) != tuple(target):
         raise AssertionError("witness construction produced a non-witness")
     return k
 
@@ -227,22 +233,15 @@ def hitting_check(
         raise ValueError("stage n must be >= 0")
     check_size(moduli, n + 1, size_guard)
     period = image_period(w, n + 1, moduli)
-    powers = [m ** (n + 1) for m in moduli]
-    stage = [m**n for m in moduli]
     wanted = moduli.product()
     seen: set[tuple[int, ...]] = set()
     for k in range(0, period, image_period(w, n, moduli)):
-        js = []
-        for e, big, mn in zip(w, powers, stage):
-            rem = (e * k) % big
-            if rem % mn:
-                break
-            js.append(rem // mn)
-        else:
-            seen.add(tuple(js))
+        target = _fiber_target(w, moduli, n, k)
+        if target is not None:
+            seen.add(target)
             if len(seen) == wanted:
                 return True
-    return len(seen) == wanted
+    return False
 
 
 def preimage_equality_check(
@@ -288,20 +287,13 @@ class HittingCertificate:
     def verify(self) -> bool:
         """Re-check every witness by direct evaluation of the standard lift,
         and that all preimage targets are present exactly once."""
-        targets = set(
-            itertools.product(*(range(m) for m in self.moduli))
-        )
+        targets = set(itertools.product(*(range(m) for m in self.moduli)))
         seen = set()
         for target, k in self.witnesses:
-            if k < 0:
-                return False
-            expected = TorusPoint(
-                tuple(Fraction(j, m) for j, m in zip(target, self.moduli))
-            )
-            if standard_point(self.winding, self.moduli, self.stage + 1, k) != expected:
+            if k < 0 or _fiber_target(self.winding, self.moduli, self.stage, k) != target:
                 return False
             seen.add(target)
-        return seen == targets
+        return seen == targets and len(self.witnesses) == len(targets)
 
 
 def build_certificate(
@@ -316,13 +308,14 @@ def build_certificate(
     check_size(moduli, 1, size_guard)
     if not level_condition(w, moduli, n):
         raise ConditionFails(f"divisibility condition fails at stage {n}")
-    witnesses = []
-    for target in itertools.product(*(range(m) for m in moduli)):
-        witnesses.append((target, crt_witness(w, moduli, n, target)))
+    witnesses = tuple(
+        (target, crt_witness(w, moduli, n, target))
+        for target in itertools.product(*(range(m) for m in moduli))
+    )
     return HittingCertificate(
         winding=w,
         moduli=moduli,
         stage=n,
-        witnesses=tuple(sorted(witnesses)),
+        witnesses=witnesses,
         recipe=witness_recipe(w, moduli, n),
     )

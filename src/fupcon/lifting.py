@@ -209,12 +209,6 @@ def lift(loop: PLLoop, n: int, moduli: Moduli, horizon: int) -> LiftedPath:
     )
 
 
-def standard_point(s: WindingLike, moduli: Moduli, n: int, k: int) -> TorusPoint:
-    """The stage-n lift of the straight loop with winding s at integer time
-    k: the point (s_i * k / m_i^n mod 1)."""
-    return TorusPoint(tuple(Fraction(e * k, m**n) for e, m in zip(s, moduli)))
-
-
 def image_period(s: WindingLike, n: int, moduli: Moduli) -> int:
     """Least P > 0 with the stage-n standard lift P-periodic as a set sweep:
     lcm over i of m_i^n / gcd(s_i, m_i^n).  Requires an admissible winding."""

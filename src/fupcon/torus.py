@@ -421,7 +421,6 @@ def _from_circle_intervals(grouped: dict, points: Iterable) -> SegmentSet:
         else:
             for s, l in merged:
                 arcs.append(Arc(w, anchor, s, l))
-    arcs.sort()
     bare = SegmentSet(arcs=tuple(arcs), points=())
     pts = set()
     for p in points:

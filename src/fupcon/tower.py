@@ -107,13 +107,6 @@ class TowerParams:
         """Reported, never enforced."""
         return self.n1 > self.n0
 
-    @property
-    def certificate_level(self) -> int:
-        """The stage the tower actually relies on: max of the two routes."""
-        if self.valuation is None:
-            return self.minimal
-        return max(self.valuation, self.minimal)
-
 
 def choose_params(epsilon, moduli: Moduli, s, depth: int = 2) -> TowerParams:
     """Derive tower parameters from the target epsilon.

@@ -7,14 +7,13 @@ import os
 import subprocess
 import sys
 import time
-from fractions import Fraction
 
 import pytest
 
 import fupcon
 from fupcon import cli, hitting
 from fupcon.cli import main
-from fupcon.torus import SegmentSet, TorusPoint
+from fupcon.torus import SegmentSet
 
 CERTIFY = ["certify", "--moduli", "2,3", "--winding", "2,3", "--range", "0..3"]
 TOWER = ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "1/2"]
@@ -385,9 +384,8 @@ def test_tower_defect_exits_1(capsys, monkeypatch, cut, defect):
 
 
 def test_non_witness_exits_1(capsys, monkeypatch):
-    # (1/2, 1/2) is no preimage of the base point on (2, 3)
-    off = TorusPoint((Fraction(1, 2), Fraction(1, 2)))
-    monkeypatch.setattr(hitting, "standard_point", lambda *args: off)
+    # every time reads as off the fiber, so each witness fails its re-check
+    monkeypatch.setattr(hitting, "_fiber_target", lambda *args: None)
     assert main(CERTIFY) == 1
     err = capsys.readouterr().err
     assert err == "error: AssertionError: witness construction produced a non-witness\n"

@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fupcon.exact_arith import Moduli, NoDecomposition
+from fupcon.exact_arith import Moduli, NoDecomposition, crt_solve
 from fupcon.hitting import (
     ConditionFails,
     HittingCertificate,
     SizeGuardExceeded,
+    _fiber_target,
     build_certificate,
     crt_witness,
     hitting_check,
@@ -23,7 +24,7 @@ from fupcon.hitting import (
     valuation_level,
     witness_recipe,
 )
-from fupcon.lifting import PLLoop
+from fupcon.lifting import PLLoop, image_period
 from fupcon.torus import TorusPoint
 
 from test_lifting import standard_lift_points
@@ -67,6 +68,17 @@ def brute_force_hits(s, moduli, n):
         else:
             seen.add(tuple(key))
     return seen == targets
+
+
+def recipe_witness(s, moduli, n, target):
+    """Oracle: the valuation recipe's witness k = u * x, with
+    cofactor_parts[i] * units[i] * x = target_i (mod m_i)."""
+    rec = witness_recipe(s, moduli, n)
+    residues = [
+        j * pow(part * q % m, -1, m) % m
+        for j, m, part, q in zip(target, moduli, rec.cofactor_parts, rec.units)
+    ]
+    return rec.cofactor * crt_solve(residues, tuple(moduli))
 
 
 def test_minimal_level_frozen():
@@ -222,6 +234,18 @@ def test_tampered_certificate_fails():
     assert not short.verify()
 
 
+def test_duplicated_witness_fails():
+    cert = build_certificate((2, 3), M23, 1)
+    doubled = dataclasses.replace(cert, witnesses=cert.witnesses + cert.witnesses[:1])
+    assert not doubled.verify()
+
+
+def test_certificate_lists_targets_in_order():
+    cert = build_certificate((2, 3, 5), Moduli.of(2, 3, 7), 1)
+    targets = [t for t, _ in cert.witnesses]
+    assert targets == sorted(targets) == list(itertools.product(range(2), range(3), range(7)))
+
+
 def test_preimage_checks_frozen_pattern():
     assert preimage_equality_check((2, 3), M23, 0) is False
     connected, count = preimage_connected_check((2, 3), M23, 0)
@@ -284,4 +308,49 @@ def test_witnesses_randomized(case):
     for target in itertools.product(*[range(m) for m in moduli]):
         k = crt_witness(s, moduli, n, target)
         want = TorusPoint(tuple(Fr(j, m) for j, m in zip(target, moduli)))
-        assert standard_lift_points(s, n + 1, moduli, k)[k] == want
+        # the least time at which the lift reaches the target
+        assert standard_lift_points(s, n + 1, moduli, k).index(want) == k
+
+
+@st.composite
+def split_case(draw):
+    """A winding with a clean m-adic split s_i = m_i^alpha_i * q_i on
+    moduli with square factors, so that witness_recipe applies from the
+    stage max_i alpha_i on."""
+    moduli = Moduli(draw(st.sampled_from(
+        [(4,), (8,), (9,), (12,), (4, 9), (8, 3), (9, 4, 5), (12, 5), (8, 27)]
+    )))
+    s = []
+    for m in moduli:
+        unit = draw(st.integers(min_value=1, max_value=10**4).filter(
+            lambda u, m=m: math.gcd(u, m) == 1))
+        alpha = draw(st.integers(min_value=0, max_value=6))
+        s.append(m**alpha * unit * draw(st.sampled_from([1, -1])))
+    return tuple(s), moduli
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(high_valuation_case(), split_case()), st.integers(0, 2))
+def test_crt_witness_is_the_recipe_witness(case, extra):
+    # the solutions of the congruences form one class mod u * prod m_i, and
+    # the recipe's u * x lies in [0, u * prod m_i): both are the least one
+    s, moduli = case
+    n = minimal_level(s, moduli) + extra
+    assume(witness_recipe(s, moduli, n) is not None)
+    for target in itertools.product(*[range(m) for m in moduli]):
+        assert crt_witness(s, moduli, n, target) == recipe_witness(s, moduli, n, target)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweep_case())
+def test_fiber_target_matches_fraction_oracle(case):
+    # every time of one period of the stage-(n+1) lift (capped), on the
+    # fiber of the base point or off it
+    s, moduli, n = case
+    count = min(image_period(s, n + 1, moduli), 400)
+    fiber = {
+        TorusPoint(tuple(Fr(j, m) for j, m in zip(target, moduli))): target
+        for target in itertools.product(*[range(m) for m in moduli])
+    }
+    for k, point in enumerate(standard_lift_points(s, n + 1, moduli, count)):
+        assert _fiber_target(s, moduli, n, k) == fiber.get(point)

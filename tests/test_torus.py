@@ -352,6 +352,9 @@ def test_preimage_set_matches_sheet_oracle(case):
     moduli, s = case
     pre = preimage_set(s, moduli)
     assert pre == sheet_preimage(s, moduli)
+    # canonical arcs come out in Arc order with no final sort
+    assert list(s.arcs) == sorted(s.arcs)
+    assert list(pre.arcs) == sorted(pre.arcs)
     assert components(s) == rebuilt_components(s) == pairwise_components(s)
     if len({arc.direction for arc in pre.arcs}) == 1:
         # pieces in several directions make components quadratic in

@@ -53,7 +53,7 @@ def test_choose_params_frozen():
     assert (p.n1, p.depth) == (1, 2)
     assert (p.valuation, p.minimal) == (1, 0)
     assert p.levels_total == 6
-    assert p.certificate_level == 1  # max of the valuation and minimal routes
+    assert p.n1 == max(p.valuation, p.minimal)  # the larger certificate level
 
 
 def test_choose_params_clamps_large_epsilon():
