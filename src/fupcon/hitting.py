@@ -26,10 +26,10 @@ from .exact_arith import (
     madic_decomposition,
 )
 from .lifting import (
-    NonadmissibleWinding,
     PLLoop,
     WindingLike,
     WindingVector,
+    admissible_winding,
     as_winding,
     image_period,
     image_set,
@@ -80,16 +80,9 @@ def _require_dims(s, moduli: Moduli):
         raise ValueError("winding and moduli dimension differ")
 
 
-def _require_admissible(s):
-    if not s.admissible:
-        raise NonadmissibleWinding("winding has a zero entry")
-
-
 def level_condition(s: WindingLike, moduli: Moduli, n: int) -> bool:
     """All-coordinates divisibility condition at stage n."""
-    w = as_winding(s)
-    _require_dims(w, moduli)
-    _require_admissible(w)
+    w = admissible_winding(s, moduli)
     return all(gcd_certificate_condition(e, m, n) for e, m in zip(w, moduli))
 
 
@@ -98,9 +91,7 @@ def valuation_level(s: WindingLike, moduli: Moduli) -> int:
     built from the splittings s_i = m_i^alpha_i * q_i.  Raises NoDecomposition
     when some coordinate admits no such splitting (possible for non-squarefree
     moduli, e.g. m = 4, s = 2)."""
-    w = as_winding(s)
-    _require_dims(w, moduli)
-    _require_admissible(w)
+    w = admissible_winding(s, moduli)
     alpha = max(madic_decomposition(e, m).alpha for e, m in zip(w, moduli))
     return moduli.product() ** alpha
 
@@ -110,9 +101,7 @@ def minimal_level(s: WindingLike, moduli: Moduli) -> int:
     condition is monotone in n and holds from n = max_i bit_length(|s_i|) on
     (see gcd_certificate_condition), so the least stage is bisected within
     0..that bound."""
-    w = as_winding(s)
-    _require_dims(w, moduli)
-    _require_admissible(w)
+    w = admissible_winding(s, moduli)
     lo, hi = 0, max(abs(e).bit_length() for e in w)
     while lo < hi:
         mid = (lo + hi) // 2
@@ -143,9 +132,7 @@ class WitnessRecipe:
 def witness_recipe(s: WindingLike, moduli: Moduli, n: int) -> WitnessRecipe | None:
     """The valuation recipe at stage n, or None when it does not apply
     (some splitting missing, or n below some alpha_i)."""
-    w = as_winding(s)
-    _require_dims(w, moduli)
-    _require_admissible(w)
+    w = admissible_winding(s, moduli)
     try:
         decs = [madic_decomposition(e, m) for e, m in zip(w, moduli)]
     except NoDecomposition:
@@ -226,9 +213,7 @@ def hitting_check(
     that is when m_i^n / gcd(s_i, m_i^n) divides k; so only the multiples of
     Q = image_period(s, n) can land on a preimage, and only they are
     visited, at most prod m_i of them per period."""
-    w = as_winding(s)
-    _require_dims(w, moduli)
-    _require_admissible(w)
+    w = admissible_winding(s, moduli)
     if n < 0:
         raise ValueError("stage n must be >= 0")
     check_size(moduli, n + 1, size_guard)
@@ -252,8 +237,7 @@ def preimage_equality_check(
 ) -> bool:
     """Does the full preimage of the stage-n image equal the stage-(n+1)
     image, as exact point sets?"""
-    loop = PLLoop.straight(s)
-    _require_admissible(loop.winding())
+    loop = PLLoop.straight(admissible_winding(s, moduli))
     check_size(moduli, n + 2, size_guard)
     stage_n = image_set(loop, n, moduli)
     return preimage_set(stage_n, moduli) == image_set(loop, n + 1, moduli)
@@ -266,8 +250,7 @@ def preimage_connected_check(
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> tuple[bool, int]:
     """(connected?, component count) of the preimage of the stage-n image."""
-    loop = PLLoop.straight(s)
-    _require_admissible(loop.winding())
+    loop = PLLoop.straight(admissible_winding(s, moduli))
     check_size(moduli, n + 2, size_guard)
     comps = components(preimage_set(image_set(loop, n, moduli), moduli))
     return len(comps) == 1, len(comps)

@@ -64,6 +64,16 @@ def as_winding(s) -> WindingVector:
     return WindingVector(tuple(s))
 
 
+def admissible_winding(s: WindingLike, moduli: Moduli) -> WindingVector:
+    """s as a winding of the moduli's dimension with no zero entry."""
+    w = as_winding(s)
+    if w.r != moduli.r:
+        raise ValueError("winding and moduli dimension differ")
+    if not w.admissible:
+        raise NonadmissibleWinding("winding has a zero entry")
+    return w
+
+
 @dataclass(frozen=True)
 class PLLoop:
     """A piecewise-linear loop through the base point, as cover breakpoints.
@@ -138,8 +148,6 @@ class PLLoop:
         if not 0 <= t <= 1:
             raise ValueError("parameter outside [0, 1]")
         k = self.pieces
-        if k == 0:
-            return TorusPoint(self.breakpoints[0])
         idx = min(math.floor(t * k), k - 1)
         local = t * k - idx
         a, b = self.breakpoints[idx], self.breakpoints[idx + 1]
@@ -212,11 +220,7 @@ def lift(loop: PLLoop, n: int, moduli: Moduli, horizon: int) -> LiftedPath:
 def image_period(s: WindingLike, n: int, moduli: Moduli) -> int:
     """Least P > 0 with the stage-n standard lift P-periodic as a set sweep:
     lcm over i of m_i^n / gcd(s_i, m_i^n).  Requires an admissible winding."""
-    w = as_winding(s)
-    if w.r != moduli.r:
-        raise ValueError("winding and moduli dimension differ")
-    if not w.admissible:
-        raise NonadmissibleWinding("winding has a zero entry")
+    w = admissible_winding(s, moduli)
     if n < 0:
         raise ValueError("stage n must be >= 0")
     return math.lcm(*(m**n // math.gcd(abs(e), m**n) for e, m in zip(w, moduli)))

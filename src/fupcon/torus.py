@@ -20,9 +20,9 @@ arcs on the same circle are merged into maximal ones.  Isolated points (from
 degenerate inputs such as constant loops) are carried separately.
 
 The canonical form decides the rest.  Arcs on one closed geodesic are
-disjoint, distinct parallel geodesics are disjoint, and isolated points lie
-on no arc.  So an arc is covered exactly when merging it into the arcs on
-its own geodesic changes nothing, and two pieces of a set meet only when
+disjoint and maximal, distinct parallel geodesics are disjoint, and
+isolated points lie on no arc.  So an arc is covered exactly when a single
+arc on its own geodesic holds it, and two pieces of a set meet only when
 they are arcs of different directions that cross: components need the
 crossing search only across direction groups, and a set in one direction
 has one component per arc and per isolated point.
@@ -279,48 +279,41 @@ class Arc:
 
 
 def _segment_to_arc_data(seg: TorusSegment):
-    """(key, (start, length)) of the raw segment in canonical circle coordinates."""
+    """(key, (start, length)) of the raw segment in canonical circle
+    coordinates; a length of 1 or more is the whole geodesic."""
     d = tuple(e - s for s, e in zip(seg.start, seg.end))
     w, scale = _primitive(d)
     anchor, tau_anchor = _anchor_for(seg.start, w)
-    length = abs(scale)
-    if length >= 1:
-        return (w, anchor), (Fraction(0), Fraction(1))
     lo = min(Fraction(0), scale)
-    return (w, anchor), (frac_mod1(lo - tau_anchor), length)
+    return (w, anchor), (frac_mod1(lo - tau_anchor), abs(scale))
+
+
+_FULL = (Fraction(0), Fraction(1))  # the whole circle as (start, length)
 
 
 def _merge_on_circle(intervals):
-    """Merge closed intervals (start in [0,1), length in (0,1]) on the circle.
+    """Merge closed intervals (start in [0, 1), length > 0) on the circle
+    into the disjoint maximal ones, sorted by start; the full circle is
+    [(0, 1)].  Touching intervals merge.
 
-    Touching intervals merge.  Returns (list of disjoint maximal intervals
-    sorted by start, full_flag)."""
-    if not intervals:
-        return [], False
+    One sweep in start order merges on the line.  Every merged interval but
+    the last ends before the next one starts, below 1, so only the last can
+    run past 1; while it reaches the first one's start + 1 it swallows that
+    one.  A merged length of 1 or more is the full circle."""
     if any(l >= 1 for _, l in intervals):
-        return [], True
-    ivs = sorted((s, s + l) for s, l in intervals)
-    # the intervals that wrap past 1 cover [0, cur] of [0,1) and nothing else
-    # there, so the first point of the sweep past cur lies on no interval;
-    # a sweep that never finds one has covered [cur, cur + 1]
-    cur = max(b for _, b in ivs) - 1
-    for a, b in ivs:
-        if a > cur:
-            gap = (cur + a) / 2
-            break
-        cur = max(cur, b)
-    else:
-        return [], True
-    g = frac_mod1(gap)
-    shifted = sorted((frac_mod1(s - g), l) for s, l in intervals)
-    merged: list[list[Fraction]] = []
-    for s, l in shifted:
-        if merged and s <= merged[-1][0] + merged[-1][1]:
-            new_end = max(merged[-1][0] + merged[-1][1], s + l)
-            merged[-1][1] = new_end - merged[-1][0]
+        return [_FULL]
+    merged: list[list[Fraction]] = []  # [start, end] on the line
+    for s, l in sorted(intervals):
+        if merged and s <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], s + l)
         else:
-            merged.append([s, l])
-    return sorted((frac_mod1(s + g), l) for s, l in merged), False
+            merged.append([s, s + l])
+    while len(merged) > 1 and merged[-1][1] >= merged[0][0] + 1:
+        first_end = merged.pop(0)[1] + 1
+        merged[-1][1] = max(merged[-1][1], first_end)
+    if any(e - s >= 1 for s, e in merged):
+        return [_FULL]
+    return [(s, e - s) for s, e in merged]
 
 
 def _arc_contains_u(arc: Arc, u: Fraction) -> bool:
@@ -376,6 +369,7 @@ class SegmentSet:
         return index
 
     def contains_point(self, p: TorusPoint) -> bool:
+        _check_set_dims(self, p.r)
         vec = p.coords
         if vec in self.points:
             return True
@@ -389,17 +383,24 @@ class SegmentSet:
         return False
 
     def covers(self, other: "SegmentSet") -> bool:
-        """Is `other` a subset of self?  Decided exactly on canonical data:
-        an arc can only be covered by same-geodesic arcs (any other geodesic
-        meets it in finitely many points), and it is covered exactly when
-        merging it into them leaves their merge unchanged."""
+        """Is `other` a subset of self?  Precondition: self is canonical, as
+        every set built by from_segments is.  An arc can only be covered by
+        arcs on its own geodesic (any other meets it in finitely many
+        points); those are disjoint and maximal, so one of them, a, must hold
+        it: a is full, or the arc starts and ends within a.length of a.start,
+        going forward round the circle."""
+        if other.is_empty:
+            return True
+        _check_set_dims(self, other.r)
         for vec in other.points:
             if not self.contains_point(TorusPoint(vec)):
                 return False
         for arc in other.arcs:
-            same = self._geodesics.get(arc.direction, {}).get(arc.anchor, [])
-            pieces = [(a.start, a.length) for a in same]
-            if _merge_on_circle(pieces + [(arc.start, arc.length)]) != _merge_on_circle(pieces):
+            same = self._geodesics.get(arc.direction, {}).get(arc.anchor, ())
+            if not any(
+                a.is_full or frac_mod1(arc.start - a.start) + arc.length <= a.length
+                for a in same
+            ):
                 return False
         return True
 
@@ -408,26 +409,24 @@ class SegmentSet:
         return sum((a.length for a in self.arcs), Fraction(0))
 
 
+def _check_set_dims(s: SegmentSet, r: int):
+    """_check_dims for a set; the empty set has no dimension to check."""
+    if not s.is_empty:
+        _check_dims(s.r, r)
+
+
 def _from_circle_intervals(grouped: dict, points: Iterable) -> SegmentSet:
     """The canonical set of closed circle intervals grouped by geodesic key
     {(direction, canonical anchor): [(start, length), ...]}, plus the given
     points that lie on none of them."""
-    arcs = []
-    for key in sorted(grouped):
-        merged, full = _merge_on_circle(grouped[key])
-        w, anchor = key
-        if full:
-            arcs.append(Arc(w, anchor, Fraction(0), Fraction(1)))
-        else:
-            for s, l in merged:
-                arcs.append(Arc(w, anchor, s, l))
-    bare = SegmentSet(arcs=tuple(arcs), points=())
-    pts = set()
-    for p in points:
-        q = p if isinstance(p, TorusPoint) else TorusPoint(_vec(p))
-        if not bare.contains_point(q):
-            pts.add(q.coords)
-    return SegmentSet(arcs=bare.arcs, points=tuple(sorted(pts)))
+    pts = [p if isinstance(p, TorusPoint) else TorusPoint(_vec(p)) for p in points]
+    dims = {len(w) for w, _ in grouped} | {q.r for q in pts}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"pieces of dimensions {sorted(dims)}")
+    arcs = tuple(Arc(*k, s, l) for k in sorted(grouped) for s, l in _merge_on_circle(grouped[k]))
+    bare = SegmentSet(arcs=arcs, points=())
+    off_arcs = {q.coords for q in pts if not bare.contains_point(q)}
+    return SegmentSet(arcs=arcs, points=tuple(sorted(off_arcs)))
 
 
 def _cross_intersections(a: Arc, b: Arc) -> list[Vec]:
@@ -523,6 +522,7 @@ def components(s: SegmentSet) -> list[SegmentSet]:
 
 def apply_f_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     """Forward image under the power map (linear on the cover)."""
+    _check_set_dims(s, moduli.r)
     segs, pts = [], []
     for arc in s.arcs:
         cs, ce = arc.cover_endpoints()
@@ -554,6 +554,7 @@ def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     length L/g, the whole geodesic when the arc is full.  Without
     coprimality K is not cyclic and e reaches only some of the cosets.
     Isolated points go through f_preimages."""
+    _check_set_dims(s, moduli.r)
     grouped: dict = {}
     for w, geodesics in s._geodesics.items():
         u, scale = _primitive(tuple(Fraction(x, m) for x, m in zip(w, moduli)))
@@ -567,7 +568,7 @@ def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
                 intervals = grouped.setdefault((u, key_anchor), [])
                 for arc in arcs:
                     if arc.is_full:
-                        intervals.append((Fraction(0), Fraction(1)))
+                        intervals.append(_FULL)
                     else:
                         length = arc.length / g
                         intervals.extend(

@@ -24,7 +24,7 @@ from fupcon.hitting import (
     valuation_level,
     witness_recipe,
 )
-from fupcon.lifting import PLLoop, image_period
+from fupcon.lifting import NonadmissibleWinding, PLLoop, image_period
 from fupcon.torus import TorusPoint
 
 from test_lifting import standard_lift_points
@@ -109,10 +109,26 @@ def test_level_condition_matches_minimal():
 
 def test_minimal_level_error_paths():
     assert minimal_level((8,), Moduli.of(2)) == 3
-    from fupcon.lifting import NonadmissibleWinding
-
     with pytest.raises(NonadmissibleWinding):
         minimal_level((0, 1), M23)
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: image_period(s, 1, M23),
+    lambda s: level_condition(s, M23, 1),
+    lambda s: valuation_level(s, M23),
+    lambda s: minimal_level(s, M23),
+    lambda s: witness_recipe(s, M23, 1),
+    lambda s: hitting_check(s, M23, 1),
+    # a stage far past the size guard: the winding is checked first
+    lambda s: preimage_equality_check(s, M23, 10**6),
+    lambda s: preimage_connected_check(s, M23, 10**6),
+])
+def test_windings_are_checked_for_dimension_then_zero_entries(call):
+    with pytest.raises(ValueError, match="winding and moduli dimension differ"):
+        call((0, 1, 1))
+    with pytest.raises(NonadmissibleWinding, match="winding has a zero entry"):
+        call((0, 1))
 
 
 # moduli whose prime powers the bisection oracle below scales the entries by

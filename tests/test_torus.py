@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fupcon import torus
 from fupcon.exact_arith import Moduli, frac_mod1
@@ -222,6 +222,22 @@ def test_merge_cuts_outside_arcs_that_wrap():
     assert s.covers(sset(seg((Fr(1, 10), 0), (Fr(3, 20), 0))))
 
 
+def test_merge_folds_in_a_first_arc_the_last_one_touches():
+    # [3/5, 1] ends at 1 = 0 + 1, where [0, 1/5] starts: touching arcs merge
+    s = sset(seg((Fr(3, 5), 0), (1, 0)), seg((0, 0), (Fr(1, 5), 0)))
+    assert s.arcs == (Arc((1, 0), (Fr(0), Fr(0)), Fr(3, 5), Fr(3, 5)),)
+    assert len(components(s)) == 1
+
+
+def test_covers_measures_from_the_arc_start_forward():
+    # [1/2, 7/5] holds [1/10, 3/20] past 1, but not the pieces that start
+    # just behind its start and end inside it
+    s = sset(seg((Fr(1, 2), 0), (Fr(7, 5), 0)))
+    assert s.covers(sset(seg((Fr(1, 10), 0), (Fr(3, 20), 0))))
+    assert not s.covers(sset(seg((Fr(9, 20), 0), (Fr(47, 100), 0))))
+    assert not s.covers(sset(seg((Fr(7, 20), 0), (Fr(9, 20), 0))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 3), (1, -2)]),
@@ -235,6 +251,11 @@ def test_merge_cuts_outside_arcs_that_wrap():
         max_size=6,
     ),
 )
+# the last arc folds in the first two; a sweep reaches length exactly 1; a
+# piece longer than 1
+@example((1, 0), (0, 0), [(Fr(0), Fr(1, 12)), (Fr(1, 6), Fr(1, 6)), (Fr(2, 3), Fr(7, 12))])
+@example((1, 0), (0, 0), [(Fr(1, 4), Fr(1, 2)), (Fr(3, 4), Fr(1, 2))])
+@example((1, 1), (0, 0), [(Fr(1, 3), Fr(13, 12)), (Fr(1, 2), Fr(1, 12))])
 def test_canonical_arcs_on_one_geodesic_are_disjoint(w, p0, pieces):
     """Arcs of different lengths on one closed geodesic, many of them
     wrapping: the canonical arcs are pairwise disjoint and not touching, hold
@@ -499,6 +520,41 @@ def test_csv_roundtrip(tmp_path):
     back = read_segment_set_csv(path)
     assert back == s
     assert equal_as_point_sets(back, s)
+
+
+def test_contains_point_rejects_a_point_of_more_coordinates():
+    with pytest.raises(torus.DimensionMismatch):
+        DIAGONAL.contains_point(TorusPoint((Fr(1, 5), Fr(1, 5), Fr(1, 7))))
+
+
+def test_contains_point_rejects_a_point_of_fewer_coordinates():
+    with pytest.raises(torus.DimensionMismatch):
+        DIAGONAL.contains_point(TorusPoint((Fr(1, 5),)))
+
+
+@pytest.mark.parametrize("image", [preimage_set, apply_f_set])
+def test_set_maps_reject_moduli_of_another_dimension(image):
+    with pytest.raises(torus.DimensionMismatch):
+        image(DIAGONAL, Moduli.of(2, 3, 5))
+
+
+def test_csv_rows_of_mixed_widths_are_rejected(tmp_path):
+    path = tmp_path / "mixed.csv"
+    path.write_text("0,0,1,1\n0,0,0,1,1,1\n")
+    with pytest.raises(torus.DimensionMismatch):
+        read_segment_set_csv(path)
+
+
+def test_covers_and_from_segments_reject_mixed_dimensions():
+    with pytest.raises(torus.DimensionMismatch):
+        DIAGONAL.covers(sset(seg((0, 0, 0), (1, 1, 1))))
+    with pytest.raises(torus.DimensionMismatch):
+        SegmentSet.from_segments([seg((0, 0), (1, 1))], points=[(0, 0, 0)])
+    # the empty set has no dimension to mismatch
+    empty = SegmentSet.from_segments()
+    assert DIAGONAL.covers(empty)
+    assert not empty.contains_point(TorusPoint((0, 0, 0)))
+    assert apply_f_set(empty, Moduli.of(2, 3, 5)).is_empty
 
 
 def test_arc_dist_basic():
