@@ -8,9 +8,9 @@ the base point.  Integer-time samples of the lift depend only on the winding,
 which is what makes the standard straight-line loops a sufficient model.
 
 For a straight loop with an all-nonzero winding the stage-n lift is
-periodic, and one period of it is a single segment: image_set forms that
-closed geodesic directly, without lifting the blocks of the period one by
-one.
+periodic, and one period of it winds a whole number of times round one
+closed geodesic: image_set writes down that geodesic's canonical form
+directly, without lifting the blocks of the period.
 """
 
 import math
@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exact_arith import Moduli
-from .torus import SegmentSet, TorusPoint, TorusSegment, Vec, _vec
+from .torus import _FULL, Arc, SegmentSet, TorusPoint, Vec, _primitive, _vec
 
 
 class NonadmissibleWinding(ValueError):
@@ -230,11 +230,13 @@ def image_set(loop: PLLoop, n: int, moduli: Moduli) -> SegmentSet:
     """Image of the stage-n lift of a straight loop as a canonical segment set.
 
     Over one period P = image_period(s, n) the lift of the straight loop of
-    winding s is the single segment from 0 to (s_i * P / m_i^n), the closed
-    geodesic through the base point; later periods retrace it."""
+    winding s is the segment from 0 to the integer vector (s_i * P / m_i^n);
+    later periods retrace it.  So the image is the full closed geodesic of
+    its primitive direction anchored at the origin (pivot entry 0, and
+    lexicographically least)."""
     if loop.pieces != 1:
         raise ValueError("image_set takes a straight loop (one piece)")
     w = loop.winding()
     period = image_period(w, n, moduli)
-    end = tuple(Fraction(e * period, m**n) for e, m in zip(w, moduli))
-    return SegmentSet.from_segments([TorusSegment((Fraction(0),) * w.r, end)])
+    u, _ = _primitive(tuple(e * period // m**n for e, m in zip(w, moduli)))
+    return SegmentSet(arcs=(Arc(u, (Fraction(0),) * w.r, *_FULL),), points=())

@@ -46,7 +46,9 @@ direction w through a is the M/g parallel closed geodesics of direction
 u = primitive(w_i/m_i) through (a_i + c)/m_i, c = 0..M/g-1, where
 M = prod m_i and g = gcd_i(u_i*m_i) is the number of kernel points on one
 of them; a partial arc has g sub-arcs on each.  So the preimage of a
-closed geodesic is connected exactly when g = M.
+closed geodesic is connected exactly when g = M.  Forward images are
+closed-form too: f takes the closed geodesic of direction w through a onto
+the one of direction primitive(m_i*w_i) through (m_i*a_i).
 """
 
 import csv
@@ -266,6 +268,10 @@ class Arc:
         t = self.start + offset
         return TorusPoint(tuple(a + t * v for a, v in zip(self.anchor, self.direction)))
 
+    def holds(self, start: Fraction, length: Fraction = Fraction(0)) -> bool:
+        """Is [start, start + length] (a point at length 0) within the arc?"""
+        return self.is_full or frac_mod1(start - self.start) + length <= self.length
+
     def cover_endpoints(self) -> tuple[Vec, Vec]:
         """Least cover representative of the start point, plus the matching end."""
         raw = tuple(a + self.start * v for a, v in zip(self.anchor, self.direction))
@@ -316,13 +322,6 @@ def _merge_on_circle(intervals):
     return [(s, e - s) for s, e in merged]
 
 
-def _arc_contains_u(arc: Arc, u: Fraction) -> bool:
-    if arc.is_full:
-        return True
-    lo, hi = arc.start, arc.start + arc.length
-    return lo <= u <= hi or lo <= u + 1 <= hi
-
-
 @dataclass(frozen=True)
 class SegmentSet:
     """A finite union of closed geodesic segments and isolated points, held in
@@ -347,7 +346,7 @@ class SegmentSet:
     def is_empty(self) -> bool:
         return not self.arcs and not self.points
 
-    @property
+    @functools.cached_property
     def r(self) -> int:
         if self.arcs:
             return len(self.arcs[0].direction)
@@ -376,10 +375,8 @@ class SegmentSet:
         for w, geodesics in self._geodesics.items():
             anchor, tau = _anchor_for(vec, w)
             arcs = geodesics.get(anchor)
-            if arcs is not None:
-                u = frac_mod1(-tau)
-                if any(_arc_contains_u(arc, u) for arc in arcs):
-                    return True
+            if arcs is not None and any(arc.holds(-tau) for arc in arcs):
+                return True
         return False
 
     def covers(self, other: "SegmentSet") -> bool:
@@ -397,10 +394,7 @@ class SegmentSet:
                 return False
         for arc in other.arcs:
             same = self._geodesics.get(arc.direction, {}).get(arc.anchor, ())
-            if not any(
-                a.is_full or frac_mod1(arc.start - a.start) + arc.length <= a.length
-                for a in same
-            ):
+            if not any(a.holds(arc.start, arc.length) for a in same):
                 return False
         return True
 
@@ -521,20 +515,24 @@ def components(s: SegmentSet) -> list[SegmentSet]:
 
 
 def apply_f_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
-    """Forward image under the power map (linear on the cover)."""
+    """Forward image under the power map, in closed form on geodesic keys.
+
+    f is linear on the cover, so with m*w = h*u coordinatewise, u primitive,
+    it takes a + t*w to m*a + h*t*u: the arc [t0, t0+L] goes to the interval
+    of length h*L from h*t0 - tau on the geodesic of direction u through
+    m*a, tau from its anchor.  Isolated points go through apply_f."""
     _check_set_dims(s, moduli.r)
-    segs, pts = [], []
-    for arc in s.arcs:
-        cs, ce = arc.cover_endpoints()
-        segs.append(
-            TorusSegment(
-                tuple(m * c for m, c in zip(moduli, cs)),
-                tuple(m * c for m, c in zip(moduli, ce)),
+    grouped: dict = {}
+    for w, geodesics in s._geodesics.items():
+        u, h = _primitive(tuple(m * x for m, x in zip(moduli, w)))
+        for anchor, arcs in geodesics.items():
+            key_anchor, tau = _anchor_for(tuple(m * a for m, a in zip(moduli, anchor)), u)
+            grouped.setdefault((u, key_anchor), []).extend(
+                _FULL if arc.is_full else (frac_mod1(h * arc.start - tau), h * arc.length)
+                for arc in arcs
             )
-        )
-    for vec in s.points:
-        pts.append(apply_f(TorusPoint(vec), moduli).coords)
-    return SegmentSet.from_segments(segs, pts)
+    pts = [apply_f(TorusPoint(vec), moduli) for vec in s.points]
+    return _from_circle_intervals(grouped, pts)
 
 
 def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:

@@ -40,7 +40,7 @@ from .hitting import (
     minimal_level,
     valuation_level,
 )
-from .lifting import PLLoop, as_winding, image_set
+from .lifting import PLLoop, admissible_winding, as_winding, image_set
 from .torus import (
     SegmentSet,
     SolenoidPoint,
@@ -162,7 +162,7 @@ class Tower:
     @functools.cached_property
     def images(self) -> tuple[SegmentSet, ...]:
         """f(L_2), ..., f(L_n), computed once for the checks of both
-        bonding directions."""
+        bonding directions; the only place f is applied to a level."""
         return tuple(apply_f_set(lvl, self.moduli) for lvl in self.levels[1:])
 
     @functools.cached_property
@@ -178,22 +178,19 @@ def build_tower(
     moduli: Moduli,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> Tower:
-    """Lay out forward images, lift images, and iterated preimages."""
-    w = base_loop.winding()
-    if not w.admissible:
-        raise ValueError("tower base loop must have all-nonzero winding")
+    """Lay out forward images, lift images, and iterated preimages.
+
+    f^j(Im gamma) is the image of the straight loop of winding m^j*s, so
+    every forward and lift level is one image_set, built from its own closed
+    form; verify_tower's forward equality compares it with Tower.images."""
+    w = admissible_winding(base_loop, moduli)
     check_size(moduli, params.n1 + params.depth + 1, size_guard)
-    base_img = image_set(base_loop, 0, moduli)
-    forward = [base_img]
-    for _ in range(params.n0 - 1):
-        forward.append(apply_f_set(forward[-1], moduli))
-    levels = list(reversed(forward))  # L_1 = f^(N0-1)(Im gamma), ..., L_N0 = Im gamma
-    for j in range(1, params.n1 + 1):
-        levels.append(image_set(base_loop, j, moduli))
-    current = levels[-1]  # Im gamma^(N1) (or Im gamma when n1 = 0)
+    levels = [  # L_k = f^(N0-k)(Im gamma) for k < N0, then Im gamma^(j), j = 0..N1
+        image_set(PLLoop.straight(tuple(e * m**j for e, m in zip(w, moduli))), 0, moduli)
+        for j in range(params.n0 - 1, 0, -1)
+    ] + [image_set(base_loop, j, moduli) for j in range(params.n1 + 1)]
     for _ in range(params.depth):
-        current = preimage_set(current, moduli)
-        levels.append(current)
+        levels.append(preimage_set(levels[-1], moduli))
     return Tower(
         moduli=moduli, base_loop=base_loop, params=params, levels=tuple(levels)
     )

@@ -62,6 +62,11 @@ GOLDEN = {
          "--size-guard", str(10**1400)], 0,
         "c1f0b30a0cb5d7883cae82684fda1757b3e224324f2f0f3db72cfdb2d561b0cc", {},
     ),
+    "tower-2357-11-n1-300": (  # 304 levels, 300 of them lift levels
+        ["tower", "--moduli", "2,3,5,7,11", "--winding", "2,3,5,7,11", "--epsilon", "1",
+         "--n1", "300", "--size-guard", str(10**1200)], 0,
+        "05f867eac0be642950cd493b412d2e0ff0c8d2e548b8a95648adf77ae3f267c4", {},
+    ),
     "tower-23-11-clamped-depth-3": (  # epsilon 2 is clamped to 1
         ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "2",
          "--depth", "3", "--candidates", "7"], 0,
@@ -171,6 +176,27 @@ GOLDEN = {
             "a137f82b78484de223d97c4929660e4433eb7dd12cabe8bd435da03344971a69",
             "tower_level_03.csv":
             "36232b8fbcac480a4bfec5f4babae7153670a3389c41fb46d230bda36289c440",
+        },
+    ),
+    "export-tower-235-m127": (  # five forward levels on three moduli
+        ["export", "--moduli", "2,3,5", "--winding=-1,2,7", "--tower-levels",
+         "--epsilon", "1/8", "--depth", "1", "--out-dir", "out"], 0,
+        "a480281eba6bb1b450bcf1a4ab8a43a7887e92889ce4c91967dd80940e13286e",
+        {
+            "tower_level_01.csv":
+            "0c3c3f16f7615d49b7e6ea171582f88fdd305387bbe7b859a4860429f004d518",
+            "tower_level_02.csv":
+            "3c8bc174bd26da7a3abd32657085988fa1a85b85be800f925c5dd50a00c8e403",
+            "tower_level_03.csv":
+            "47bee4c12209f5772cdb73e389125d9ac561dc34cc0726f15f4b1c8f1ff2dcb5",
+            "tower_level_04.csv":
+            "414dfb35ddc9c3335de949a43e27e1e457d431bd62024c99f6eaa7cc2fb85fe8",
+            "tower_level_05.csv":
+            "2e7b09740f34927435797fa3eb6e76d348ca9a30800bd3a4e320599c5b123f37",
+            "tower_level_06.csv":
+            "20ed22dc49ef97e9036a20aba765a9e1f23af9c2ca1fd9bcb6423258965a6a3e",
+            "tower_level_07.csv":
+            "8f65d87cf5e8d94250ad3cff32a585cef6e4654fe09799e48a4a0b1163c99436",
         },
     ),
     "combine-2": (

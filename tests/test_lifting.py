@@ -252,6 +252,27 @@ def test_image_set_matches_the_enumerated_period(case):
     assert image_set(loop, n, moduli) == enumerated_image(loop, n, moduli)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from(ORACLE_MODULI).flatmap(lambda m: st.tuples(
+        st.just(Moduli(m)),
+        st.tuples(*[st.integers(-12, 12).filter(bool)] * len(m)),
+        st.sampled_from([1, 2, 6, 9]),
+        st.integers(min_value=0, max_value=6),
+    ))
+)
+@example((Moduli.of(2, 3), (-4, 6), 1, 1))  # gcd 2 on a negative entry
+def test_image_set_is_the_canonical_period_segment(case):
+    # the closed form against from_segments of the one period segment; the
+    # common factor gives directions whose entries share a gcd above 1
+    moduli, s, factor, n = case
+    s = tuple(factor * e for e in s)
+    period = image_period(s, n, moduli)
+    end = tuple(Fr(e * period, m**n) for e, m in zip(s, moduli))
+    expected = SegmentSet.from_segments([TorusSegment((Fr(0),) * moduli.r, end)])
+    assert image_set(PLLoop.straight(s), n, moduli) == expected
+
+
 def test_cover_speed_is_a_lipschitz_bound():
     loop = wiggly((2, 3))
     bound = loop.cover_speed_bound()

@@ -28,7 +28,7 @@ from fupcon.torus import (
     torus_dist,
     write_segment_set_csv,
 )
-from fupcon.torus import _anchor_for, _anchor_plan, _arc_contains_u, _cross_intersections
+from fupcon.torus import _anchor_for, _anchor_plan, _cross_intersections
 
 M23 = Moduli.of(2, 3)
 
@@ -61,6 +61,17 @@ def preimage_sheets(s, moduli):
                 )
             )
     return segs
+
+
+def segment_image(s, moduli):
+    """Oracle for apply_f_set: every arc's cover segment scaled by the
+    moduli and every isolated point mapped by f, recanonicalized."""
+    segs = [
+        TorusSegment(*(tuple(m * c for m, c in zip(moduli, end)) for end in arc.cover_endpoints()))
+        for arc in s.arcs
+    ]
+    pts = [apply_f(TorusPoint(vec), moduli).coords for vec in s.points]
+    return SegmentSet.from_segments(segs, pts)
 
 
 def sheet_preimage(s, moduli):
@@ -381,6 +392,37 @@ def test_preimage_set_matches_sheet_oracle(case):
         # pieces in several directions make components quadratic in
         # crossing tests, too slow for hundreds of preimage arcs
         assert components(pre) == rebuilt_components(pre) == pairwise_components(pre)
+
+
+@st.composite
+def image_case(draw):
+    """A moduli tuple and a set of arcs with rational displacements in two
+    directions, plus isolated points.  Many directions scale under f (on
+    (2,3), (3,2) goes to (6,6) = 6*(1,1)), so short arcs test the start and
+    the length of a stretched image arc."""
+    moduli = Moduli(draw(st.sampled_from([(2, 3), (2, 3, 5), (4, 9)])))
+    r = moduli.r
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    directions = [tuple(draw(st.sampled_from(DIRECTIONS)) for _ in range(r)) for _ in range(2)]
+    assume(all(any(d) for d in directions))
+    length = st.fractions(min_value=Fr(1, 40), max_value=2, max_denominator=40)
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = tuple(draw(coord) for _ in range(r))
+        d, t = draw(st.sampled_from(directions)), draw(length)
+        segments.append(seg(start, tuple(a + t * x for a, x in zip(start, d))))
+    points = draw(st.lists(st.tuples(*[coord] * r), max_size=2))
+    return moduli, SegmentSet.from_segments(segments, points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(image_case())
+@example((M23, sset(seg((0, 0), (Fr(1, 12), Fr(1, 18))))))  # (3,2)/36: h = 6
+def test_apply_f_set_matches_segment_oracle(case):
+    moduli, s = case
+    image = apply_f_set(s, moduli)
+    assert image == segment_image(s, moduli)
+    assert list(image.arcs) == sorted(image.arcs)
 
 
 @pytest.mark.parametrize(
@@ -757,11 +799,13 @@ def enumerated_arc_point_params(arc, x):
 
 
 def scanned_contains_point(s, p):
-    """Oracle: the isolated points, then every arc through the enumeration."""
+    """Oracle: the isolated points, then every arc through the enumeration;
+    a parameter u in [0, 1) is on [lo, hi] directly or one turn later."""
     return p.coords in s.points or any(
-        _arc_contains_u(arc, u)
+        arc.start <= v <= arc.start + arc.length
         for arc in s.arcs
         for u in enumerated_arc_point_params(arc, p.coords)
+        for v in (u, u + 1)
     )
 
 

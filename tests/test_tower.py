@@ -10,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fupcon.exact_arith import Moduli
-from fupcon.lifting import PLLoop
+from fupcon.lifting import NonadmissibleWinding, PLLoop
 from fupcon.torus import (
     SegmentSet,
     SolenoidPoint,
     TorusPoint,
     apply_f,
+    apply_f_set,
     arc_dist,
     base_point,
     f_preimages,
@@ -92,6 +93,30 @@ def test_tower_levels_frozen():
     for lvl in t.levels:
         assert len(lvl.arcs) == 1
         assert lvl.contains_point(base_point(2))
+
+
+@pytest.mark.parametrize(
+    "moduli, s, epsilon",
+    [((2, 3), (1, 1), Fr(1, 8)), ((2, 3), (-2, 9), Fr(1, 4)),
+     ((2, 3, 5), (-1, 2, 7), Fr(1, 8))],
+)
+def test_forward_levels_are_iterated_images_of_im_gamma(moduli, s, epsilon):
+    # built as stage images of m^j*s, checked against f applied j times
+    moduli = Moduli(moduli)
+    params = choose_params(epsilon, moduli, s, depth=0)
+    t = build_tower(PLLoop.straight(s), params, moduli, size_guard=10**200)
+    expected = [t.level(params.n0)]
+    for _ in range(params.n0 - 1):
+        expected.append(apply_f_set(expected[-1], moduli))
+    assert list(t.levels[: params.n0]) == expected[::-1]
+
+
+def test_build_tower_checks_the_winding_for_dimension_then_zero_entries():
+    params = choose_params(Fr(1, 2), M23, (1, 1))
+    with pytest.raises(ValueError, match="dimension differ"):
+        build_tower(PLLoop.straight((1, 0, 1)), params, M23)
+    with pytest.raises(NonadmissibleWinding, match="zero entry"):
+        build_tower(PLLoop.straight((1, 0)), params, M23)
 
 
 def test_verify_tower_all_green():
