@@ -42,6 +42,17 @@ def frac_mod1(x) -> Fraction:
     return f if r == n else Fraction(r, d)
 
 
+def _integer_entries(values, what: str) -> tuple[int, ...]:
+    """values as a tuple of ints; an entry that is not integer-valued raises
+    ValueError rather than being truncated by int()."""
+    vals = tuple(values)
+    ints = tuple(map(int, vals))
+    if ints != vals:
+        bad = next(v for v, i in zip(vals, ints) if v != i)
+        raise ValueError(f"{what} {bad!r} is not an integer")
+    return ints
+
+
 @dataclass(frozen=True)
 class Moduli:
     """Pairwise coprime moduli m_1, ..., m_r, each >= 2."""
@@ -49,7 +60,7 @@ class Moduli:
     values: tuple[int, ...]
 
     def __post_init__(self):
-        vals = tuple(int(v) for v in self.values)
+        vals = _integer_entries(self.values, "modulus")
         object.__setattr__(self, "values", vals)
         if not vals:
             raise ValueError("need at least one modulus")

@@ -7,6 +7,10 @@ extension's cover coordinates by m_i^n; it is the unique lift sending 0 to
 the base point.  Integer-time samples of the lift depend only on the winding,
 which is what makes the standard straight-line loops a sufficient model.
 
+Breakpoints are exact rationals, ints where they come in as ints (see
+torus.Vec): straight and constant loops, and the combined loops of
+loop_design, hold only ints and build no Fraction.
+
 For a straight loop with an all-nonzero winding the stage-n lift is
 periodic, and one period of it winds a whole number of times round one
 closed geodesic: image_set writes down that geodesic's canonical form
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .exact_arith import Moduli
-from .torus import _FULL, Arc, SegmentSet, TorusPoint, Vec, _primitive, _vec
+from .exact_arith import Moduli, _integer_entries
+from .torus import _FULL, Arc, SegmentSet, TorusPoint, Vec, _exact_vecs, _primitive
 
 
 class NonadmissibleWinding(ValueError):
@@ -33,7 +37,7 @@ class WindingVector:
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
+        object.__setattr__(self, "entries", _integer_entries(self.entries, "winding entry"))
         if not self.entries:
             raise ValueError("need at least one coordinate")
 
@@ -86,16 +90,15 @@ class PLLoop:
     breakpoints: tuple[Vec, ...]
 
     def __post_init__(self):
-        bps = tuple(_vec(b) for b in self.breakpoints)
+        bps = _exact_vecs(self.breakpoints)
         object.__setattr__(self, "breakpoints", bps)
         if len(bps) < 2:
             raise ValueError("need at least two breakpoints (one piece)")
         r = len(bps[0])
         if r < 1:
             raise ValueError("need at least one coordinate")
-        for b in bps:
-            if len(b) != r:
-                raise ValueError("breakpoints of mixed dimension")
+        if len(set(map(len, bps))) > 1:
+            raise ValueError("breakpoints of mixed dimension")
         if any(c != 0 for c in bps[0]):
             raise ValueError("loop must start at the base point")
         if any(c.denominator != 1 for c in bps[-1]):
@@ -106,13 +109,11 @@ class PLLoop:
         """The straight-line loop of winding s (the product of the basic
         degree-s_i circle loops run simultaneously)."""
         w = as_winding(s)
-        zero = tuple(Fraction(0) for _ in range(w.r))
-        return cls((zero, tuple(Fraction(e) for e in w)))
+        return cls(((0,) * w.r, w.entries))
 
     @classmethod
     def constant(cls, r: int) -> "PLLoop":
-        zero = tuple(Fraction(0) for _ in range(r))
-        return cls((zero, zero))
+        return cls(((0,) * r, (0,) * r))
 
     @property
     def r(self) -> int:
@@ -123,7 +124,7 @@ class PLLoop:
         return len(self.breakpoints) - 1
 
     def winding(self) -> WindingVector:
-        return WindingVector(tuple(int(c) for c in self.breakpoints[-1]))
+        return WindingVector(self.breakpoints[-1])
 
     def concat(self, other: "PLLoop") -> "PLLoop":
         """First traverse self, then other (translated to start where self ends)."""
@@ -156,13 +157,9 @@ class PLLoop:
     def cover_speed_bound(self) -> Fraction:
         """Max over pieces and coordinates of |cover velocity|; Lipschitz bound
         for the projected loop in the max-arc-distance metric."""
-        k = self.pieces
-        best = Fraction(0)
-        for i in range(k):
-            a, b = self.breakpoints[i], self.breakpoints[i + 1]
-            for x, y in zip(a, b):
-                best = max(best, abs(y - x) * k)
-        return best
+        bps = self.breakpoints
+        step = max(abs(y - x) for a, b in zip(bps, bps[1:]) for x, y in zip(a, b))
+        return Fraction(step * self.pieces)
 
 
 def extend_periodic(loop: PLLoop, horizon: int) -> tuple[Vec, ...]:

@@ -11,6 +11,11 @@ denominators: f takes a coordinate n/d to (m*n mod d)/d, its preimages are
 (n + j*d)/(m*d), and distances are compared as integer pairs, so each output
 coordinate costs one Fraction.
 
+Vectors (Vec) are exact: every coordinate is an int or a Fraction.  A cover
+vector (a loop breakpoint, a segment end) keeps its coordinates as they come
+in, so an int stays an int and costs no Fraction; a torus point reduces
+every coordinate to a Fraction in [0, 1).
+
 Canonical form: every nondegenerate rational segment lies on a unique closed
 geodesic; the geodesic is keyed by its primitive sign-normalized integer
 direction vector together with the lexicographically least of its points
@@ -57,11 +62,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exact_arith import Moduli, format_rational, frac_mod1, parse_rational
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int | Fraction, ...]  # exact rational coordinates
 
 
 class DimensionMismatch(ValueError):
@@ -72,8 +77,17 @@ class DepthMismatch(ValueError):
     """Solenoid points of different truncation depths."""
 
 
-def _vec(values: Iterable) -> Vec:
-    return tuple(Fraction(v) for v in values)
+_EXACT = {int, Fraction}
+
+
+def _exact_vecs(vectors: Iterable[Iterable]) -> tuple[Vec, ...]:
+    """The vectors as tuples of exact coordinates.  When every coordinate is
+    an int or a Fraction (one pass over all of them) they are kept as given;
+    otherwise each one goes through Fraction, so "1/2" and 0.5 become 1/2."""
+    vecs = tuple(map(tuple, vectors))
+    if set(map(type, itertools.chain.from_iterable(vecs))) <= _EXACT:
+        return vecs
+    return tuple(tuple(map(Fraction, v)) for v in vecs)
 
 
 @dataclass(frozen=True, order=True)
@@ -119,8 +133,9 @@ def apply_f(p: TorusPoint, moduli: Moduli) -> TorusPoint:
     ))
 
 
-def f_preimages(p: TorusPoint, moduli: Moduli) -> list[TorusPoint]:
-    """All prod(m_i) preimages of p under the power map, sorted."""
+def _preimages(p: TorusPoint, moduli: Moduli) -> Iterator[TorusPoint]:
+    """The prod(m_i) preimages of p under the power map, lazily, in sorted
+    order."""
     _check_dims(p.r, moduli.r)
     # coordinate n/d has the preimages (n + j*d)/(m*d), j = 0..m-1, which
     # increase with j, so the product comes out in lexicographic order
@@ -128,7 +143,12 @@ def f_preimages(p: TorusPoint, moduli: Moduli) -> list[TorusPoint]:
         [Fraction(c.numerator + j * c.denominator, m * c.denominator) for j in range(m)]
         for c, m in zip(p.coords, moduli)
     ]
-    return [_reduced_point(coords) for coords in itertools.product(*columns)]
+    return map(_reduced_point, itertools.product(*columns))
+
+
+def f_preimages(p: TorusPoint, moduli: Moduli) -> list[TorusPoint]:
+    """All prod(m_i) preimages of p under the power map, sorted."""
+    return list(_preimages(p, moduli))
 
 
 def _arc_dist_terms(a, b) -> tuple[int, int]:
@@ -166,8 +186,9 @@ class TorusSegment:
     end: Vec
 
     def __post_init__(self):
-        object.__setattr__(self, "start", _vec(self.start))
-        object.__setattr__(self, "end", _vec(self.end))
+        start, end = _exact_vecs((self.start, self.end))
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
         if len(self.start) != len(self.end):
             raise DimensionMismatch("segment endpoints of different dimension")
         if self.start == self.end:
@@ -212,7 +233,7 @@ def _anchor_plan(w: tuple[int, ...]) -> tuple[int, int, tuple]:
     return idx, v_star, tuple(walk)
 
 
-def _anchor_for(point: Sequence[Fraction], w: tuple[int, ...]) -> tuple[Vec, Fraction]:
+def _anchor_for(point: Vec, w: tuple[int, ...]) -> tuple[Vec, Fraction]:
     """Canonical anchor of the closed geodesic through `point` with primitive
     direction w: among the finitely many geodesic points whose pivot coordinate
     is 0, the lexicographically least.  Returns (anchor, tau) where
@@ -226,7 +247,11 @@ def _anchor_for(point: Sequence[Fraction], w: tuple[int, ...]) -> tuple[Vec, Fra
     the coset step becomes step*n.  The geodesic is simple, so one j is left.
     Only b depends on the point: g, n, the unit's inverse mod n and the steps
     depend on w alone, and come from its plan (_anchor_plan), made once per
-    direction."""
+    direction.  The origin is the least pivot-zero point of its own
+    geodesic, so it is its own anchor with tau 0 and needs no plan."""
+    if not any(point):
+        zero = Fraction(0)
+        return (zero,) * len(w), zero
     idx, v_star, walk = _anchor_plan(w)
     fd = point[idx].denominator
     fn = -point[idx].numerator % fd  # first = ceil(x_pivot) - x_pivot = fn/fd
@@ -413,7 +438,7 @@ def _from_circle_intervals(grouped: dict, points: Iterable) -> SegmentSet:
     """The canonical set of closed circle intervals grouped by geodesic key
     {(direction, canonical anchor): [(start, length), ...]}, plus the given
     points that lie on none of them."""
-    pts = [p if isinstance(p, TorusPoint) else TorusPoint(_vec(p)) for p in points]
+    pts = [p if isinstance(p, TorusPoint) else TorusPoint(p) for p in points]
     dims = {len(w) for w, _ in grouped} | {q.r for q in pts}
     if len(dims) > 1:
         raise DimensionMismatch(f"pieces of dimensions {sorted(dims)}")

@@ -46,11 +46,11 @@ from .torus import (
     SolenoidPoint,
     TorusPoint,
     _arc_dist_terms,
+    _preimages,
     apply_f,
     apply_f_set,
     base_point,
     components,
-    f_preimages,
     preimage_set,
     solenoid_distance,
     solenoid_tail_bound,
@@ -269,9 +269,9 @@ def coherent_point_through(
 
     The start point is tested.  Going down, f(x) lies in L_k whenever x lies
     in L_(k+1) and L_k covers f(L_(k+1)), so membership is tested only on a
-    level below an unproven bonding (Tower.bonded).  Going up, f_preimages
-    lists the preimages in sorted order, so the least member is the first
-    one found, and the rest are never tested; on a preimage level every
+    level below an unproven bonding (Tower.bonded).  Going up, the
+    preimages come lazily in sorted order, so the least member is the first
+    one found, and the rest are never built; on a preimage level every
     preimage is a member, so one membership test is all it takes."""
     total = len(t.levels)
     if not 1 <= level_index <= total:
@@ -286,7 +286,7 @@ def coherent_point_through(
     for idx in range(level_index + 1, total + 1):
         level = t.level(idx)
         nxt = next(
-            (q for q in f_preimages(seq[idx - 1], t.moduli) if level.contains_point(q)),
+            (q for q in _preimages(seq[idx - 1], t.moduli) if level.contains_point(q)),
             None,
         )
         if nxt is None:

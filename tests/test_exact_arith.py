@@ -18,6 +18,7 @@ from fupcon.exact_arith import (
     parse_rational,
 )
 from fupcon.hitting import level_condition
+from fupcon.lifting import WindingVector
 
 # Frozen input/output pairs, checked by hand.
 CRT_CASES = [
@@ -182,3 +183,21 @@ def test_moduli_validation():
         Moduli.of(4, 6)
     with pytest.raises(ValueError):
         Moduli.of()
+
+
+def test_moduli_reject_non_integer_entries():
+    for values in ((2.5, 3), (2, Fraction(7, 2)), (2.5, Fraction(7, 2)), ("2", 3)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Moduli(values)
+    assert Moduli((2.0, Fraction(3))).values == (2, 3)
+    assert all(type(m) is int for m in Moduli((2.0, Fraction(3))))
+
+
+def test_windings_reject_non_integer_entries():
+    for entries in ((Fraction(3, 2), 2), (1, 2.7), (Fraction(3, 2), 2.7)):
+        with pytest.raises(ValueError, match="is not an integer"):
+            WindingVector(entries)
+    assert WindingVector((Fraction(-4), 2.0)).entries == (-4, 2)
+    # the winding (2, 1) is not asked about when (5/2, 1) is
+    with pytest.raises(ValueError, match="is not an integer"):
+        level_condition((Fraction(5, 2), 1), Moduli.of(2, 3), 1)

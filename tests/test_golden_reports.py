@@ -67,6 +67,11 @@ GOLDEN = {
          "--n1", "300", "--size-guard", str(10**1200)], 0,
         "05f867eac0be642950cd493b412d2e0ff0c8d2e548b8a95648adf77ae3f267c4", {},
     ),
+    "tower-2357-11-n1-300-w21111": (  # one entry divisible by its modulus
+        ["tower", "--moduli", "2,3,5,7,11", "--winding", "2,1,1,1,1", "--epsilon", "1",
+         "--n1", "300", "--size-guard", str(10**1200)], 0,
+        "ee6378bab5183951cada90198577dbded4491785fa8355a3ab994a5cfa9033a1", {},
+    ),
     "tower-23-11-clamped-depth-3": (  # epsilon 2 is clamped to 1
         ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "2",
          "--depth", "3", "--candidates", "7"], 0,
@@ -206,6 +211,10 @@ GOLDEN = {
     "combine-3": (
         ["combine", "--loops", "2,0,0;0,3,1;-1,1,1"], 0,
         "99b032c368e072a411a17c06d8153442e99a6ea7d5ddb25b7e9287e1689e766c", {},
+    ),
+    "combine-4": (  # r = 4: 483 breakpoints
+        ["combine", "--loops=5,3,2,1;1,7,2,3;2,1,9,4;3,2,1,11"], 0,
+        "27a921bf5d26fff3d59bd2c5052366731e06aa742655eaf587d6fdf3283dccde", {},
     ),
 }
 

@@ -16,6 +16,7 @@ from fupcon.lifting import (
     lift,
 )
 from fupcon.torus import SegmentSet, TorusPoint, TorusSegment, apply_f
+from fupcon.tower import first_close_sample
 
 M23 = Moduli.of(2, 3)
 ORACLE_MODULI = [(2, 3), (2, 5), (4, 3), (9, 2), (3,), (2, 3, 5)]
@@ -70,6 +71,88 @@ def test_loop_validation():
         PLLoop(((Fr(0),), (Fr(1, 2),)))  # must end at an integer vector
     with pytest.raises(ValueError):
         PLLoop(((Fr(0), Fr(0)),))  # needs at least one piece
+
+
+def test_int_loops_are_validated_like_fraction_loops():
+    with pytest.raises(ValueError, match="base point"):
+        PLLoop(((1, 0), (2, 1)))
+    with pytest.raises(ValueError, match="close up"):
+        PLLoop(((0, 0), (1, Fr(1, 2))))
+    with pytest.raises(ValueError, match="mixed dimension"):
+        PLLoop(((0, 0), (1, 1, 1)))
+    with pytest.raises(ValueError, match="mixed dimension"):
+        PLLoop(((0, 0), (1,), (1, 1)))
+    with pytest.raises(ValueError, match="one piece"):
+        PLLoop(((0, 0),))
+
+
+def test_inexact_coordinates_become_fractions():
+    for mid in (("1/2", 0.5), (0.5, 1)):  # with a string, and among ints only
+        loop = PLLoop(((0, 0), mid, (1, 1)))
+        assert loop.breakpoints[1] == (Fr(1, 2), Fr(mid[1]))
+        assert all(type(c) is Fraction for bp in loop.breakpoints for c in bp)
+    seg = TorusSegment((0, "1/2"), (0.5, 1))
+    assert (seg.start, seg.end) == ((0, Fr(1, 2)), (Fr(1, 2), 1))
+    assert all(type(c) is Fraction for c in seg.start + seg.end)
+    with pytest.raises(ValueError, match="close up"):
+        PLLoop(((0,), (0.5,)))
+
+
+def test_exact_coordinates_keep_their_type():
+    assert all(type(c) is int for bp in PLLoop.straight((2, -3)).breakpoints for c in bp)
+    assert all(type(c) is int for bp in PLLoop.constant(3).breakpoints for c in bp)
+    loop = PLLoop(((0, Fr(0)), (Fr(1, 2), 3), (1, Fr(2))))
+    assert [tuple(map(type, bp)) for bp in loop.breakpoints] == [
+        (int, Fraction), (Fraction, int), (int, Fraction)]
+    seg = TorusSegment((0, 1), (2, 3))
+    assert all(type(c) is int for c in seg.start + seg.end)
+    assert seg == TorusSegment((Fr(0), Fr(1)), (Fr(2), Fr(3)))
+
+
+MODULI_OF_DIMENSION = {1: Moduli.of(3), 2: M23, 3: Moduli.of(2, 3, 5)}
+
+
+@st.composite
+def int_breakpoint_loops(draw):
+    """Breakpoint lists of int loops: from the origin to an integer end."""
+    r = draw(st.integers(min_value=1, max_value=3))
+    coord = st.integers(min_value=-4, max_value=4)
+    bps = [(0,) * r]
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        bps.append(bps[-1] if draw(st.booleans()) else draw(st.tuples(*[coord] * r)))
+    return bps
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_breakpoint_loops(), st.data())
+def test_int_loops_agree_with_fraction_loops(bps, data):
+    """A loop of int breakpoints and the same loop in Fractions are one loop
+    to every reader of breakpoints."""
+    ints = PLLoop(tuple(bps))
+    fracs = PLLoop(tuple(tuple(map(Fraction, bp)) for bp in bps))
+    assert all(type(c) is int for bp in ints.breakpoints for c in bp)
+    assert all(type(c) is Fraction for bp in fracs.breakpoints for c in bp)
+    assert ints == fracs and hash(ints) == hash(fracs)
+    assert ints.winding() == fracs.winding()
+    speed = ints.cover_speed_bound()
+    assert type(speed) is Fraction and speed == fracs.cover_speed_bound()
+    t = data.draw(st.fractions(min_value=0, max_value=1, max_denominator=50))
+    assert ints.point_at(t) == fracs.point_at(t)
+    moduli = MODULI_OF_DIMENSION[ints.r]
+    n = data.draw(st.integers(min_value=0, max_value=3))
+    horizon = data.draw(st.integers(min_value=1, max_value=3))
+    assert lift(ints, n, moduli, horizon).breakpoints == lift(fracs, n, moduli, horizon).breakpoints
+    coord = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    query = TorusPoint(tuple(data.draw(coord) for _ in range(ints.r)))
+    count = data.draw(st.integers(min_value=1, max_value=40))
+    delta = data.draw(st.fractions(min_value=Fr(1, 60), max_value=Fr(1, 2), max_denominator=60))
+    assert first_close_sample(ints, count, query, delta) == first_close_sample(
+        fracs, count, query, delta)
+    end = bps[-1]
+    if all(end):
+        n = data.draw(st.integers(min_value=0, max_value=2))
+        assert image_set(PLLoop(((0,) * ints.r, end)), n, moduli) == image_set(
+            PLLoop((fracs.breakpoints[0], fracs.breakpoints[-1])), n, moduli)
 
 
 def test_straight_and_constant():

@@ -150,6 +150,14 @@ def test_one_pass_loop_matches_the_chain(family):
     assert design.loop.breakpoints == chained_loop(design).breakpoints
 
 
+@settings(max_examples=40)
+@given(valid_family())
+def test_designed_loop_holds_only_ints(family):
+    """Every breakpoint is an integer partial sum, and stays an int."""
+    design = design_all_nonzero(family)
+    assert all(type(c) is int for bp in design.loop.breakpoints for c in bp)
+
+
 def test_design_builds_no_intermediate_loops(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("the design must not repeat or concatenate loops")

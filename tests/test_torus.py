@@ -28,7 +28,7 @@ from fupcon.torus import (
     torus_dist,
     write_segment_set_csv,
 )
-from fupcon.torus import _anchor_for, _anchor_plan, _cross_intersections
+from fupcon.torus import _anchor_for, _anchor_plan, _cross_intersections, _preimages
 
 M23 = Moduli.of(2, 3)
 
@@ -749,6 +749,20 @@ def test_integer_power_map_kernels_match_the_fraction_oracles(case):
     assert torus_dist(p, q) == fraction_torus_dist(p, q)
 
 
+@settings(max_examples=100)
+@given(st.sampled_from(KERNEL_MODULI).flatmap(
+    lambda ms: st.tuples(st.just(Moduli(ms)), kernel_points(len(ms)))
+))
+def test_lazy_preimages_come_in_the_order_of_f_preimages(case):
+    moduli, p = case
+    lazy = _preimages(p, moduli)
+    assert iter(lazy) is lazy  # nothing is built before it is asked for
+    pre = f_preimages(p, moduli)
+    assert type(pre) is list
+    assert next(lazy) == pre[0] == min(fraction_f_preimages(p, moduli))
+    assert [pre[0], *lazy] == pre
+
+
 @settings(max_examples=150)
 @given(threaded_pair())
 def test_integer_solenoid_distance_matches_the_fraction_oracle(case):
@@ -905,6 +919,28 @@ def test_anchor_plan_matches_the_inverse_per_point_walk(data, r):
     coords = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
     point = tuple(data.draw(coords) for _ in w)
     assert _anchor_for(point, w) == inverse_per_point_anchor(point, w)
+
+
+@settings(max_examples=200)
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([Fr(0), 0]),
+    st.booleans(),
+)
+def test_origin_is_its_own_anchor_without_a_plan(data, r, zero, huge):
+    """The shortcut for the origin against the planned walk, for directions
+    whose plan would need inverses of thousands of bits and for small ones."""
+    w = data.draw(huge_primitive_directions(r) if huge else primitive_directions(r))
+    origin = (zero,) * r
+    before = _anchor_plan.cache_info()
+    anchor, tau = _anchor_for(origin, w)
+    assert _anchor_plan.cache_info() == before
+    assert (anchor, tau) == inverse_per_point_anchor(origin, w)
+    assert (anchor, tau) == ((Fr(0),) * r, Fr(0))
+    assert all(type(c) is Fraction for c in anchor) and type(tau) is Fraction
+    if not huge:
+        assert (anchor, tau) == enumerated_anchor(origin, w)
 
 
 def test_anchor_plan_is_made_once_per_direction():
