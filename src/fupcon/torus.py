@@ -4,12 +4,20 @@ Points with rational angle coordinates, the coordinatewise power map
 f(z_1, ..., z_r) = (z_1^{m_1}, ..., z_r^{m_r}) written additively as
 x -> (m_1 x_1, ..., m_r x_r) mod 1, and finite unions of closed geodesic
 segments with a canonical form, so that set equality, containment and
-connected components are all decidable in exact arithmetic.  Truncated
-solenoid points (finite coherent sequences under f) and the weighted metric
-on them live here too.  Point arithmetic runs on numerators and
-denominators: f takes a coordinate n/d to (m*n mod d)/d, its preimages are
-(n + j*d)/(m*d), and distances are compared as integer pairs, so each output
-coordinate costs one Fraction.
+connected components are all decidable in exact arithmetic.  Point
+arithmetic runs on numerators and denominators: f takes a coordinate n/d to
+(m*n mod d)/d, its preimages are (n + j*d)/(m*d), and distances are compared
+as integer pairs, so each output coordinate costs one Fraction.
+
+Truncated solenoid points (finite coherent sequences under f) and the
+weighted metric sum 2^-n d_n on them live here too.  A coherent point
+(z_1, ..., z_K) is fixed by its deepest level, z_k = m^(K-k) z_K mod 1, so
+it is held as (moduli, deepest level, depth); level k costs one modular
+power per coordinate, and only explicit levels given to the constructor
+are checked for coherence (by cross-multiplication).  f is a group map, so
+the level distances of two points come from the difference of their
+deepest levels, delta_i/D_i per coordinate, by delta_i -> m_i*delta_i mod
+D_i, all in integers over one denominator.
 
 Vectors (Vec) are exact: every coordinate is an int or a Fraction.  A cover
 vector (a loop breakpoint, a segment end) keeps its coordinates as they come
@@ -124,13 +132,18 @@ def _reduced_point(coords: Vec) -> TorusPoint:
     return p
 
 
+def _power_image(p: TorusPoint, moduli: Moduli, e: int) -> TorusPoint:
+    """f^e(p): angle n/d -> (m^e*n mod d)/d, one modular power per coordinate."""
+    return _reduced_point(tuple(
+        Fraction(pow(m, e, c.denominator) * c.numerator % c.denominator, c.denominator)
+        for m, c in zip(moduli, p.coords)
+    ))
+
+
 def apply_f(p: TorusPoint, moduli: Moduli) -> TorusPoint:
     """The coordinatewise power map: angle n/d -> (m*n mod d)/d."""
     _check_dims(p.r, moduli.r)
-    return _reduced_point(tuple(
-        Fraction(m * c.numerator % c.denominator, c.denominator)
-        for m, c in zip(moduli, p.coords)
-    ))
+    return _power_image(p, moduli, 1)
 
 
 def _preimages(p: TorusPoint, moduli: Moduli) -> Iterator[TorusPoint]:
@@ -642,28 +655,102 @@ def read_segment_set_csv(path) -> SegmentSet:
 # truncated solenoid points and the weighted metric
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SolenoidPoint:
-    """A depth-K coherent sequence: levels (z_1, ..., z_K) with f(z_{k+1}) = z_k."""
+    """A depth-K coherent sequence: levels (z_1, ..., z_K) with f(z_{k+1}) = z_k.
+
+    The deepest level fixes the rest, z_k = f^(K-k)(z_K), so a point is held
+    as (moduli, deepest, depth), and == and hash compare those.
+    SolenoidPoint(moduli, levels) checks explicit levels for coherence;
+    from_deepest builds a point that is coherent by construction, as
+    threading does, and has nothing to check.  level(k) and levels are
+    derived from the deepest level on demand."""
 
     moduli: Moduli
-    levels: tuple[TorusPoint, ...]
+    deepest: TorusPoint
+    depth: int
 
-    def __post_init__(self):
-        if not self.levels:
+    def __init__(self, moduli: Moduli, levels: Sequence[TorusPoint]):
+        levels = tuple(levels)
+        if not levels:
             raise ValueError("need at least one level")
-        for z in self.levels:
-            _check_dims(z.r, self.moduli.r)
+        for z in levels:
+            _check_dims(z.r, moduli.r)
         # m * n1/d1 = n0/d0 mod 1 exactly when d0*d1 divides m*n1*d0 - n0*d1
-        for k in range(len(self.levels) - 1):
-            for m, c0, c1 in zip(self.moduli, self.levels[k].coords, self.levels[k + 1].coords):
+        for k in range(len(levels) - 1):
+            for m, c0, c1 in zip(moduli, levels[k].coords, levels[k + 1].coords):
                 n0, d0, n1, d1 = c0.numerator, c0.denominator, c1.numerator, c1.denominator
                 if (m * n1 * d0 - n0 * d1) % (d0 * d1):
                     raise ValueError(f"levels {k + 1} and {k + 2} are not coherent under f")
+        _set_fields(self, moduli, levels[-1], len(levels))
 
-    @property
-    def depth(self) -> int:
-        return len(self.levels)
+    @classmethod
+    def from_deepest(cls, moduli: Moduli, deepest: TorusPoint, depth: int) -> "SolenoidPoint":
+        """The depth-`depth` point whose deepest level is `deepest`."""
+        if depth < 1:
+            raise ValueError("need at least one level")
+        _check_dims(deepest.r, moduli.r)
+        point = object.__new__(cls)
+        _set_fields(point, moduli, deepest, depth)
+        return point
+
+    def level(self, k: int) -> TorusPoint:
+        """z_k (1-based), f^(K-k) of the deepest level."""
+        if not 1 <= k <= self.depth:
+            raise ValueError(f"level {k} outside 1..{self.depth}")
+        return _power_image(self.deepest, self.moduli, self.depth - k)
+
+    @functools.cached_property
+    def levels(self) -> tuple[TorusPoint, ...]:
+        return tuple(self.level(k) for k in range(1, self.depth + 1))
+
+
+def _set_fields(p: SolenoidPoint, moduli: Moduli, deepest: TorusPoint, depth: int):
+    object.__setattr__(p, "moduli", moduli)
+    object.__setattr__(p, "deepest", deepest)
+    object.__setattr__(p, "depth", depth)
+
+
+def _check_pair(x: SolenoidPoint, y: SolenoidPoint):
+    if x.moduli != y.moduli:
+        raise ValueError("points from different solenoid products")
+    if x.depth != y.depth:
+        raise DepthMismatch(f"depth {x.depth} vs {y.depth}")
+
+
+def _level_dist_terms(x: SolenoidPoint, y: SolenoidPoint) -> tuple[list[int], int]:
+    """(t, D) with t[n-1]/D the torus distance of x and y at level n,
+    n = 1..K, D the lcm of the deepest coordinates' denominators.
+
+    f is a group map, so the difference of the levels z_k - y_k is
+    f^(K-k)(z_K - y_K).  Coordinate i of it at level K is delta_i/D_i, D_i
+    the lcm of the two deepest denominators, and one level down it is
+    m_i*delta_i mod D_i; its arc distance min(delta_i, D_i - delta_i)/D_i is
+    an integer over D, and so is the max over i."""
+    _check_pair(x, y)
+    ms, deltas, dens = x.moduli.values, [], []
+    for a, b in zip(x.deepest.coords, y.deepest.coords):
+        d = math.lcm(a.denominator, b.denominator)
+        deltas.append((a.numerator * (d // a.denominator) - b.numerator * (d // b.denominator)) % d)
+        dens.append(d)
+    den = math.lcm(*dens)
+    scales = [den // d for d in dens]
+    terms = []
+    for _ in range(x.depth):
+        if terms:
+            deltas = [m * e % d for m, e, d in zip(ms, deltas, dens)]
+        terms.append(max(min(e, d - e) * s for e, d, s in zip(deltas, dens, scales)))
+    terms.reverse()
+    return terms, den
+
+
+def _weighted_total(terms: Sequence[int]) -> int:
+    """sum_n 2^(K-n) * t_n, K = len(terms): the sum of 2^-n * t_n times 2^K,
+    added up in Horner form."""
+    total = 0
+    for t in terms:
+        total = 2 * total + t
+    return total
 
 
 def solenoid_distance(
@@ -672,22 +759,18 @@ def solenoid_distance(
     """Sum over shared levels of 2^-n times the torus distance.  The tail past
     depth K is bounded by solenoid_tail_bound(K), reported separately.
 
-    level_dists, when given, are those torus distances, already computed.
     The power map takes a coordinate's denominator to a divisor of it, so
-    each distance has a denominator dividing the lcm D of the deepest
-    coordinates' denominators, and the sum is added up in integers over the
-    common denominator 2^K * D."""
-    if x.moduli != y.moduli:
-        raise ValueError("points from different solenoid products")
-    if x.depth != y.depth:
-        raise DepthMismatch(f"depth {x.depth} vs {y.depth}")
+    each level's distance has a denominator dividing the lcm D of the
+    deepest coordinates' denominators (_level_dist_terms), and the sum is
+    added up in integers over the common denominator 2^K * D.  level_dists,
+    when given, are those torus distances, already computed."""
     if level_dists is None:
-        level_dists = [torus_dist(a, b) for a, b in zip(x.levels, y.levels)]
-    den = math.lcm(*(c.denominator for c in x.levels[-1].coords + y.levels[-1].coords))
-    total = 0
-    for dist in level_dists:
-        total = 2 * total + dist.numerator * (den // dist.denominator)
-    return Fraction(total, den << len(level_dists))
+        terms, den = _level_dist_terms(x, y)
+    else:
+        _check_pair(x, y)
+        den = math.lcm(*(c.denominator for c in x.deepest.coords + y.deepest.coords))
+        terms = [d.numerator * (den // d.denominator) for d in level_dists]
+    return Fraction(_weighted_total(terms), den << len(terms))
 
 
 def solenoid_tail_bound(depth: int) -> Fraction:

@@ -21,10 +21,16 @@ only the matched samples are threaded; that the rest could be threaded too
 is checked exactly, as f(L_{k+1}) covering L_k for every k >= N0.  So the
 sample is never built, and the cost of the check grows with the number of
 levels, not with the sample count; the intervals are compared in integers.
-Threading down tests membership only below a bonding the tower does not
-satisfy, since a proven bonding carries membership down from the start
-point; threading up takes, level by level, the first preimage in sorted
-order that lies in the next level.
+A threaded point is its deepest level (SolenoidPoint.from_deepest), coherent
+by construction and not re-checked.  Threading down tests membership only
+below a bonding the tower does not satisfy, since a proven bonding carries
+membership down from the start point, and builds a point only there, as a
+modular power of the start point; threading up takes, level by level, the
+first preimage in sorted order that lies in the next level.  The deep
+sample is placed on the deepest level's arcs in integers, and each
+candidate's level distances to its match come from the two deepest levels
+in integers (torus._level_dist_terms), so the epsilon/2 test and the
+weighted sum are integer comparisons.
 """
 
 import functools
@@ -42,19 +48,22 @@ from .hitting import (
 )
 from .lifting import PLLoop, admissible_winding, as_winding, image_set
 from .torus import (
+    Arc,
+    DepthMismatch,
     SegmentSet,
     SolenoidPoint,
     TorusPoint,
     _arc_dist_terms,
+    _level_dist_terms,
+    _power_image,
     _preimages,
-    apply_f,
+    _reduced_point,
+    _weighted_total,
     apply_f_set,
     base_point,
     components,
     preimage_set,
-    solenoid_distance,
     solenoid_tail_bound,
-    torus_dist,
 )
 
 
@@ -269,32 +278,28 @@ def coherent_point_through(
 
     The start point is tested.  Going down, f(x) lies in L_k whenever x lies
     in L_(k+1) and L_k covers f(L_(k+1)), so membership is tested only on a
-    level below an unproven bonding (Tower.bonded).  Going up, the
-    preimages come lazily in sorted order, so the least member is the first
-    one found, and the rest are never built; on a preimage level every
-    preimage is a member, so one membership test is all it takes."""
+    level below an unproven bonding (Tower.bonded), at f^j of the start
+    point, built there alone.  Going up, the preimages come lazily in
+    sorted order, so the least member is the first one found, and the rest
+    are never built; on a preimage level every preimage is a member, so one
+    membership test is all it takes.  The point is its deepest level, so
+    nothing below it is kept."""
     total = len(t.levels)
     if not 1 <= level_index <= total:
         raise ValueError(f"level index {level_index} outside 1..{total}")
     if not t.level(level_index).contains_point(point):
         raise MembershipFails(f"point not in level {level_index}")
-    seq: dict[int, TorusPoint] = {level_index: point}
     for idx in range(level_index - 1, 0, -1):
-        seq[idx] = apply_f(seq[idx + 1], t.moduli)
-        if not t.bonded[idx - 1] and not t.level(idx).contains_point(seq[idx]):
+        if not t.bonded[idx - 1] and not t.level(idx).contains_point(
+            _power_image(point, t.moduli, level_index - idx)
+        ):
             raise MembershipFails(f"forward image escapes level {idx}")
     for idx in range(level_index + 1, total + 1):
         level = t.level(idx)
-        nxt = next(
-            (q for q in _preimages(seq[idx - 1], t.moduli) if level.contains_point(q)),
-            None,
-        )
-        if nxt is None:
+        point = next((q for q in _preimages(point, t.moduli) if level.contains_point(q)), None)
+        if point is None:
             raise NoPreimageInLevel(f"no preimage of level-{idx - 1} point in level {idx}")
-        seq[idx] = nxt
-    return SolenoidPoint(
-        moduli=t.moduli, levels=tuple(seq[i] for i in range(1, total + 1))
-    )
+    return SolenoidPoint.from_deepest(t.moduli, point, total)
 
 
 def base_sample_count(loop: PLLoop, delta: Fraction) -> int:
@@ -413,24 +418,47 @@ def coherent_base_sample(
     }
 
 
+def _arc_point(arc: Arc, offset: int, scale: int) -> TorusPoint:
+    """arc.point_at(offset/scale), one Fraction per coordinate: the
+    parameter start + offset/scale is tn/e, and coordinate j,
+    a_j + (tn/e)*w_j, is taken over lcm(den a_j, e)."""
+    s = arc.start
+    e = math.lcm(s.denominator, scale)
+    tn = s.numerator * (e // s.denominator) + offset * (e // scale)
+    coords = []
+    for a, w in zip(arc.anchor, arc.direction):
+        d = math.lcm(a.denominator, e)
+        coords.append(Fraction((a.numerator * (d // a.denominator) + tn * w * (d // e)) % d, d))
+    return _reduced_point(tuple(coords))
+
+
 def coherent_deep_sample(t: Tower, count: int) -> list[SolenoidPoint]:
     """Coherent points threaded from `count` spread samples of the deepest
-    level; below the deepest level everything is determined by the map.
-    build_tower takes only an admissible winding, so that level has arcs."""
+    level, at the arc-length positions (2c+1)/(2*count) of its total
+    length, c = 0..count-1, walked over its arcs in order; below the
+    deepest level everything is determined by the map.  build_tower takes
+    only an admissible winding, so that level has arcs.
+
+    The walk runs in integers: with q the lcm of the arc lengths'
+    denominators, every position and arc length is held times 2*count*q,
+    and each sample point costs one Fraction per coordinate (_arc_point)."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     deepest = t.levels[-1]
-    total_idx = len(t.levels)
+    scale = 2 * count * math.lcm(*(arc.length.denominator for arc in deepest.arcs))
+    lengths = [arc.length.numerator * (scale // arc.length.denominator) for arc in deepest.arcs]
+    half_step = sum(lengths) // (2 * count)  # total length / (2*count), times scale
+    arcs = iter(zip(deepest.arcs, lengths))
+    arc, length = next(arcs)
+    walked = 0
     pts: list[TorusPoint] = []
-    total_len = deepest.total_arc_length()
-    positions = [Fraction(2 * c + 1, 2 * count) * total_len for c in range(count)]
-    walked = Fraction(0)
-    arc_iter = iter(deepest.arcs)
-    arc = next(arc_iter)
-    for pos in positions:
-        while pos > walked + arc.length:
-            walked += arc.length
-            arc = next(arc_iter)
-        pts.append(arc.point_at(pos - walked))
-    return [coherent_point_through(t, p, total_idx) for p in pts]
+    for c in range(count):
+        pos = (2 * c + 1) * half_step
+        while pos > walked + length:
+            walked += length
+            arc, length = next(arcs)
+        pts.append(_arc_point(arc, pos - walked, scale))
+    return [coherent_point_through(t, p, len(t.levels)) for p in pts]
 
 
 @dataclass(frozen=True)
@@ -450,46 +478,52 @@ def epsilon_bound_check(
     """For every candidate, find the first of the count uniform base-loop
     samples delta-close at level N0, thread it through the tower, then verify
     the first N0 coordinates stay epsilon/2-close and the weighted distance
-    (plus its truncation tail bound) stays below epsilon.  Each candidate's
-    torus distances to its match are computed once, level by level, and
-    serve both tests."""
-    n0 = t.params.n0
+    (plus its truncation tail bound) stays below epsilon.
+
+    Every candidate must be a point of the tower's moduli and depth, which
+    is checked before any distance.  Each candidate's level distances to its
+    match come from the two deepest levels as integers over one denominator
+    D (_level_dist_terms) and serve both tests, so the tests are integer
+    comparisons; a Fraction is built only for the reported maxima.  Every
+    point has the tower's depth, so the tail bound is one constant, and the
+    largest distance with its tail is the largest distance plus it."""
+    if not candidates:
+        raise ValueError("need at least one candidate")
+    n0, total = t.params.n0, len(t.levels)
     eps, delta = t.params.epsilon, t.params.delta
-    half_eps = eps / 2
     for p in candidates:
         if p.depth < n0:
             raise DepthTooSmall(f"point depth {p.depth} below N0 = {n0}")
+        if p.moduli != t.moduli:
+            raise ValueError("points from different solenoid products")
+        if p.depth != total:
+            raise DepthMismatch(f"depth {p.depth} vs {total}")
     ok = True
     matched = 0
-    worst: Fraction | None = None
-    worst_tail: Fraction | None = None
-    firsts = [
-        first_close_sample(t.base_loop, count, c.levels[n0 - 1], delta)
-        for c in candidates
-    ]
+    worst: tuple[int, int] | None = None  # the largest distance, as (num, full)
+    firsts = [first_close_sample(t.base_loop, count, c.level(n0), delta) for c in candidates]
     bases = coherent_base_sample(t, count, (i for i in firsts if i is not None))
     for cand, first in zip(candidates, firsts):
         if first is None:
             ok = False
             continue
-        match = bases[first]
         matched += 1
-        dists = [torus_dist(a, b) for a, b in zip(cand.levels, match.levels)]
-        if any(d >= half_eps for d in dists[:n0]):
-            ok = False
+        terms, den = _level_dist_terms(cand, bases[first])
+        if any(2 * n * eps.denominator >= eps.numerator * den for n in terms[:n0]):
+            ok = False  # some level n <= N0 is at least epsilon/2 apart
             continue
-        dist = solenoid_distance(cand, match, dists)
-        with_tail = dist + solenoid_tail_bound(cand.depth)
-        if worst is None or dist > worst:
-            worst = dist
-        if worst_tail is None or with_tail > worst_tail:
-            worst_tail = with_tail
-        if not (dist < eps and with_tail < eps):
+        num, full = _weighted_total(terms), den << total  # the distance is num/full
+        if worst is None or num * worst[1] > worst[0] * full:
+            worst = (num, full)
+        # distance + tail = (2*num + D) / (2*full); the tail is positive, so
+        # this below epsilon puts the distance below it too
+        if (2 * num + den) * eps.denominator >= 2 * full * eps.numerator:
             ok = False
+    max_distance = None if worst is None else Fraction(*worst)
     return EpsilonCheck(
         ok=ok,
         candidates=len(candidates),
         matched=matched,
-        max_distance=worst,
-        max_distance_with_tail=worst_tail,
+        max_distance=max_distance,
+        max_distance_with_tail=None if worst is None else max_distance + solenoid_tail_bound(total),
     )

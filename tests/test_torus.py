@@ -28,7 +28,13 @@ from fupcon.torus import (
     torus_dist,
     write_segment_set_csv,
 )
-from fupcon.torus import _anchor_for, _anchor_plan, _cross_intersections, _preimages
+from fupcon.torus import (
+    _anchor_for,
+    _anchor_plan,
+    _cross_intersections,
+    _level_dist_terms,
+    _preimages,
+)
 
 M23 = Moduli.of(2, 3)
 
@@ -795,6 +801,52 @@ def test_coherence_check_matches_the_fraction_oracle(case, shift):
             else:
                 with pytest.raises(ValueError, match="not coherent"):
                     SolenoidPoint(moduli, bent)
+
+
+@settings(max_examples=150)
+@given(threaded_pair())
+def test_integer_level_distances_match_the_fraction_oracle(case):
+    """Every level's distance, from the two deepest levels alone, against
+    the torus distance of the explicit levels."""
+    moduli, (xs, ys) = case
+    x, y = SolenoidPoint(moduli, xs), SolenoidPoint(moduli, ys)
+    terms, den = _level_dist_terms(x, y)
+    assert den == math.lcm(*(c.denominator for c in xs[-1].coords + ys[-1].coords))
+    assert [Fraction(n, den) for n in terms] == [
+        fraction_torus_dist(a, b) for a, b in zip(xs, ys)
+    ]
+
+
+@settings(max_examples=150)
+@given(threaded_pair())
+def test_a_point_built_from_its_deepest_level_passes_the_coherence_check(case):
+    """from_deepest makes no coherence check; the levels it derives pass the
+    check of SolenoidPoint(moduli, levels), and both give one point with one
+    hash."""
+    moduli, (xs, ys) = case
+    z = SolenoidPoint.from_deepest(moduli, xs[-1], len(xs))
+    checked = SolenoidPoint(moduli, z.levels)
+    assert checked == z == SolenoidPoint(moduli, xs)
+    assert hash(checked) == hash(z)
+    assert z.levels == xs
+    assert all(TorusPoint(c.coords) == c for c in z.levels)  # already reduced
+    assert [z.level(k) for k in range(1, z.depth + 1)] == list(z.levels)
+    assert SolenoidPoint.from_deepest(moduli, xs[-1], len(xs) + 1) != z
+    if ys[-1] != xs[-1]:
+        assert SolenoidPoint.from_deepest(moduli, ys[-1], len(xs)) != z
+
+
+def test_solenoid_point_levels_are_one_based_and_bounded():
+    z = _coherent([(Fr(1, 2), Fr(1, 3)), (Fr(1, 4), Fr(1, 9))])
+    assert z.deepest == TorusPoint((Fr(1, 4), Fr(1, 9)))
+    assert (z.level(1), z.level(2)) == z.levels
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            z.level(k)
+    with pytest.raises(ValueError, match="at least one level"):
+        SolenoidPoint.from_deepest(M23, z.deepest, 0)
+    with pytest.raises(torus.DimensionMismatch):
+        SolenoidPoint.from_deepest(M23, TorusPoint((Fr(1, 2),)), 2)
 
 
 def enumerated_arc_point_params(arc, x):

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fupcon.exact_arith import Moduli
 from fupcon.lifting import NonadmissibleWinding, PLLoop
 from fupcon.torus import (
+    DepthMismatch,
     SegmentSet,
     SolenoidPoint,
     TorusPoint,
@@ -20,10 +21,12 @@ from fupcon.torus import (
     arc_dist,
     base_point,
     f_preimages,
+    preimage_set,
     torus_dist,
 )
 from fupcon.tower import (
     DepthTooSmall,
+    EpsilonCheck,
     MembershipFails,
     NoPreimageInLevel,
     TowerParams,
@@ -388,6 +391,139 @@ def test_epsilon_check_needs_depth():
     shallow = SolenoidPoint(M23, base.levels[:2])
     with pytest.raises(DepthTooSmall):
         epsilon_bound_check(t, count, [shallow])
+
+
+def fraction_epsilon_check(t, count, candidates):
+    """Oracle for epsilon_bound_check: the torus distance of the explicit
+    levels, level by level, the weighted sum and its tail in Fractions.
+    Also returns the epsilons at which a test of some candidate is decided
+    by equality: twice each distance of the first N0 levels, and each
+    distance plus its tail."""
+    n0, eps, delta = t.params.n0, t.params.epsilon, t.params.delta
+    firsts = [first_close_sample(t.base_loop, count, c.levels[n0 - 1], delta) for c in candidates]
+    bases = coherent_base_sample(t, count, [i for i in firsts if i is not None])
+    ok, matched, passed, edges = True, 0, [], set()
+    for cand, first in zip(candidates, firsts):
+        if first is None:
+            ok = False
+            continue
+        matched += 1
+        dists = [torus_dist(a, b) for a, b in zip(cand.levels, bases[first].levels)]
+        dist = sum(Fr(1, 2**n) * d for n, d in enumerate(dists, start=1))
+        with_tail = dist + Fr(1, 2 ** (len(dists) + 1))
+        edges |= {2 * d for d in dists[:n0]} | {with_tail}
+        if any(d >= eps / 2 for d in dists[:n0]):
+            ok = False
+            continue
+        passed.append((dist, with_tail))
+        if not (dist < eps and with_tail < eps):
+            ok = False
+    worst = max(passed) if passed else (None, None)
+    return EpsilonCheck(ok, len(candidates), matched, *worst), edges
+
+
+def test_integer_epsilon_check_agrees_with_the_fraction_oracle():
+    """At the tower's delta and at looser ones, so that the epsilon/2 test
+    can fail, and at every epsilon where a test is decided by equality."""
+    verdicts = set()
+    for moduli, s, epsilon in THREADING_TOWERS:
+        t = threading_tower(moduli, s, epsilon)
+        cands = coherent_deep_sample(t, 8)
+        count = base_sample_count(t.base_loop, t.params.delta)
+        for delta in (t.params.delta, epsilon / 8, epsilon * Fr(9, 10)):
+            loosened = dataclasses.replace(t, params=dataclasses.replace(t.params, delta=delta))
+            _, edges = fraction_epsilon_check(loosened, count, cands)
+            for eps in sorted(edges | {epsilon}):
+                try:
+                    params = dataclasses.replace(t.params, epsilon=eps, delta=delta)
+                except ValueError:  # 2^-N0 or delta not below this epsilon
+                    continue
+                at = dataclasses.replace(t, params=params)
+                want, _ = fraction_epsilon_check(at, count, cands)
+                assert epsilon_bound_check(at, count, cands) == want
+                verdicts.add(want.ok)
+    assert verdicts == {True, False}
+
+
+def test_epsilon_check_needs_the_towers_depth_and_moduli():
+    """A candidate as deep as N0 but not as the tower, or of other moduli,
+    is refused before any distance is taken, even after a good one."""
+    t = good_tower()
+    count = base_sample_count(t.base_loop, t.params.delta)
+    good = coherent_deep_sample(t, 1)[0]
+    short = SolenoidPoint(M23, good.levels[:4])
+    assert short.depth >= t.params.n0
+    with pytest.raises(DepthMismatch, match="depth 4 vs 6"):
+        epsilon_bound_check(t, count, [good, short])
+    other = SolenoidPoint.from_deepest(Moduli.of(2, 5), good.deepest, len(t.levels))
+    with pytest.raises(ValueError, match="different solenoid products"):
+        epsilon_bound_check(t, count, [good, other])
+
+
+def test_epsilon_check_needs_a_candidate():
+    """With no candidate nothing is checked, which is not a pass."""
+    with pytest.raises(ValueError, match="at least one candidate"):
+        epsilon_bound_check(good_tower(), 55, [])
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_deep_sample_needs_a_positive_count(count):
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        coherent_deep_sample(good_tower(), count)
+
+
+def fraction_deep_positions(t, count):
+    """Oracle for the integer position walk of coherent_deep_sample: the
+    same walk over the deepest level's arcs, held in Fractions."""
+    deepest = t.levels[-1]
+    total_len = deepest.total_arc_length()
+    positions = [Fr(2 * c + 1, 2 * count) * total_len for c in range(count)]
+    pts = []
+    walked = Fr(0)
+    arc_iter = iter(deepest.arcs)
+    arc = next(arc_iter)
+    for pos in positions:
+        while pos > walked + arc.length:
+            walked += arc.length
+            arc = next(arc_iter)
+        pts.append(arc.point_at(pos - walked))
+    return pts
+
+
+def several_arc_tower(t, cuts):
+    """t with its deepest level replaced by the preimage of the pieces
+    [a, a + l] (a, l in cuts, as fractions of its length) of the first arc
+    of the level below, so that it has several arcs of unequal lengths, and
+    still maps into the level below."""
+    arc = t.levels[-2].arcs[0]
+    pieces = SegmentSet.from_segments(
+        dataclasses.replace(arc, start=arc.start + a * arc.length, length=l * arc.length)
+        .to_segment()
+        for a, l in cuts
+    )
+    deepest = preimage_set(pieces, t.moduli)
+    return dataclasses.replace(t, levels=t.levels[:-1] + (deepest,))
+
+
+@pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
+@pytest.mark.parametrize("cuts", [
+    ((Fr(0), Fr(1, 4)), (Fr(1, 3), Fr(1, 2))),
+    ((Fr(1, 10), Fr(1, 5)), (Fr(2, 5), Fr(1, 20)), (Fr(3, 5), Fr(1, 3))),
+])
+def test_integer_deep_sample_walk_agrees_with_the_fraction_walk(moduli, s, epsilon, cuts):
+    t = several_arc_tower(threading_tower(moduli, s, epsilon), cuts)
+    deepest = t.levels[-1]
+    assert len({arc.length for arc in deepest.arcs}) == len(cuts)
+    assert len(deepest.arcs) > len(cuts)
+    ends = set(itertools.accumulate(arc.length for arc in deepest.arcs))
+    total = deepest.total_arc_length()
+    on_an_end = 0
+    for count in range(1, 31):
+        points = coherent_deep_sample(t, count)
+        assert [z.deepest for z in points] == fraction_deep_positions(t, count)
+        assert {z.depth for z in points} == {len(t.levels)}
+        on_an_end += sum(Fr(2 * c + 1, 2 * count) * total in ends for c in range(count))
+    assert on_an_end  # some position falls on the end of an arc
 
 
 def test_uncovered_level_past_n0_has_no_preimage():
