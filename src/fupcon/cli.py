@@ -33,8 +33,7 @@ from .hitting import (
     hitting_check,
     level_condition,
     minimal_level,
-    preimage_connected_check,
-    preimage_equality_check,
+    preimage_checks,
     valuation_level,
 )
 from .lifting import PLLoop, WindingVector, image_set
@@ -134,8 +133,7 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
     for n in range(n_lo, n_hi + 1):
         condition = level_condition(w, moduli, n)
         hit = hitting_check(w, moduli, n, guard)
-        eq = preimage_equality_check(w, moduli, n, guard)
-        conn, count = preimage_connected_check(w, moduli, n, guard)
+        eq, conn, count = preimage_checks(w, moduli, n, guard)
         if hit != condition:
             ok = False
         if hit and not (eq and conn):

@@ -4,14 +4,19 @@ For a winding s and moduli M, the stage-(n+1) standard lift hits all
 prod(m_i) preimages of the base point exactly when gcd(s_i, m_i^(n+1))
 divides m_i^n for every i.  One construction gives the explicit
 integer-time witnesses: the least solution of s_i * k = j_i * m_i^n
-(mod m_i^(n+1)), one CRT call mod prod m_i per fiber point.  The valuation
-recipe k = u * x built from the splittings s_i = m_i^alpha_i * q_i (when
-they exist) is reported bookkeeping; where it applies, its witness is the
-same least solution.
+(mod m_i^(n+1)).  It is k = D * x with D = prod m_i^n / gcd(s_i, m_i^n) and
+x a CRT solution mod prod m_i, which is linear in the target: x is
+(sum_i j_i * b_i) mod prod m_i for a basis b_i formed once per stage
+(_witness_basis), so a certificate costs one basis and then a dot product
+per fiber point.  Every witness is still re-checked by direct evaluation
+where it is built, and again when the certificate is verified.  The
+valuation recipe k = u * x built from the splittings s_i = m_i^alpha_i * q_i
+(when they exist) is reported bookkeeping; where it applies, its witness is
+the same least solution.
 
 The geometric consequences — the preimage of the stage-n image equals the
 stage-(n+1) image, and that preimage is connected — are checked exactly on
-canonical segment sets.
+canonical segment sets, both from one preimage per stage (preimage_checks).
 """
 
 import itertools
@@ -166,6 +171,36 @@ def _fiber_target(w, moduli: Moduli, n: int, k: int) -> tuple[int, ...] | None:
     return tuple(js)
 
 
+def _witness_basis(w, moduli: Moduli, n: int) -> tuple[int, int, tuple[int, ...]]:
+    """(D, M, b) with every stage-n witness k = D * ((sum_i j_i * b_i) mod M)
+    for the target (j_1, ..., j_r); see crt_witness.  Precondition: the
+    divisibility condition holds at stage n.
+
+    D = prod d_i with d_i = m_i^n / gcd(s_i, m_i^n) and M = prod m_i.  x must
+    be c_i * j_i mod m_i for every i, c_i the inverse of (s_i / g_i) * D / d_i
+    mod m_i, so x is linear in j mod M: b_i = c_i * E_i mod M, E_i the CRT
+    idempotent (1 mod m_i, 0 mod every other m_l)."""
+    gs = [math.gcd(e, m**n) for e, m in zip(w, moduli)]
+    ds = [m**n // g for m, g in zip(moduli, gs)]
+    basis = []
+    for i, (e, m, g) in enumerate(zip(w, moduli, gs)):
+        # D / d_i mod m_i, from the other d_l reduced mod m_i
+        part = math.prod(d % m for l, d in enumerate(ds) if l != i)
+        c = pow(e // g * part % m, -1, m)
+        basis.append(crt_solve([c if l == i else 0 for l in range(moduli.r)], tuple(moduli)))
+    return math.prod(ds), moduli.product(), tuple(basis)
+
+
+def _basis_witness(w, moduli: Moduli, n: int, basis, target: tuple[int, ...]) -> int:
+    """The witness for target from the stage-n basis, re-checked by direct
+    evaluation; a failed re-check is an AssertionError."""
+    scale, mod, bs = basis
+    k = scale * (sum(j * b for j, b in zip(target, bs)) % mod)
+    if _fiber_target(w, moduli, n, k) != tuple(target):
+        raise AssertionError("witness construction produced a non-witness")
+    return k
+
+
 def crt_witness(
     s: WindingLike, moduli: Moduli, n: int, target: tuple[int, ...]
 ) -> int:
@@ -176,8 +211,9 @@ def crt_witness(
     condition makes g_i = gcd(s_i, m_i^n) = gcd(s_i, m_i^(n+1)), so the
     congruence says that k is a multiple of d_i = m_i^n / g_i and that
     (s_i / g_i) * k / d_i = target_i (mod m_i).  The d_i are pairwise coprime,
-    so k = D * x with D = prod d_i and x solved by one CRT call mod prod m_i:
-    all solutions form one class mod D * prod m_i, and D * x lies below it."""
+    so k = D * x with D = prod d_i and x the CRT solution mod prod m_i, taken
+    from the stage's basis (_witness_basis): all solutions form one class
+    mod D * prod m_i, and D * x lies below it."""
     w = as_winding(s)
     _require_dims(w, moduli)
     if len(target) != moduli.r:
@@ -187,17 +223,7 @@ def crt_witness(
             raise ValueError(f"target entry {j} outside 0..{m - 1}")
     if not level_condition(w, moduli, n):
         raise ConditionFails(f"divisibility condition fails at stage {n}")
-    gs = [math.gcd(e, m**n) for e, m in zip(w, moduli)]
-    ds = [m**n // g for m, g in zip(moduli, gs)]
-    residues = []
-    for i, (e, m, g, j) in enumerate(zip(w, moduli, gs, target)):
-        # D / d_i mod m_i, from the other d_l reduced mod m_i
-        part = math.prod(d % m for l, d in enumerate(ds) if l != i)
-        residues.append(j * pow(e // g * part % m, -1, m) % m)
-    k = math.prod(ds) * crt_solve(residues, tuple(moduli))
-    if _fiber_target(w, moduli, n, k) != tuple(target):
-        raise AssertionError("witness construction produced a non-witness")
-    return k
+    return _basis_witness(w, moduli, n, _witness_basis(w, moduli, n), target)
 
 
 def hitting_check(
@@ -229,18 +255,30 @@ def hitting_check(
     return False
 
 
+def preimage_checks(
+    s: WindingLike,
+    moduli: Moduli,
+    n: int,
+    size_guard: int = DEFAULT_SIZE_GUARD,
+) -> tuple[bool, bool, int]:
+    """(equal?, connected?, component count) of the full preimage of the
+    stage-n image: equal means equal to the stage-(n+1) image as exact point
+    sets.  The preimage is built once and serves all three."""
+    loop = PLLoop.straight(admissible_winding(s, moduli))
+    check_size(moduli, n + 2, size_guard)
+    pre = preimage_set(image_set(loop, n, moduli), moduli)
+    count = len(components(pre))
+    return pre == image_set(loop, n + 1, moduli), count == 1, count
+
+
 def preimage_equality_check(
     s: WindingLike,
     moduli: Moduli,
     n: int,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> bool:
-    """Does the full preimage of the stage-n image equal the stage-(n+1)
-    image, as exact point sets?"""
-    loop = PLLoop.straight(admissible_winding(s, moduli))
-    check_size(moduli, n + 2, size_guard)
-    stage_n = image_set(loop, n, moduli)
-    return preimage_set(stage_n, moduli) == image_set(loop, n + 1, moduli)
+    """preimage_checks' equality verdict alone."""
+    return preimage_checks(s, moduli, n, size_guard)[0]
 
 
 def preimage_connected_check(
@@ -249,11 +287,8 @@ def preimage_connected_check(
     n: int,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> tuple[bool, int]:
-    """(connected?, component count) of the preimage of the stage-n image."""
-    loop = PLLoop.straight(admissible_winding(s, moduli))
-    check_size(moduli, n + 2, size_guard)
-    comps = components(preimage_set(image_set(loop, n, moduli), moduli))
-    return len(comps) == 1, len(comps)
+    """preimage_checks' (connected?, component count) alone."""
+    return preimage_checks(s, moduli, n, size_guard)[1:]
 
 
 @dataclass(frozen=True)
@@ -285,14 +320,17 @@ def build_certificate(
     n: int,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> HittingCertificate:
-    """Assemble the full witness table at stage n (deterministic order)."""
+    """Assemble the full witness table at stage n (deterministic order): the
+    inputs and the condition are checked once, and every witness comes from
+    one basis (_witness_basis) and is re-checked as crt_witness's is."""
     w = as_winding(s)
     _require_dims(w, moduli)
     check_size(moduli, 1, size_guard)
     if not level_condition(w, moduli, n):
         raise ConditionFails(f"divisibility condition fails at stage {n}")
+    basis = _witness_basis(w, moduli, n)
     witnesses = tuple(
-        (target, crt_witness(w, moduli, n, target))
+        (target, _basis_witness(w, moduli, n, basis, target))
         for target in itertools.product(*(range(m) for m in moduli))
     )
     return HittingCertificate(

@@ -30,7 +30,11 @@ direction vector together with the lexicographically least of its points
 having integer pivot coordinate.  A segment then becomes an arc, an interval
 in the unit-speed parameterization of that circle, and overlapping/touching
 arcs on the same circle are merged into maximal ones.  Isolated points (from
-degenerate inputs such as constant loops) are carried separately.
+degenerate inputs such as constant loops) are carried separately.  The arcs
+are held in key order.  The keys are sorted as ints, each anchor coordinate
+a as a*L with L the lcm of every anchor denominator among them: L > 0, so
+this is exactly the order of the Fraction keys, without the Fraction
+comparisons.
 
 The canonical form decides the rest.  Arcs on one closed geodesic are
 disjoint and maximal, distinct parallel geodesics are disjoint, and
@@ -70,7 +74,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .exact_arith import Moduli, format_rational, frac_mod1, parse_rational
 
@@ -447,6 +451,16 @@ def _check_set_dims(s: SegmentSet, r: int):
         _check_dims(s.r, r)
 
 
+def _key_order(keys: Iterable) -> Callable[[tuple], tuple]:
+    """A sort key that orders geodesic keys (direction, anchor) exactly as
+    the keys themselves, compared as ints: each anchor coordinate a becomes
+    a*L, L the lcm of every anchor denominator among the keys.  Scaling by
+    L > 0 keeps the order and equality of the rationals, and every a*L is
+    an integer."""
+    scale = math.lcm(*{a.denominator for _, anchor in keys for a in anchor})
+    return lambda key: (key[0], [a.numerator * (scale // a.denominator) for a in key[1]])
+
+
 def _from_circle_intervals(grouped: dict, points: Iterable) -> SegmentSet:
     """The canonical set of closed circle intervals grouped by geodesic key
     {(direction, canonical anchor): [(start, length), ...]}, plus the given
@@ -455,7 +469,10 @@ def _from_circle_intervals(grouped: dict, points: Iterable) -> SegmentSet:
     dims = {len(w) for w, _ in grouped} | {q.r for q in pts}
     if len(dims) > 1:
         raise DimensionMismatch(f"pieces of dimensions {sorted(dims)}")
-    arcs = tuple(Arc(*k, s, l) for k in sorted(grouped) for s, l in _merge_on_circle(grouped[k]))
+    arcs = tuple(
+        Arc(*k, s, l) for k in sorted(grouped, key=_key_order(grouped))
+        for s, l in _merge_on_circle(grouped[k])
+    )
     bare = SegmentSet(arcs=arcs, points=())
     off_arcs = {q.coords for q in pts if not bare.contains_point(q)}
     return SegmentSet(arcs=arcs, points=tuple(sorted(off_arcs)))

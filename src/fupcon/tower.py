@@ -486,7 +486,13 @@ def epsilon_bound_check(
     D (_level_dist_terms) and serve both tests, so the tests are integer
     comparisons; a Fraction is built only for the reported maxima.  Every
     point has the tower's depth, so the tail bound is one constant, and the
-    largest distance with its tail is the largest distance plus it."""
+    largest distance with its tail is the largest distance plus it.
+
+    Under valid TowerParams (2^-N0 < epsilon/2) the epsilon/2 test implies
+    the weighted one: the first N0 levels add less than epsilon/2, and the
+    later levels, each at most 1/2 apart, add at most 2^-(N0+1) < epsilon/4
+    with the tail.  The weighted test is kept as the stated bound, and it
+    decides the verdict only at an epsilon set past that validation."""
     if not candidates:
         raise ValueError("need at least one candidate")
     n0, total = t.params.n0, len(t.levels)

@@ -117,6 +117,16 @@ GOLDEN = {
          "--size-guard", "10000000000"], 0,
         "7be8ba75ce6c02c9c8cb7431b568d1386faf814612ce22b9ff98f0bb6dc22ec4", {},
     ),
+    "certify-235711": (
+        ["certify", "--moduli", "2,3,5,7,11", "--winding", "2,3,5,7,11", "--range", "0..1",
+         "--size-guard", str(10**11)], 0,
+        "d6842cde42fbc05e2cd49ad55b6b0f3c1b3879265777001f70bb252a07bd4762", {},
+    ),
+    "certify-23571113": (  # the stage-0 preimage is 30,030 parallel geodesics
+        ["certify", "--moduli", "2,3,5,7,11,13", "--winding", "2,3,5,7,11,13",
+         "--range", "0..1", "--size-guard", str(10**14)], 0,
+        "012f23202604b221e5efa5f7cb1776bfee966807d9d36de53f7eeb9057a9e5e4", {},
+    ),
     "certify-835-835": (  # the stage-0 preimage is 120 parallel geodesics
         ["certify", "--moduli", "8,3,5", "--winding", "8,3,5", "--range", "0..0"], 0,
         "acd9e01819f0ec0423790e12b146743fad144a315a6888eaeed1ad5a4b793231", {},

@@ -6,7 +6,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fupcon.exact_arith import Moduli, NoDecomposition, crt_solve
 from fupcon.hitting import (
@@ -14,20 +14,23 @@ from fupcon.hitting import (
     HittingCertificate,
     SizeGuardExceeded,
     _fiber_target,
+    _witness_basis,
     build_certificate,
     crt_witness,
     hitting_check,
     level_condition,
     minimal_level,
+    preimage_checks,
     preimage_connected_check,
     preimage_equality_check,
     valuation_level,
     witness_recipe,
 )
-from fupcon.lifting import NonadmissibleWinding, PLLoop, image_period
+from fupcon.lifting import NonadmissibleWinding, PLLoop, image_period, image_set
 from fupcon.torus import TorusPoint
 
 from test_lifting import standard_lift_points
+from test_torus import pairwise_components, sheet_preimage
 
 M23 = Moduli.of(2, 3)
 M4 = Moduli.of(4)
@@ -370,3 +373,73 @@ def test_fiber_target_matches_fraction_oracle(case):
     }
     for k, point in enumerate(standard_lift_points(s, n + 1, moduli, count)):
         assert _fiber_target(s, moduli, n, k) == fiber.get(point)
+
+
+def crt_solve_witness(s, moduli, n, target):
+    """Oracle for the basis witness: k = D * x with x one crt_solve call mod
+    prod m_i per target, the residues c_i * j_i mod m_i."""
+    gs = [math.gcd(e, m**n) for e, m in zip(s, moduli)]
+    ds = [m**n // g for m, g in zip(moduli, gs)]
+    residues = []
+    for i, (e, m, g, j) in enumerate(zip(s, moduli, gs, target)):
+        part = math.prod(d % m for l, d in enumerate(ds) if l != i)
+        residues.append(j * pow(e // g * part % m, -1, m) % m)
+    return math.prod(ds) * crt_solve(residues, tuple(moduli))
+
+
+@st.composite
+def basis_case(draw):
+    """An admissible winding, moduli, a stage at or past the minimal one and
+    a random target."""
+    s, moduli = draw(st.one_of(
+        high_valuation_case(),
+        sweep_case().map(lambda case: case[:2]),
+    ))
+    n = minimal_level(s, moduli) + draw(st.integers(0, 3))
+    target = tuple(draw(st.integers(0, m - 1)) for m in moduli)
+    return s, moduli, n, target
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_case())
+def test_basis_witness_is_the_crt_solve_witness(case):
+    s, moduli, n, target = case
+    want = crt_solve_witness(s, moduli, n, target)
+    assert crt_witness(s, moduli, n, target) == want
+    scale, period, basis = _witness_basis(s, moduli, n)
+    assert scale * (sum(j * b for j, b in zip(target, basis)) % period) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(sweep_case())
+def test_certificate_witnesses_are_the_crt_solve_witnesses(case):
+    s, moduli, n = case
+    assume(level_condition(s, moduli, n))
+    cert = build_certificate(s, moduli, n)
+    assert cert.verify()
+    assert all(k == crt_solve_witness(s, moduli, n, t) for t, k in cert.witnesses)
+
+
+@st.composite
+def preimage_check_case(draw):
+    moduli = Moduli(draw(st.sampled_from([(2, 3), (2, 5), (3, 4), (4, 9), (2, 3, 5)])))
+    entry = st.integers(min_value=1, max_value=30)
+    s = tuple(draw(entry) * draw(st.sampled_from([1, -1])) for _ in moduli)
+    return s, moduli, draw(st.integers(0, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(preimage_check_case())
+@example(((2, 3), M23, 0))  # 2 components, and not the stage-1 image
+def test_preimage_checks_match_the_sheet_oracle(case):
+    # the oracle builds every sheet of the stage-n image and recanonicalizes,
+    # and joins its pieces by pairwise intersection
+    s, moduli, n = case
+    loop = PLLoop.straight(s)
+    pre = sheet_preimage(image_set(loop, n, moduli), moduli)
+    count = len(pairwise_components(pre))
+    want = (pre == image_set(loop, n + 1, moduli), count == 1, count)
+    guard = 10**9  # (2,3,5) at stage 2 needs 30^4
+    assert preimage_checks(s, moduli, n, guard) == want
+    assert preimage_equality_check(s, moduli, n, guard) is want[0]
+    assert preimage_connected_check(s, moduli, n, guard) == want[1:]

@@ -32,6 +32,7 @@ from fupcon.torus import (
     _anchor_for,
     _anchor_plan,
     _cross_intersections,
+    _key_order,
     _level_dist_terms,
     _preimages,
 )
@@ -1074,3 +1075,30 @@ def test_indexed_membership_matches_scan_on_random_sets(raw, isolated, picks):
         probes.append(TorusPoint((start[0] + off, start[1])))
     for p in probes:
         assert s.contains_point(p) == scanned_contains_point(s, p)
+
+
+@st.composite
+def geodesic_keys(draw):
+    """Distinct geodesic keys (direction, anchor) in one dimension, drawn
+    from few directions and few coordinate values, so that keys often share
+    their direction and leading anchor coordinates; the anchors mix
+    denominators, ints among them."""
+    r = draw(st.integers(1, 4))
+    coord = st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda x: x < 1),
+        st.just(0),
+    )
+    values = draw(st.lists(coord, min_size=1, max_size=4))
+    directions = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * r), min_size=1, max_size=3))
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(directions), st.tuples(*[st.sampled_from(values)] * r)),
+        max_size=30,
+    ))
+    return list(dict.fromkeys(keys))
+
+
+@settings(max_examples=300, deadline=None)
+@given(geodesic_keys())
+@example([((1, 1), (Fr(0), Fr(1, 3))), ((1, 1), (0, Fr(1, 2))), ((1, 0), (Fr(2, 5), 0))])
+def test_integer_key_order_is_the_fraction_order(keys):
+    assert sorted(keys, key=_key_order(keys)) == sorted(keys)

@@ -445,6 +445,30 @@ def test_integer_epsilon_check_agrees_with_the_fraction_oracle():
     assert verdicts == {True, False}
 
 
+def test_epsilon_check_counts_the_tail():
+    """Under valid TowerParams the epsilon/2 test implies the weighted one,
+    so only an epsilon set past validation shows that the tail is added:
+    at epsilon = max_distance_with_tail the epsilon/2 test passes and the
+    weighted test alone fails; just above it both pass."""
+    params = choose_params(Fr(1), M23, (1, 1))
+    t = build_tower(PLLoop.straight((1, 1)), params, M23)
+    count = base_sample_count(t.base_loop, params.delta)
+    cands = coherent_deep_sample(t, 20)
+    edge = epsilon_bound_check(t, count, cands).max_distance_with_tail
+    n0 = params.n0
+    firsts = [first_close_sample(t.base_loop, count, c.level(n0), params.delta) for c in cands]
+    bases = coherent_base_sample(t, count, firsts)
+    half = max(
+        torus_dist(c.level(k), bases[first].level(k))
+        for c, first in zip(cands, firsts) for k in range(1, n0 + 1)
+    )
+    assert 2 * half < edge  # the epsilon/2 test passes at the edge
+    object.__setattr__(params, "epsilon", edge)  # test-only: skips validation
+    assert not epsilon_bound_check(t, count, cands).ok
+    object.__setattr__(params, "epsilon", edge + Fr(1, 10**12))
+    assert epsilon_bound_check(t, count, cands).ok
+
+
 def test_epsilon_check_needs_the_towers_depth_and_moduli():
     """A candidate as deep as N0 but not as the tower, or of other moduli,
     is refused before any distance is taken, even after a good one."""
