@@ -112,6 +112,12 @@ def _default_guard() -> int:
     return guard
 
 
+def _row(record) -> dict:
+    """A dataclass record's fields by name, shallowly: report rows hold only
+    immutable values, which dataclasses.asdict would deep-copy."""
+    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)}
+
+
 def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
     n_lo, n_hi = _parse_range(args.stage_range)
     values, entries = _parse_ints(args.moduli), _parse_ints(args.winding)
@@ -163,7 +169,7 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
             "witnesses": [
                 {"target": list(t), "time": k} for t, k in cert.witnesses
             ],
-            "recipe": None if cert.recipe is None else dataclasses.asdict(cert.recipe),
+            "recipe": None if cert.recipe is None else _row(cert.recipe),
             "verified": verified,
         }
     report = {
@@ -234,7 +240,7 @@ def cmd_tower(args: argparse.Namespace) -> tuple[dict, int]:
                 "valuation_level": params.valuation,
                 "minimal_level": params.minimal,
             },
-            "levels": [dataclasses.asdict(c) for c in report_levels.checks],
+            "levels": [_row(c) for c in report_levels.checks],
             "epsilon_check": {
                 "ok": eps_check.ok,
                 "candidates": eps_check.candidates,

@@ -10,10 +10,12 @@ where t_i = 0 the entry stays s_i != 0, and where t_i != 0 the bound gives
 
 The literal loop is built in one pass: with straight-line representatives
 every breakpoint is an integer partial sum of the injected windings, the
-last stage's loop first, and the first family loop closes it up.
+last stage's loop first, and the first family loop closes it up; each
+coordinate's partial sums are one running sum of its column of moves.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from operator import add
 from typing import Sequence
 
@@ -118,9 +120,9 @@ def design_all_nonzero(
 
     The loop has 2 + sum(l) breakpoints of r coordinates each, l the
     repetition counts; that size is checked against size_guard before any
-    breakpoint is built.  The breakpoints are built in one pass of integer
-    partial sums: from the origin, each stage's injected winding is added
-    l times, the last stage first, and then the first family loop."""
+    breakpoint is built.  The breakpoints are the integer running sums of the
+    moves, one coordinate at a time: from the origin, each stage's injected
+    winding l times, the last stage first, and then the first family loop."""
     loops = [as_winding(s) for s in family]
     if not loops:
         raise BadInputFamily("empty family")
@@ -153,15 +155,12 @@ def design_all_nonzero(
     if not current.admissible:
         raise PreconditionViolated("combined winding has a zero entry")
     check_size((), 0, size_guard, (2 + sum(coefficients[1:]), r))
-    cur = (0,) * r
-    breakpoints = [cur]
-    for step in reversed(steps):
-        t = step.injected.entries
-        for _ in range(step.repetitions):
-            cur = tuple(map(add, cur, t))
-            breakpoints.append(cur)
-    breakpoints.append(tuple(map(add, cur, loops[0])))
-    pl = PLLoop(tuple(breakpoints))
+    moves = [step.injected.entries for step in reversed(steps)] + [loops[0].entries]
+    counts = [step.repetitions for step in reversed(steps)] + [1]
+    # a coordinate's column of moves, each entry repeated its count: formed
+    # from the r-by-r moves, not by transposing the 1 + sum(l) repeated ones
+    columns = (chain.from_iterable(map(repeat, col, counts)) for col in zip(*moves))
+    pl = PLLoop(tuple(zip(*(accumulate(col, add, initial=0) for col in columns))))
     if pl.winding() != current:
         raise PreconditionViolated("assembled loop misses the combined winding")
     return NonvanishingDesign(

@@ -614,9 +614,11 @@ def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
         g = scale.denominator  # w/m = u/g: gcd(w) = 1, so scale = 1/g
         cosets = moduli.product() // g
         for anchor, arcs in geodesics.items():
+            # (a + c)/m = (n + c*d)/(m*d) for a = n/d: one Fraction per coordinate
+            fracs = [(a.numerator, a.denominator, m) for a, m in zip(anchor, moduli)]
             for c in range(cosets):
                 key_anchor, tau = _anchor_for(
-                    tuple((a + c) / m for a, m in zip(anchor, moduli)), u
+                    tuple(Fraction(n + c * d, m * d) for n, d, m in fracs), u
                 )
                 intervals = grouped.setdefault((u, key_anchor), [])
                 for arc in arcs:

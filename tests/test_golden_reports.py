@@ -3,6 +3,8 @@ set of CLI runs.  A change that must keep reports byte-identical keeps these
 hashes; a change that alters a report on purpose updates them and says why."""
 
 import hashlib
+import json
+import os
 
 import pytest
 
@@ -244,3 +246,29 @@ def test_golden_report(name, tmp_path, monkeypatch, capsys):
     assert written == sorted(csv_shas)
     for fname, sha in csv_shas.items():
         assert _sha256((out / fname).read_bytes()) == sha, fname
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_stdout_is_canonical_json(name, tmp_path, monkeypatch, capsys):
+    # json's own writer as the oracle, so a re-recorded hash cannot hold a
+    # renderer fault
+    argv, code, _, _ = GOLDEN[name]
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_export_report_names_an_escaped_out_dir(tmp_path, monkeypatch, capsys):
+    out_dir = 'café "q" back\\slash'
+    monkeypatch.chdir(tmp_path)
+    argv = ["export", "--moduli", "2,3", "--winding", "1,1", "--image-n", "0",
+            "--out-dir", out_dir]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.isascii()
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    report = json.loads(out)
+    assert report["inputs"]["out_dir"] == out_dir
+    assert report["results"]["files"] == [os.path.join(out_dir, "image_stage_0.csv")]
+    assert (tmp_path / out_dir / "image_stage_0.csv").is_file()

@@ -43,10 +43,12 @@ class PlainModuli(tuple):
 
 
 STAGES = range(3)
-# (m, m) with its coprime partner (m, m'), both on windings (1,1), (1,m+1)
+# (m, m) with its coprime partner (m, m'), both on windings (1,1), (1,m+1);
+# m = 4 is a prime power that is not prime.  A winding entry sharing a factor
+# with m, such as (2,3) on (4, 4), is not in the scope of these assertions
 CASES = [
     (m, partner, w)
-    for m, partner in ((2, 3), (3, 4))
+    for m, partner in ((2, 3), (3, 4), (4, 3))
     for w in ((1, 1), (1, m + 1))
 ]
 
