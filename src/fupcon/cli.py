@@ -129,9 +129,9 @@ def cmd_certify(args: argparse.Namespace) -> tuple[dict, int]:
     except NoDecomposition as exc:
         val, val_note = None, str(exc)
     mini = minimal_level(w, moduli)
-    # one guard for the whole range, before any stage forms m^(n + 1): the
-    # hitting sweep's period is at most prod m^(n_hi + 1), and the bound
-    # prod m^(n_hi + 2) is kept so that no input changes its exit code
+    # one guard for the whole range, before any stage forms m^(n + 1) (the
+    # sweep's period is at most prod m^(n_hi + 1)); the exponent n_hi + 2 is
+    # kept only so that exit codes stay fixed
     check_size(moduli, n_hi + 2, guard)
     levels = []
     ok = True

@@ -15,8 +15,9 @@ valuation recipe k = u * x built from the splittings s_i = m_i^alpha_i * q_i
 the same least solution.
 
 The geometric consequences — the preimage of the stage-n image equals the
-stage-(n+1) image, and that preimage is connected — are checked exactly on
-canonical segment sets, both from one preimage per stage (preimage_checks).
+stage-(n+1) image, and that preimage is connected — are read off the count
+of its parallel geodesics, once per stage (preimage_checks), with no segment
+set built; the coset build (preimage_set) is the tests' oracle for it.
 """
 
 import itertools
@@ -31,15 +32,14 @@ from .exact_arith import (
     madic_decomposition,
 )
 from .lifting import (
-    PLLoop,
     WindingLike,
     WindingVector,
     admissible_winding,
     as_winding,
+    image_direction,
     image_period,
-    image_set,
 )
-from .torus import components, preimage_set
+from .torus import preimage_geodesics
 
 DEFAULT_SIZE_GUARD = 10**6
 
@@ -262,13 +262,15 @@ def preimage_checks(
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> tuple[bool, bool, int]:
     """(equal?, connected?, component count) of the full preimage of the
-    stage-n image: equal means equal to the stage-(n+1) image as exact point
-    sets.  The preimage is built once and serves all three."""
-    loop = PLLoop.straight(admissible_winding(s, moduli))
+    stage-n image, equal meaning equal to the stage-(n+1) image.  The
+    stage-n image is the closed geodesic through 0 of direction
+    image_direction(s, n), so its preimage is count disjoint parallel
+    geodesics (preimage_geodesics).  For count 1 that is the one through 0,
+    equal to the stage-(n+1) image exactly when it has its direction."""
+    w = admissible_winding(s, moduli)
     check_size(moduli, n + 2, size_guard)
-    pre = preimage_set(image_set(loop, n, moduli), moduli)
-    count = len(components(pre))
-    return pre == image_set(loop, n + 1, moduli), count == 1, count
+    u, _, count = preimage_geodesics(image_direction(w, n, moduli), moduli)
+    return count == 1 and u == image_direction(w, n + 1, moduli), count == 1, count
 
 
 def preimage_equality_check(

@@ -223,17 +223,19 @@ def image_period(s: WindingLike, n: int, moduli: Moduli) -> int:
     return math.lcm(*(m**n // math.gcd(abs(e), m**n) for e, m in zip(w, moduli)))
 
 
-def image_set(loop: PLLoop, n: int, moduli: Moduli) -> SegmentSet:
-    """Image of the stage-n lift of a straight loop as a canonical segment set.
+def image_direction(s: WindingLike, n: int, moduli: Moduli) -> tuple[int, ...]:
+    """Primitive direction of the stage-n image of the straight loop of
+    winding s: over one period P = image_period(s, n) its lift runs from 0
+    to the integer vector (s_i * P / m_i^n), and later periods retrace it."""
+    period = image_period(s, n, moduli)
+    return _primitive(tuple(e * period // m**n for e, m in zip(as_winding(s), moduli)))[0]
 
-    Over one period P = image_period(s, n) the lift of the straight loop of
-    winding s is the segment from 0 to the integer vector (s_i * P / m_i^n);
-    later periods retrace it.  So the image is the full closed geodesic of
-    its primitive direction anchored at the origin (pivot entry 0, and
-    lexicographically least)."""
+
+def image_set(loop: PLLoop, n: int, moduli: Moduli) -> SegmentSet:
+    """Image of the stage-n lift of a straight loop as a canonical segment
+    set: the full closed geodesic of direction image_direction anchored at
+    the origin (pivot entry 0, and lexicographically least)."""
     if loop.pieces != 1:
         raise ValueError("image_set takes a straight loop (one piece)")
-    w = loop.winding()
-    period = image_period(w, n, moduli)
-    u, _ = _primitive(tuple(e * period // m**n for e, m in zip(w, moduli)))
-    return SegmentSet(arcs=(Arc(u, (Fraction(0),) * w.r, *_FULL),), points=())
+    u = image_direction(loop.winding(), n, moduli)
+    return SegmentSet(arcs=(Arc(u, (Fraction(0),) * len(u), *_FULL),), points=())

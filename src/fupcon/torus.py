@@ -590,6 +590,15 @@ def apply_f_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     return _from_circle_intervals(grouped, pts)
 
 
+def preimage_geodesics(w: tuple[int, ...], moduli: Moduli) -> tuple[tuple[int, ...], int, int]:
+    """(u, g, M/g) with u = primitive(w_i/m_i) and w/m = u/g, for w primitive:
+    the preimage of a closed geodesic of direction w is M/g parallel closed
+    geodesics of direction u (see preimage_set)."""
+    u, scale = _primitive(tuple(Fraction(x, m) for x, m in zip(w, moduli)))
+    g = scale.denominator  # gcd(w) = 1, so scale = 1/g
+    return u, g, moduli.product() // g
+
+
 def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     """Full preimage under the power map, in closed form from the kernel.
 
@@ -610,9 +619,7 @@ def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     _check_set_dims(s, moduli.r)
     grouped: dict = {}
     for w, geodesics in s._geodesics.items():
-        u, scale = _primitive(tuple(Fraction(x, m) for x, m in zip(w, moduli)))
-        g = scale.denominator  # w/m = u/g: gcd(w) = 1, so scale = 1/g
-        cosets = moduli.product() // g
+        u, g, cosets = preimage_geodesics(w, moduli)
         for anchor, arcs in geodesics.items():
             # (a + c)/m = (n + c*d)/(m*d) for a = n/d: one Fraction per coordinate
             fracs = [(a.numerator, a.denominator, m) for a, m in zip(anchor, moduli)]
@@ -730,13 +737,6 @@ def _set_fields(p: SolenoidPoint, moduli: Moduli, deepest: TorusPoint, depth: in
     object.__setattr__(p, "depth", depth)
 
 
-def _check_pair(x: SolenoidPoint, y: SolenoidPoint):
-    if x.moduli != y.moduli:
-        raise ValueError("points from different solenoid products")
-    if x.depth != y.depth:
-        raise DepthMismatch(f"depth {x.depth} vs {y.depth}")
-
-
 def _level_dist_terms(x: SolenoidPoint, y: SolenoidPoint) -> tuple[list[int], int]:
     """(t, D) with t[n-1]/D the torus distance of x and y at level n,
     n = 1..K, D the lcm of the deepest coordinates' denominators.
@@ -746,7 +746,10 @@ def _level_dist_terms(x: SolenoidPoint, y: SolenoidPoint) -> tuple[list[int], in
     the lcm of the two deepest denominators, and one level down it is
     m_i*delta_i mod D_i; its arc distance min(delta_i, D_i - delta_i)/D_i is
     an integer over D, and so is the max over i."""
-    _check_pair(x, y)
+    if x.moduli != y.moduli:
+        raise ValueError("points from different solenoid products")
+    if x.depth != y.depth:
+        raise DepthMismatch(f"depth {x.depth} vs {y.depth}")
     ms, deltas, dens = x.moduli.values, [], []
     for a, b in zip(x.deepest.coords, y.deepest.coords):
         d = math.lcm(a.denominator, b.denominator)
@@ -772,23 +775,15 @@ def _weighted_total(terms: Sequence[int]) -> int:
     return total
 
 
-def solenoid_distance(
-    x: SolenoidPoint, y: SolenoidPoint, level_dists: Sequence[Fraction] | None = None
-) -> Fraction:
+def solenoid_distance(x: SolenoidPoint, y: SolenoidPoint) -> Fraction:
     """Sum over shared levels of 2^-n times the torus distance.  The tail past
     depth K is bounded by solenoid_tail_bound(K), reported separately.
 
     The power map takes a coordinate's denominator to a divisor of it, so
     each level's distance has a denominator dividing the lcm D of the
     deepest coordinates' denominators (_level_dist_terms), and the sum is
-    added up in integers over the common denominator 2^K * D.  level_dists,
-    when given, are those torus distances, already computed."""
-    if level_dists is None:
-        terms, den = _level_dist_terms(x, y)
-    else:
-        _check_pair(x, y)
-        den = math.lcm(*(c.denominator for c in x.deepest.coords + y.deepest.coords))
-        terms = [d.numerator * (den // d.denominator) for d in level_dists]
+    added up in integers over the common denominator 2^K * D."""
+    terms, den = _level_dist_terms(x, y)
     return Fraction(_weighted_total(terms), den << len(terms))
 
 

@@ -133,6 +133,10 @@ GOLDEN = {
         ["certify", "--moduli", "8,3,5", "--winding", "8,3,5", "--range", "0..0"], 0,
         "acd9e01819f0ec0423790e12b146743fad144a315a6888eaeed1ad5a4b793231", {},
     ),
+    "certify-49-6m4": (  # stage 0: hitting fails, yet the preimage is one geodesic
+        ["certify", "--moduli", "4,9", "--winding", "6,-4", "--range", "0..1"], 0,
+        "53b7c4dc13dc9322c5b01d365bc6b61dad6339e80653a76b92c8793d6d5f3448", {},
+    ),
     "certify-43-21": (  # 2 has no m-adic splitting on 4: the valuation note
         ["certify", "--moduli", "4,3", "--winding", "2,1", "--range", "0..2"], 0,
         "308a495ac5ae294349f4d11d434e0e360062929d0feafcb7c538936968eee2c1", {},

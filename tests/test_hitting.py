@@ -27,7 +27,7 @@ from fupcon.hitting import (
     witness_recipe,
 )
 from fupcon.lifting import NonadmissibleWinding, PLLoop, image_period, image_set
-from fupcon.torus import TorusPoint
+from fupcon.torus import TorusPoint, components, preimage_set
 
 from test_lifting import standard_lift_points
 from test_torus import pairwise_components, sheet_preimage
@@ -422,22 +422,31 @@ def test_certificate_witnesses_are_the_crt_solve_witnesses(case):
 
 @st.composite
 def preimage_check_case(draw):
-    moduli = Moduli(draw(st.sampled_from([(2, 3), (2, 5), (3, 4), (4, 9), (2, 3, 5)])))
+    moduli = Moduli(draw(st.sampled_from(
+        [(2, 3), (2, 5), (3, 4), (4, 9), (4, 3), (2, 3, 5), (8, 3, 5)]
+    )))
     entry = st.integers(min_value=1, max_value=30)
     s = tuple(draw(entry) * draw(st.sampled_from([1, -1])) for _ in moduli)
-    return s, moduli, draw(st.integers(0, 2))
+    # (8,3,5), the largest product, is drawn at stages 0-1 only to keep the test short
+    return s, moduli, draw(st.integers(0, 1 if 8 in moduli.values else 2))
 
 
 @settings(max_examples=60, deadline=None)
 @given(preimage_check_case())
 @example(((2, 3), M23, 0))  # 2 components, and not the stage-1 image
+@example(((6, -4), Moduli.of(4, 9), 0))  # no hitting, yet the stage-1 image
 def test_preimage_checks_match_the_sheet_oracle(case):
     # the oracle builds every sheet of the stage-n image and recanonicalizes,
-    # and joins its pieces by pairwise intersection
+    # and joins its pieces by pairwise intersection; the coset build and
+    # components meet the geodesic count on the same draws
     s, moduli, n = case
     loop = PLLoop.straight(s)
-    pre = sheet_preimage(image_set(loop, n, moduli), moduli)
+    image = image_set(loop, n, moduli)
+    pre = sheet_preimage(image, moduli)
     count = len(pairwise_components(pre))
+    closed = preimage_set(image, moduli)
+    assert closed == pre
+    assert len(components(closed)) == count
     want = (pre == image_set(loop, n + 1, moduli), count == 1, count)
     guard = 10**9  # (2,3,5) at stage 2 needs 30^4
     assert preimage_checks(s, moduli, n, guard) == want

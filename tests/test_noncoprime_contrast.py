@@ -10,8 +10,9 @@ cyclic:
   reaches only m of the m^2 preimages of the base point, though the
   divisibility condition holds;
 - the preimage of the stage-n image, enumerated sheet by sheet, has m
-  components, while the cyclic-kernel closed form (preimage_set, and so
-  preimage_checks) reports one, equal to the stage-(n+1) image;
+  components, while the cyclic-kernel coset build (preimage_set) reports
+  one, equal to the stage-(n+1) image; the geodesic count M/g that
+  preimage_checks reads needs no cyclic kernel, and finds the m;
 - the CRT witness basis refuses the moduli.
 
 Each case is paired with a coprime (m, m') case, where the sweep, the
@@ -82,10 +83,12 @@ def test_closed_form_preimage_misses_the_components(m, partner, w):
     same, coprime = PlainModuli((m, m)), PlainModuli((m, partner))
     for n in STAGES:
         sheets, closed = preimages(w, same, n)
-        assert len(components(sheets)) == len(pairwise_components(sheets)) == m
+        count = len(components(sheets))
+        assert count == len(pairwise_components(sheets)) == m
         assert len(components(closed)) == 1
         assert sheets != closed
-        assert preimage_checks(w, same, n) == (True, True, 1)
+        equal = sheets == image_set(PLLoop.straight(w), n + 1, same)
+        assert preimage_checks(w, same, n) == (equal, count == 1, count) == (False, False, m)
 
         sheets, closed = preimages(w, coprime, n)
         assert sheets == closed

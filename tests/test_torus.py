@@ -775,10 +775,7 @@ def test_lazy_preimages_come_in_the_order_of_f_preimages(case):
 def test_integer_solenoid_distance_matches_the_fraction_oracle(case):
     moduli, (xs, ys) = case
     x, y = SolenoidPoint(moduli, xs), SolenoidPoint(moduli, ys)
-    want = fraction_solenoid_distance(x, y)
-    assert solenoid_distance(x, y) == want
-    dists = [fraction_torus_dist(a, b) for a, b in zip(xs, ys)]
-    assert solenoid_distance(x, y, dists) == want
+    assert solenoid_distance(x, y) == fraction_solenoid_distance(x, y)
 
 
 @settings(max_examples=100)
