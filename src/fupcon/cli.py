@@ -205,8 +205,10 @@ def cmd_tower(args: argparse.Namespace) -> tuple[dict, int]:
     overridden = args.n1 is not None
     if overridden:
         params = dataclasses.replace(params, n1=args.n1)
-    # coherent_deep_sample threads every candidate through every level, and
-    # first_close_sample lists about |s_c| + 2 intervals per coordinate for each
+    # coherent_deep_sample threads every candidate through every level; the
+    # second guard prices about |s_c| + 2 close intervals per coordinate for
+    # each candidate, more than first_close_sample walks (the coordinate with
+    # the fewest), and stays so that exit codes stay fixed
     check_size(moduli, 1, guard, (args.candidates, params.levels_total))
     check_size((), 0, guard, (args.candidates, sum(abs(e) + 2 for e in w)))
     tower = build_tower(PLLoop.straight(w), params, moduli, guard)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exact_arith import Moduli, _integer_entries
-from .torus import _FULL, Arc, SegmentSet, TorusPoint, Vec, _exact_vecs, _primitive
+from .torus import _FULL, Arc, SegmentSet, TorusPoint, Vec, _exact_vecs, _point, _primitive
 
 
 class NonadmissibleWinding(ValueError):
@@ -144,15 +144,25 @@ class PLLoop:
         return PLLoop(extend_periodic(self, times))
 
     def point_at(self, t: Fraction) -> TorusPoint:
-        """Projected value at parameter t in [0, 1] (pieces uniform in time)."""
+        """Projected value at parameter t in [0, 1] (pieces uniform in time),
+        in integers: with t*k = tn/td on piece idx, the point
+        x + (t*k - idx)*(y - x) is taken over td*e, e the lcm of the piece's
+        breakpoint denominators."""
         t = Fraction(t)
         if not 0 <= t <= 1:
             raise ValueError("parameter outside [0, 1]")
         k = self.pieces
-        idx = min(math.floor(t * k), k - 1)
-        local = t * k - idx
+        tn, td = t.numerator * k, t.denominator
+        idx = min(tn // td, k - 1)
+        local = tn - idx * td
         a, b = self.breakpoints[idx], self.breakpoints[idx + 1]
-        return TorusPoint(tuple(x + local * (y - x) for x, y in zip(a, b)))
+        e = math.lcm(*(c.denominator for c in a + b))
+        den = td * e
+        nums = []
+        for x, y in zip(a, b):
+            xe, ye = x.numerator * (e // x.denominator), y.numerator * (e // y.denominator)
+            nums.append((xe * td + local * (ye - xe)) % den)
+        return _point(tuple(nums), den)
 
     def cover_speed_bound(self) -> Fraction:
         """Max over pieces and coordinates of |cover velocity|; Lipschitz bound

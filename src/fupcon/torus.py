@@ -4,10 +4,17 @@ Points with rational angle coordinates, the coordinatewise power map
 f(z_1, ..., z_r) = (z_1^{m_1}, ..., z_r^{m_r}) written additively as
 x -> (m_1 x_1, ..., m_r x_r) mod 1, and finite unions of closed geodesic
 segments with a canonical form, so that set equality, containment and
-connected components are all decidable in exact arithmetic.  Point
-arithmetic runs on numerators and denominators: f takes a coordinate n/d to
-(m*n mod d)/d, its preimages are (n + j*d)/(m*d), and distances are compared
-as integer pairs, so each output coordinate costs one Fraction.
+connected components are all decidable in exact arithmetic.
+
+A torus point is held as integer numerators over one denominator: nums,
+each in [0, den), with den the least common denominator of the coordinates,
+so gcd(den, *nums) == 1 and == and hash compare (nums, den).  Every point
+kernel runs on those ints: f takes n/den to (m*n mod den)/den, the
+preimages of a point are (n + j*den)*(M/m_i) over den*M, distances and
+coherence are integer comparisons, and the anchor walk of point location
+runs over den*v*.  A Fraction is built only at the boundary: a point's
+coords (for the CSV, reports and tests), the Arc fields, and the
+distances a report states.
 
 Truncated solenoid points (finite coherent sequences under f) and the
 weighted metric sum 2^-n d_n on them live here too.  A coherent point
@@ -16,13 +23,12 @@ it is held as (moduli, deepest level, depth); level k costs one modular
 power per coordinate, and only explicit levels given to the constructor
 are checked for coherence (by cross-multiplication).  f is a group map, so
 the level distances of two points come from the difference of their
-deepest levels, delta_i/D_i per coordinate, by delta_i -> m_i*delta_i mod
-D_i, all in integers over one denominator.
+deepest levels, delta_i/D per coordinate over D = lcm of their
+denominators, by delta_i -> m_i*delta_i mod D, all in integers.
 
 Vectors (Vec) are exact: every coordinate is an int or a Fraction.  A cover
 vector (a loop breakpoint, a segment end) keeps its coordinates as they come
-in, so an int stays an int and costs no Fraction; a torus point reduces
-every coordinate to a Fraction in [0, 1).
+in, so an int stays an int and costs no Fraction.
 
 Canonical form: every nondegenerate rational segment lies on a unique closed
 geodesic; the geodesic is keyed by its primitive sign-normalized integer
@@ -50,11 +56,12 @@ through x with primitive direction w are x + (first + j)/v* * w for j mod v*
 value of each pins j to a finer coset, so the canonical anchor and the
 parameter tau with x + tau*w = anchor cost O(r), not O(v*); the moduli,
 steps and modular inverses of that walk depend on w alone and are planned
-once per direction.  Two points lie
-on one closed geodesic of direction w exactly when their anchors agree, and
-then differ by the difference of their taus.  Each segment set indexes its
-arcs by key (direction, anchor); a membership query costs one anchor per
-distinct direction plus an interval test.
+once per direction.  Two points lie on one closed geodesic of direction w
+exactly when their anchors agree, and then differ by the difference of
+their taus.  Each segment set indexes its arcs by direction and by the
+anchor as integers (nums, den); a membership query costs one integer anchor
+walk per distinct direction, a gcd and a lookup, and an interval test only
+on a geodesic the set holds in part.
 
 Preimages are closed-form too.  The moduli are pairwise coprime, so the
 kernel of f is the cyclic group prod Z/m_i, generated by
@@ -102,25 +109,89 @@ def _exact_vecs(vectors: Iterable[Iterable]) -> tuple[Vec, ...]:
     return tuple(tuple(map(Fraction, v)) for v in vecs)
 
 
-@dataclass(frozen=True, order=True)
+def _ints_mod1(vec: Vec) -> tuple[tuple[int, ...], int]:
+    """(nums, den): the exact coordinates as numerators over their least
+    common denominator, each reduced into [0, den).  Reduced coordinates
+    (ints, Fractions) leave gcd(den, *nums) == 1: a prime power dividing den
+    divides one coordinate's denominator exactly, and that coordinate's
+    numerator is prime to it."""
+    den = math.lcm(*(c.denominator for c in vec))
+    return tuple(c.numerator * (den // c.denominator) % den for c in vec), den
+
+
+@functools.total_ordering
 class TorusPoint:
-    """A point of the torus; every coordinate is normalized into [0, 1)."""
+    """A point of the torus, held as integer numerators over one
+    denominator: coordinate i is nums[i]/den, 0 <= nums[i] < den, den the
+    least common denominator, so == and hash compare (nums, den).
 
-    coords: Vec
+    TorusPoint(coords) takes anything Fraction takes and reduces it into
+    [0, 1).  coords, the tuple of Fractions, is built on first read, for the
+    CSV, reports and tests.  < compares the coordinate values
+    lexicographically, by cross-multiplication."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(frac_mod1(c) for c in self.coords))
-        if not self.coords:
+    __slots__ = ("nums", "den", "_coords")
+
+    def __init__(self, coords: Iterable):
+        (vec,) = _exact_vecs((coords,))
+        if not vec:
             raise ValueError("need at least one coordinate")
+        _set_point(self, *_ints_mod1(vec))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TorusPoint is immutable")
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        if self._coords is None:
+            object.__setattr__(self, "_coords", tuple(Fraction(n, self.den) for n in self.nums))
+        return self._coords
 
     @property
     def r(self) -> int:
-        return len(self.coords)
+        return len(self.nums)
+
+    def __eq__(self, other):
+        if not isinstance(other, TorusPoint):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        return hash((self.nums, self.den))
+
+    def __lt__(self, other):
+        if not isinstance(other, TorusPoint):
+            return NotImplemented
+        return [n * other.den for n in self.nums] < [n * self.den for n in other.nums]
+
+    def __repr__(self):
+        return f"TorusPoint(coords={self.coords!r})"
+
+    def __reduce__(self):  # copy and pickle rebuild through _point, not __setattr__
+        return _point, (self.nums, self.den)
+
+
+def _set_point(p: TorusPoint, nums: tuple[int, ...], den: int):
+    object.__setattr__(p, "nums", nums)
+    object.__setattr__(p, "den", den)
+    object.__setattr__(p, "_coords", None)
+
+
+def _point(nums: tuple[int, ...], den: int) -> TorusPoint:
+    """The point nums/den, each numerator already in [0, den); the gcd of
+    den and the numerators is divided out, so that den is the least common
+    denominator."""
+    g = math.gcd(den, *nums)
+    if g > 1:
+        nums, den = tuple(n // g for n in nums), den // g
+    p = object.__new__(TorusPoint)
+    _set_point(p, nums, den)
+    return p
 
 
 def base_point(r: int) -> TorusPoint:
     """The distinguished point 1bar = (1, ..., 1) multiplicatively, all-zero angles."""
-    return TorusPoint(tuple(Fraction(0) for _ in range(r)))
+    return _point((0,) * r, 1)
 
 
 def _check_dims(r: int, other: int):
@@ -128,20 +199,10 @@ def _check_dims(r: int, other: int):
         raise DimensionMismatch(f"dimension {r} vs {other}")
 
 
-def _reduced_point(coords: Vec) -> TorusPoint:
-    """A TorusPoint of coordinates already reduced into [0, 1), built
-    without normalizing them again."""
-    p = object.__new__(TorusPoint)
-    object.__setattr__(p, "coords", coords)
-    return p
-
-
 def _power_image(p: TorusPoint, moduli: Moduli, e: int) -> TorusPoint:
-    """f^e(p): angle n/d -> (m^e*n mod d)/d, one modular power per coordinate."""
-    return _reduced_point(tuple(
-        Fraction(pow(m, e, c.denominator) * c.numerator % c.denominator, c.denominator)
-        for m, c in zip(moduli, p.coords)
-    ))
+    """f^e(p): n/den -> (m^e*n mod den)/den, one modular power per coordinate."""
+    den = p.den
+    return _point(tuple(pow(m, e, den) * n % den for m, n in zip(moduli, p.nums)), den)
 
 
 def apply_f(p: TorusPoint, moduli: Moduli) -> TorusPoint:
@@ -154,13 +215,12 @@ def _preimages(p: TorusPoint, moduli: Moduli) -> Iterator[TorusPoint]:
     """The prod(m_i) preimages of p under the power map, lazily, in sorted
     order."""
     _check_dims(p.r, moduli.r)
-    # coordinate n/d has the preimages (n + j*d)/(m*d), j = 0..m-1, which
-    # increase with j, so the product comes out in lexicographic order
-    columns = [
-        [Fraction(c.numerator + j * c.denominator, m * c.denominator) for j in range(m)]
-        for c, m in zip(p.coords, moduli)
-    ]
-    return map(_reduced_point, itertools.product(*columns))
+    # coordinate n/den has the preimages (n + j*den)/(m*den), j = 0..m-1, that
+    # is (n + j*den)*(M/m) over den*M; they increase with j, and every point
+    # is over one denominator, so the product comes out in lexicographic order
+    den, big = p.den, moduli.product()
+    columns = [[(n + j * den) * (big // m) for j in range(m)] for n, m in zip(p.nums, moduli)]
+    return (_point(nums, den * big) for nums in itertools.product(*columns))
 
 
 def f_preimages(p: TorusPoint, moduli: Moduli) -> list[TorusPoint]:
@@ -168,27 +228,30 @@ def f_preimages(p: TorusPoint, moduli: Moduli) -> list[TorusPoint]:
     return list(_preimages(p, moduli))
 
 
-def _arc_dist_terms(a, b) -> tuple[int, int]:
-    """(n, d) with n/d the shorter-arc distance of the rationals a and b."""
-    d = a.denominator * b.denominator
-    n = (a.numerator * b.denominator - b.numerator * a.denominator) % d
+def _arc_dist_terms(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """(n, d) with n/d the shorter-arc distance of the rationals an/ad and
+    bn/bd."""
+    d = ad * bd
+    n = (an * bd - bn * ad) % d
     return min(n, d - n), d
 
 
 def arc_dist(a: Fraction, b: Fraction) -> Fraction:
     """Shorter-arc distance on R/Z, values in [0, 1/2]."""
-    return Fraction(*_arc_dist_terms(a, b))
+    return Fraction(*_arc_dist_terms(a.numerator, a.denominator, b.numerator, b.denominator))
 
 
 def torus_dist(p: TorusPoint, q: TorusPoint) -> Fraction:
-    """Max over coordinates of the arc distance; diameter 1/2."""
+    """Max over coordinates of the arc distance; diameter 1/2.  Both points
+    are taken over D = lcm of their denominators."""
     _check_dims(p.r, q.r)
-    best_n, best_d = 0, 1
-    for a, b in zip(p.coords, q.coords):
-        n, d = _arc_dist_terms(a, b)
-        if n * best_d > best_n * d:
-            best_n, best_d = n, d
-    return Fraction(best_n, best_d)
+    den = math.lcm(p.den, q.den)
+    sp, sq = den // p.den, den // q.den
+    best = 0
+    for a, b in zip(p.nums, q.nums):
+        n = (a * sp - b * sq) % den
+        best = max(best, min(n, den - n))
+    return Fraction(best, den)
 
 
 # ---------------------------------------------------------------------------
@@ -250,40 +313,49 @@ def _anchor_plan(w: tuple[int, ...]) -> tuple[int, int, tuple]:
     return idx, v_star, tuple(walk)
 
 
-def _anchor_for(point: Vec, w: tuple[int, ...]) -> tuple[Vec, Fraction]:
-    """Canonical anchor of the closed geodesic through `point` with primitive
-    direction w: among the finitely many geodesic points whose pivot coordinate
-    is 0, the lexicographically least.  Returns (anchor, tau) where
-    point + tau * w projects to the anchor.
+def _anchor_ints(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[list[int], int, int]:
+    """Canonical anchor of the closed geodesic through the point nums/den
+    (each numerator in [0, den)) with primitive direction w: among the
+    finitely many geodesic points whose pivot coordinate is 0, the
+    lexicographically least.  Returns (anchor, tau, A): the anchor's
+    numerators and tau, with point + tau * w projecting to the anchor, all
+    over A = den*v*.
 
-    The candidates are tau = (first + j) / v* for j mod v*.  On the coset
+    The candidates are tau = (first + j) / v* for j mod v*, first the
+    distance from the pivot coordinate up to the next integer, fn/den.  So
+    every candidate is a point over A: tau = (fn + j*den)/A.  On the coset
     j = j0 + step*t still in the running, coordinate k is b + t*step*w_k/v*
-    mod 1, b its value at j0.  With g = gcd(step*w_k, v*) and n = v*/g that
-    is b + s/n, s = t*(step*w_k/g) mod n a unit multiple of t, so the least
-    value b - floor(b*n)/n is taken at s = -floor(b*n): t is fixed mod n and
-    the coset step becomes step*n.  The geodesic is simple, so one j is left.
-    Only b depends on the point: g, n, the unit's inverse mod n and the steps
-    depend on w alone, and come from its plan (_anchor_plan), made once per
-    direction.  The origin is the least pivot-zero point of its own
-    geodesic, so it is its own anchor with tau 0 and needs no plan."""
-    if not any(point):
-        zero = Fraction(0)
-        return (zero,) * len(w), zero
+    mod 1, b = rem/A its value at j0.  With g = gcd(step*w_k, v*) and
+    n = v*/g that is b + s/n, s = t*(step*w_k/g) mod n a unit multiple of
+    t, so the least value b - floor(b*n)/n is taken at s = -floor(b*n): t
+    is fixed mod n and the coset step becomes step*n.  As A/n = den*g is an
+    integer, floor(b*n) and the least value are rem divided by A/n with
+    remainder.  The geodesic is simple, so one j is left.  Only b depends
+    on the point: g, n, the unit's inverse mod n and the steps depend on w
+    alone, and come from its plan (_anchor_plan), made once per direction.
+    The origin is the least pivot-zero point of its own geodesic, so it is
+    its own anchor with tau 0 and needs no plan."""
+    if not any(nums):
+        return [0] * len(w), 0, 1
     idx, v_star, walk = _anchor_plan(w)
-    fd = point[idx].denominator
-    fn = -point[idx].numerator % fd  # first = ceil(x_pivot) - x_pivot = fn/fd
-    anchor = [frac_mod1(c) for c in point[:idx]]  # w is 0 before the pivot
-    anchor.append(Fraction(0))
+    big = den * v_star
+    fn = -nums[idx] % den
+    anchor = [n * v_star for n in nums[:idx]]  # w is 0 before the pivot
+    anchor.append(0)
     j = 0
     for k, wk, n, inv, step in walk:
-        pk = point[k]
-        # b = frac(pk + (first + j) * wk / v*) = rem / den
-        den = pk.denominator * fd * v_star
-        rem = (pk.numerator * fd * v_star + (fn + j * fd) * wk * pk.denominator) % den
-        floor_bn, least = divmod(rem * n, den)
-        anchor.append(Fraction(least, den * n))
+        # b = frac(x_k + (first + j)*w_k/v*) = rem/A
+        floor_bn, least = divmod((nums[k] * v_star + (fn + j * den) * wk) % big, big // n)
+        anchor.append(least)
         j += step * (-floor_bn * inv % n)
-    return tuple(anchor), Fraction(fn + j * fd, fd * v_star)
+    return anchor, fn + j * den, big
+
+
+def _anchor_for(point: Vec, w: tuple[int, ...]) -> tuple[Vec, Fraction]:
+    """_anchor_ints for a point of exact coordinates, as (anchor, tau) in
+    Fractions: the set maps key geodesics by the Fraction anchor."""
+    anchor, tau, big = _anchor_ints(*_ints_mod1(point), w)
+    return tuple(Fraction(n, big) for n in anchor), Fraction(tau, big)
 
 
 @dataclass(frozen=True, order=True)
@@ -402,22 +474,33 @@ class SegmentSet:
 
     @functools.cached_property
     def _geodesics(self) -> dict:
-        """{direction: {canonical anchor: arcs on that closed geodesic}},
-        built on first use."""
+        """{direction: {canonical anchor as (nums, den): arcs on that closed
+        geodesic}}, built on first use."""
         index: dict = {}
         for arc in self.arcs:
-            index.setdefault(arc.direction, {}).setdefault(arc.anchor, []).append(arc)
+            index.setdefault(arc.direction, {}).setdefault(_ints_mod1(arc.anchor), []).append(arc)
         return index
 
+    @functools.cached_property
+    def _point_keys(self) -> frozenset:
+        return frozenset(map(_ints_mod1, self.points))
+
     def contains_point(self, p: TorusPoint) -> bool:
+        """One integer anchor walk per direction, its gcd and a lookup; tau
+        becomes a Fraction only on a geodesic the set holds in part."""
         _check_set_dims(self, p.r)
-        vec = p.coords
-        if vec in self.points:
+        if self.points and (p.nums, p.den) in self._point_keys:
             return True
         for w, geodesics in self._geodesics.items():
-            anchor, tau = _anchor_for(vec, w)
-            arcs = geodesics.get(anchor)
-            if arcs is not None and any(arc.holds(-tau) for arc in arcs):
+            anchor, tau, big = _anchor_ints(p.nums, p.den, w)
+            g = math.gcd(big, *anchor)
+            arcs = geodesics.get((tuple(n // g for n in anchor), big // g))
+            if arcs is None:
+                continue
+            if any(arc.is_full for arc in arcs):
+                return True
+            at = Fraction(-tau, big)
+            if any(arc.holds(at) for arc in arcs):
                 return True
         return False
 
@@ -435,7 +518,7 @@ class SegmentSet:
             if not self.contains_point(TorusPoint(vec)):
                 return False
         for arc in other.arcs:
-            same = self._geodesics.get(arc.direction, {}).get(arc.anchor, ())
+            same = self._geodesics.get(arc.direction, {}).get(_ints_mod1(arc.anchor), ())
             if not any(a.holds(arc.start, arc.length) for a in same):
                 return False
         return True
@@ -580,7 +663,8 @@ def apply_f_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     grouped: dict = {}
     for w, geodesics in s._geodesics.items():
         u, h = _primitive(tuple(m * x for m, x in zip(moduli, w)))
-        for anchor, arcs in geodesics.items():
+        for arcs in geodesics.values():
+            anchor = arcs[0].anchor
             key_anchor, tau = _anchor_for(tuple(m * a for m, a in zip(moduli, anchor)), u)
             grouped.setdefault((u, key_anchor), []).extend(
                 _FULL if arc.is_full else (frac_mod1(h * arc.start - tau), h * arc.length)
@@ -620,7 +704,8 @@ def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     grouped: dict = {}
     for w, geodesics in s._geodesics.items():
         u, g, cosets = preimage_geodesics(w, moduli)
-        for anchor, arcs in geodesics.items():
+        for arcs in geodesics.values():
+            anchor = arcs[0].anchor
             # (a + c)/m = (n + c*d)/(m*d) for a = n/d: one Fraction per coordinate
             fracs = [(a.numerator, a.denominator, m) for a, m in zip(anchor, moduli)]
             for c in range(cosets):
@@ -704,8 +789,8 @@ class SolenoidPoint:
             _check_dims(z.r, moduli.r)
         # m * n1/d1 = n0/d0 mod 1 exactly when d0*d1 divides m*n1*d0 - n0*d1
         for k in range(len(levels) - 1):
-            for m, c0, c1 in zip(moduli, levels[k].coords, levels[k + 1].coords):
-                n0, d0, n1, d1 = c0.numerator, c0.denominator, c1.numerator, c1.denominator
+            d0, d1 = levels[k].den, levels[k + 1].den
+            for m, n0, n1 in zip(moduli, levels[k].nums, levels[k + 1].nums):
                 if (m * n1 * d0 - n0 * d1) % (d0 * d1):
                     raise ValueError(f"levels {k + 1} and {k + 2} are not coherent under f")
         _set_fields(self, moduli, levels[-1], len(levels))
@@ -739,29 +824,26 @@ def _set_fields(p: SolenoidPoint, moduli: Moduli, deepest: TorusPoint, depth: in
 
 def _level_dist_terms(x: SolenoidPoint, y: SolenoidPoint) -> tuple[list[int], int]:
     """(t, D) with t[n-1]/D the torus distance of x and y at level n,
-    n = 1..K, D the lcm of the deepest coordinates' denominators.
+    n = 1..K, D the lcm of the two deepest levels' denominators.
 
     f is a group map, so the difference of the levels z_k - y_k is
-    f^(K-k)(z_K - y_K).  Coordinate i of it at level K is delta_i/D_i, D_i
-    the lcm of the two deepest denominators, and one level down it is
-    m_i*delta_i mod D_i; its arc distance min(delta_i, D_i - delta_i)/D_i is
-    an integer over D, and so is the max over i."""
+    f^(K-k)(z_K - y_K).  Coordinate i of it at level K is delta_i/D, and one
+    level down it is m_i*delta_i mod D; its arc distance
+    min(delta_i, D - delta_i)/D is an integer over D, and so is the max
+    over i."""
     if x.moduli != y.moduli:
         raise ValueError("points from different solenoid products")
     if x.depth != y.depth:
         raise DepthMismatch(f"depth {x.depth} vs {y.depth}")
-    ms, deltas, dens = x.moduli.values, [], []
-    for a, b in zip(x.deepest.coords, y.deepest.coords):
-        d = math.lcm(a.denominator, b.denominator)
-        deltas.append((a.numerator * (d // a.denominator) - b.numerator * (d // b.denominator)) % d)
-        dens.append(d)
-    den = math.lcm(*dens)
-    scales = [den // d for d in dens]
-    terms = []
+    a, b = x.deepest, y.deepest
+    den = math.lcm(a.den, b.den)
+    sa, sb = den // a.den, den // b.den
+    deltas = [(p * sa - q * sb) % den for p, q in zip(a.nums, b.nums)]
+    ms, terms = x.moduli.values, []
     for _ in range(x.depth):
         if terms:
-            deltas = [m * e % d for m, e, d in zip(ms, deltas, dens)]
-        terms.append(max(min(e, d - e) * s for e, d, s in zip(deltas, dens, scales)))
+            deltas = [m * e % den for m, e in zip(ms, deltas)]
+        terms.append(max(min(e, den - e) for e in deltas))
     terms.reverse()
     return terms, den
 

@@ -26,11 +26,17 @@ by construction and not re-checked.  Threading down tests membership only
 below a bonding the tower does not satisfy, since a proven bonding carries
 membership down from the start point, and builds a point only there, as a
 modular power of the start point; threading up takes, level by level, the
-first preimage in sorted order that lies in the next level.  The deep
-sample is placed on the deepest level's arcs in integers, and each
-candidate's level distances to its match come from the two deepest levels
-in integers (torus._level_dist_terms), so the epsilon/2 test and the
-weighted sum are integer comparisons.
+first preimage in sorted order that lies in the next level.
+
+The check runs on torus points held as integer numerators over one
+denominator (torus.TorusPoint): the base samples (PLLoop.point_at), the
+deep sample placed on the deepest level's arcs (_arc_point), every
+threaded preimage and forward image, each membership test, the query of
+first_close_sample, and each candidate's level distances to its match,
+which come from the two deepest levels (torus._level_dist_terms), so the
+epsilon/2 test and the weighted sum are integer comparisons.  A Fraction is
+built only at the boundary: the Arc fields the levels are held in, the
+CSV, and the maxima the report states.
 """
 
 import functools
@@ -54,10 +60,11 @@ from .torus import (
     SolenoidPoint,
     TorusPoint,
     _arc_dist_terms,
+    _ints_mod1,
     _level_dist_terms,
+    _point,
     _power_image,
     _preimages,
-    _reduced_point,
     _weighted_total,
     apply_f_set,
     base_point,
@@ -312,45 +319,68 @@ def base_sample_count(loop: PLLoop, delta: Fraction) -> int:
 
 
 def _close_line(
-    a: Fraction, b: Fraction, q: Fraction, delta: Fraction, p: int, k: int, count: int
+    a: Fraction, b: Fraction, qn: int, qd: int, delta: Fraction, p: int, k: int, count: int
 ):
     """Integers (A, B, C, R) such that a + (i*k/count - p)*(b - a), the
-    coordinate of sample i on piece p, lies within delta of q + n, n an
+    coordinate of sample i on piece p, lies within delta of qn/qd + n, n an
     integer, exactly when |A + i*B - n*C| < R: the line times a common
-    denominator of a, b, q and delta, and count."""
-    den = math.lcm(a.denominator, b.denominator, q.denominator, delta.denominator)
-    an, bn, qn, dn = (x.numerator * (den // x.denominator) for x in (a, b, q, delta))
+    denominator of a, b, qn/qd and delta, and count."""
+    den = math.lcm(a.denominator, b.denominator, qd, delta.denominator)
+    an, bn, dn = (x.numerator * (den // x.denominator) for x in (a, b, delta))
     rise = bn - an
-    return count * (an - p * rise - qn), k * rise, count * den, count * dn
+    return count * (an - p * rise - qn * (den // qd)), k * rise, count * den, count * dn
 
 
-def _close_intervals(line, lo: int, hi: int, scale: int) -> list:
-    """The open intervals of real i, times `scale` (a multiple of B != 0) and
-    in increasing order, on which |A + i*B - n*C| < R, one per integer n the
-    line meets while i runs over [lo, hi]; disjoint when 2R <= C.  Each is
-    centered on (n*C - A)/B with half-width R/|B|."""
+def _close_comb(line, lo: int, hi: int, scale: int) -> tuple[int, int, int, int]:
+    """The open intervals of real i, times `scale` (a multiple of B != 0), on
+    which |A + i*B - n*C| < R, one per integer n the line meets while i runs
+    over [lo, hi], as (low, step, half, n): the t-th in increasing order,
+    t = 0..n-1, is centered on low + t*step with half-width `half`.  Each is
+    centered on (n*C - A)/B with half-width R/|B|; they are disjoint when
+    2R <= C."""
     a, b, c, r = line
     y0, y1 = sorted((a + b * lo, a + b * hi))
     first, stop = (y0 - r) // c + 1, -((-y1 - r) // c)  # n*C in (y0 - R, y1 + R)
     s = scale // b
-    half, step = r * abs(s), c * abs(s)
     low = (first if s > 0 else stop - 1) * c * s - a * s  # the least center
-    return [(m - half, m + half) for m in range(low, low + (stop - first) * step, step)]
+    return low, c * abs(s), r * abs(s), stop - first
 
 
-def _intersect(xs: list, ys: list) -> list:
-    """Intersection of two increasing lists of disjoint open intervals."""
-    out = []
-    a = b = 0
-    while a < len(xs) and b < len(ys):
-        lo, hi = max(xs[a][0], ys[b][0]), min(xs[a][1], ys[b][1])
-        if lo < hi:
-            out.append((lo, hi))
-        if xs[a][1] < ys[b][1]:
-            a += 1
-        else:
-            b += 1
-    return out
+def _least_close(lines: list, lo: int, hi: int) -> int | None:
+    """The least integer i in lo..hi lying in a close interval of every line,
+    or None.  The interval ends are held times D, the lcm of the lines' B.
+
+    Only the line with the fewest intervals is walked, interval by interval.
+    Within one, the candidate i starts at its least integer; for each other
+    line the first interval ending after i is found by one division, and
+    when that interval starts at or after i, i moves past its start.  When
+    no line moves i, every line holds it.  i only grows, so no interval of
+    the other lines is listed, and one that a line lacks past i ends the
+    search.  Every interval meets [lo, hi], so a common point past hi would
+    put hi in all of them: i > hi ends the search too."""
+    if not lines:
+        return lo if lo <= hi else None
+    scale = math.lcm(*(abs(line[1]) for line in lines))
+    combs = sorted((_close_comb(line, lo, hi, scale) for line in lines), key=lambda c: c[3])
+    (low, step, half, n), rest = combs[0], combs[1:]
+    i = lo
+    for center in range(low, low + n * step, step):
+        i = max(i, (center - half) // scale + 1)
+        while i * scale < center + half:
+            if i > hi:
+                return None
+            x = i * scale
+            for low2, step2, half2, n2 in rest:
+                t = max(0, (x - half2 - low2) // step2 + 1)  # the first ending after x
+                if t >= n2:
+                    return None
+                left = low2 + t * step2 - half2
+                if left >= x:
+                    i = left // scale + 1
+                    break
+            else:
+                return i
+    return None
 
 
 def first_close_sample(
@@ -365,37 +395,33 @@ def first_close_sample(
     is below delta exactly on the open i-intervals where that line is within
     delta of some q_c + n, n an integer; a constant coordinate passes for
     every i of the piece or for none.  The least integer in the intersection
-    over the coordinates, piece by piece, is the answer.  A line meets about
-    |b_c - a_c| + 2 translates on its piece, so the cost does not depend on
-    count.  Everything is compared in integers: each line is written as
-    |A + i*B - n*C| < R, and the interval ends are held times D, the lcm of
-    the B of the piece's moving coordinates."""
+    over the coordinates, piece by piece, is the answer (_least_close).  A
+    line meets about |b_c - a_c| + 2 translates on its piece; only the
+    coordinate with the fewest is walked, and another's interval is visited
+    only where it moves the candidate, so the cost does not depend on count,
+    and it is O(min_c |b_c - a_c| + r) when the candidates that fall in a
+    gap are few.  Everything is compared in integers: each line is written
+    as |A + i*B - n*C| < R, the query as its numerators over one
+    denominator."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    if delta > Fraction(1, 2):  # no two torus points are farther apart
+    if 2 * delta.numerator > delta.denominator:  # no two torus points are over 1/2 apart
         return 0
-    k = loop.pieces
+    k, qd = loop.pieces, query.den
     for p, (a, b) in enumerate(zip(loop.breakpoints, loop.breakpoints[1:])):
         lo, hi = -(-p * count // k), -(-(p + 1) * count // k) - 1
         lines = []
-        for ac, bc, qc in zip(a, b, query.coords):
+        for ac, bc, qn in zip(a, b, query.nums):
             if ac != bc:
-                lines.append(_close_line(ac, bc, qc, delta, p, k, count))
+                lines.append(_close_line(ac, bc, qn, qd, delta, p, k, count))
             else:
-                n, d = _arc_dist_terms(ac, qc)
+                n, d = _arc_dist_terms(ac.numerator, ac.denominator, qn, qd)
                 if n * delta.denominator >= delta.numerator * d:
                     break
         else:  # every constant coordinate of the piece is delta-close
-            scale = math.lcm(*(abs(line[1]) for line in lines))
-            window = [((lo - 1) * scale, (hi + 1) * scale)]  # holds exactly lo..hi
-            for line in lines:
-                window = _intersect(window, _close_intervals(line, lo, hi, scale))
-                if not window:
-                    break
-            for left, right in window:
-                i = left // scale + 1
-                if i * scale < right:
-                    return i
+            i = _least_close(lines, lo, hi)
+            if i is not None:
+                return i
     return None
 
 
@@ -419,17 +445,17 @@ def coherent_base_sample(
 
 
 def _arc_point(arc: Arc, offset: int, scale: int) -> TorusPoint:
-    """arc.point_at(offset/scale), one Fraction per coordinate: the
-    parameter start + offset/scale is tn/e, and coordinate j,
-    a_j + (tn/e)*w_j, is taken over lcm(den a_j, e)."""
+    """arc.point_at(offset/scale) in integers: the parameter
+    start + offset/scale is tn/e, and the point anchor + (tn/e)*w is taken
+    over lcm(den, e), den the anchor's least common denominator."""
     s = arc.start
     e = math.lcm(s.denominator, scale)
     tn = s.numerator * (e // s.denominator) + offset * (e // scale)
-    coords = []
-    for a, w in zip(arc.anchor, arc.direction):
-        d = math.lcm(a.denominator, e)
-        coords.append(Fraction((a.numerator * (d // a.denominator) + tn * w * (d // e)) % d, d))
-    return _reduced_point(tuple(coords))
+    nums, den = _ints_mod1(arc.anchor)
+    d = math.lcm(den, e)
+    return _point(
+        tuple((n * (d // den) + tn * w * (d // e)) % d for n, w in zip(nums, arc.direction)), d
+    )
 
 
 def coherent_deep_sample(t: Tower, count: int) -> list[SolenoidPoint]:
@@ -441,7 +467,7 @@ def coherent_deep_sample(t: Tower, count: int) -> list[SolenoidPoint]:
 
     The walk runs in integers: with q the lcm of the arc lengths'
     denominators, every position and arc length is held times 2*count*q,
-    and each sample point costs one Fraction per coordinate (_arc_point)."""
+    and each sample point is formed in integers (_arc_point)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     deepest = t.levels[-1]

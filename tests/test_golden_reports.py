@@ -5,6 +5,9 @@ hashes; a change that alters a report on purpose updates them and says why."""
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -261,6 +264,22 @@ def test_golden_stdout_is_canonical_json(name, tmp_path, monkeypatch, capsys):
     assert main(argv) == code
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("seed", ["0", "12345"])
+@pytest.mark.parametrize("name", ["tower-23-23-n1-0", "certify-835-835"])
+def test_golden_report_does_not_depend_on_the_hash_seed(name, seed, tmp_path):
+    """Points hash as int tuples and sets index geodesics by integer
+    anchors; no report may follow the order of a hashed container.  Both
+    runs have sets of several parallel geodesics (6 and 120)."""
+    argv, code, stdout_sha, _ = GOLDEN[name]
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+    proc = subprocess.run(
+        [sys.executable, "-m", "fupcon", *argv], cwd=tmp_path, env=env, capture_output=True
+    )
+    assert proc.returncode == code
+    assert _sha256(proc.stdout) == stdout_sha
 
 
 def test_export_report_names_an_escaped_out_dir(tmp_path, monkeypatch, capsys):

@@ -1,11 +1,12 @@
 """Unit tests for piecewise-linear loops, stage lifts, and image sets."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fupcon.exact_arith import Moduli
+from fupcon.exact_arith import Moduli, frac_mod1
 from fupcon.lifting import (
     NonadmissibleWinding,
     PLLoop,
@@ -185,6 +186,30 @@ def pl_loops(draw):
     if draw(st.booleans()):
         bps.append(bps[-1])
     return PLLoop(tuple(bps))
+
+
+def formula_point_at(loop, t):
+    """Oracle for PLLoop.point_at: x + local*(y - x) in Fractions on the
+    piece that holds t, local = t*k - idx."""
+    k = loop.pieces
+    idx = min(math.floor(t * k), k - 1)
+    local = t * k - idx
+    a, b = loop.breakpoints[idx], loop.breakpoints[idx + 1]
+    return tuple(frac_mod1(x + local * (y - x)) for x, y in zip(a, b))
+
+
+@settings(max_examples=200)
+@given(pl_loops(), st.data())
+def test_integer_point_at_matches_the_fraction_formula(loop, data):
+    """Multi-piece loops with Fraction breakpoints of mixed denominators, at
+    parameters on and between the piece boundaries."""
+    k = loop.pieces
+    ts = [Fr(0), Fr(1), Fr(data.draw(st.integers(min_value=0, max_value=k)), k)]
+    ts.append(data.draw(st.fractions(min_value=0, max_value=1, max_denominator=10**4)))
+    for t in ts:
+        p = loop.point_at(t)
+        assert p.coords == formula_point_at(loop, t)
+        assert p == TorusPoint(formula_point_at(loop, t))
 
 
 @settings(max_examples=60)

@@ -1,7 +1,9 @@
 """Unit tests for exact torus geometry: segment sets, preimages, metrics."""
 
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -1099,3 +1101,99 @@ def geodesic_keys(draw):
 @example([((1, 1), (Fr(0), Fr(1, 3))), ((1, 1), (0, Fr(1, 2))), ((1, 0), (Fr(2, 5), 0))])
 def test_integer_key_order_is_the_fraction_order(keys):
     assert sorted(keys, key=_key_order(keys)) == sorted(keys)
+
+
+# The integer point form: a point is (nums, den), numerators in [0, den) over
+# the least common denominator.  Its ==, hash and < are checked against the
+# tuple of reduced Fraction coordinates, on inputs given as ints, Fractions
+# and unreduced "n/d" strings, negative and >= 1 included.
+
+
+@st.composite
+def point_inputs(draw, r):
+    """(input coordinates, their values reduced into [0, 1) as Fractions)."""
+    given_coords, reduced = [], []
+    for _ in range(r):
+        num = draw(st.integers(min_value=-50, max_value=50))
+        den = draw(st.sampled_from([1, 2, 3, 4, 6, 9, 12, 25, 60]))
+        kind = draw(st.sampled_from(["int", "fraction", "unreduced"]))
+        if kind == "int":
+            given_coords.append(num)
+            value = Fr(num)
+        elif kind == "fraction":
+            given_coords.append(Fr(num, den))
+            value = Fr(num, den)
+        else:
+            scale = draw(st.integers(min_value=1, max_value=6))
+            given_coords.append(f"{num * scale}/{den * scale}")
+            value = Fr(num, den)
+        reduced.append(frac_mod1(value))
+    return tuple(given_coords), tuple(reduced)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda r: st.tuples(point_inputs(r), point_inputs(r))))
+def test_integer_point_form_orders_and_hashes_as_the_fraction_tuples(pair):
+    (a_in, a_frac), (b_in, b_frac) = pair
+    a, b = TorusPoint(a_in), TorusPoint(b_in)
+    for p, want in ((a, a_frac), (b, b_frac)):
+        assert p.coords == want and all(type(c) is Fraction for c in p.coords)
+        assert p.den == math.lcm(*(c.denominator for c in want))
+        assert all(0 <= n < p.den for n in p.nums)
+        assert math.gcd(p.den, *p.nums) == 1
+        assert TorusPoint(want) == p and hash(TorusPoint(want)) == hash(p)
+    assert (a == b) == (a_frac == b_frac)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert (a < b) == (a_frac < b_frac)
+    assert (a <= b) == (a_frac <= b_frac)
+    assert (a > b) == (a_frac > b_frac)
+    assert (a >= b) == (a_frac >= b_frac)
+    assert sorted([a, b, a]) == sorted([a, b, a], key=lambda p: p.coords)
+
+
+def test_integer_point_form_is_immutable_copyable_and_never_empty():
+    p = TorusPoint(("1/2", 3, Fr(-1, 3)))
+    assert (p.nums, p.den) == ((3, 0, 4), 6)
+    with pytest.raises(AttributeError):
+        p.nums = (0, 0, 0)
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        TorusPoint(())
+    assert p != p.coords  # a point is not its coordinate tuple
+    for twin in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert twin == p and (twin.nums, twin.den) == (p.nums, p.den)
+
+
+@st.composite
+def mixed_denominator_points(draw, r):
+    """Cover points whose coordinates have pairwise different denominators,
+    ints among them."""
+    dens = draw(st.permutations([1, 2, 3, 5, 7, 8, 9, 11, 25]))[:r]
+    return tuple(
+        Fr(draw(st.integers(min_value=-3 * d, max_value=3 * d)), d) if d > 1
+        else draw(st.integers(min_value=-3, max_value=3))
+        for d in dens
+    )
+
+
+@settings(max_examples=300)
+@given(st.data(), st.integers(min_value=1, max_value=4))
+def test_integer_anchor_walk_matches_enumeration_on_mixed_denominators(data, r):
+    w = data.draw(primitive_directions(r))
+    point = data.draw(mixed_denominator_points(r))
+    anchor, tau = enumerated_anchor(point, w)
+    assert _anchor_for(point, w) == (anchor, tau)
+    p = TorusPoint(point)
+    nums, tau_num, big = torus._anchor_ints(p.nums, p.den, w)
+    assert (tuple(Fr(n, big) for n in nums), Fr(tau_num, big)) == (anchor, tau)
+
+
+@settings(max_examples=150)
+@given(threaded_pair())
+def test_integer_level_terms_sum_to_the_fraction_solenoid_distance(case):
+    moduli, (xs, ys) = case
+    x, y = SolenoidPoint(moduli, xs), SolenoidPoint(moduli, ys)
+    terms, den = _level_dist_terms(x, y)
+    assert sum(Fr(t, den * 2**n) for n, t in enumerate(terms, start=1)) == (
+        fraction_solenoid_distance(x, y))

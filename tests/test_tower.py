@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fupcon.exact_arith import Moduli
 from fupcon.lifting import NonadmissibleWinding, PLLoop
 from fupcon.torus import (
+    Arc,
     DepthMismatch,
     SegmentSet,
     SolenoidPoint,
@@ -25,6 +26,8 @@ from fupcon.torus import (
     torus_dist,
 )
 from fupcon.tower import (
+    _arc_point,
+    _close_line,
     DepthTooSmall,
     EpsilonCheck,
     MembershipFails,
@@ -766,3 +769,119 @@ def test_integer_first_match_agrees_with_the_fraction_oracle(loop, count, delta,
     for q in queries:
         assert first_close_sample(loop, count, q, delta) == fraction_first_close(
             loop, count, q, delta)
+
+
+def listed_close_intervals(line, lo, hi, scale):
+    """Every open interval of real i, times scale, on which
+    |A + i*B - n*C| < R, one per integer n the line meets while i runs over
+    [lo, hi], listed in increasing order."""
+    a, b, c, r = line
+    y0, y1 = sorted((a + b * lo, a + b * hi))
+    first, stop = (y0 - r) // c + 1, -((-y1 - r) // c)
+    s = scale // b
+    half, step = r * abs(s), c * abs(s)
+    low = (first if s > 0 else stop - 1) * c * s - a * s
+    return [(m - half, m + half) for m in range(low, low + (stop - first) * step, step)]
+
+
+def listed_first_close(loop, count, query, delta):
+    """Oracle for first_close_sample: every close interval of every moving
+    coordinate listed in integers, intersected piece by piece."""
+    if delta > Fr(1, 2):
+        return 0
+    k = loop.pieces
+    for p, (a, b) in enumerate(zip(loop.breakpoints, loop.breakpoints[1:])):
+        lo, hi = -(-p * count // k), -(-(p + 1) * count // k) - 1
+        lines = []
+        for ac, bc, qc in zip(a, b, query.coords):
+            if ac != bc:
+                lines.append(_close_line(ac, bc, qc.numerator, qc.denominator, delta, p, k, count))
+            elif arc_dist(ac, qc) >= delta:
+                break
+        else:
+            scale = math.lcm(*(abs(line[1]) for line in lines))
+            window = [((lo - 1) * scale, (hi + 1) * scale)]
+            for line in lines:
+                window = fraction_intersect(window, listed_close_intervals(line, lo, hi, scale))
+            for left, right in window:
+                i = left // scale + 1
+                if i * scale < right:
+                    return i
+    return None
+
+
+@st.composite
+def steep_loops(draw):
+    """One-piece or two-piece loops with r = 2..3 whose coordinates all
+    rise steeply, so that every coordinate meets many translates, and some
+    rise by the same amount."""
+    r = draw(st.integers(min_value=2, max_value=3))
+    k = draw(st.integers(min_value=1, max_value=2))
+    rises = st.integers(min_value=-400, max_value=400)
+    bps = [(0,) * r]
+    for _ in range(k):
+        step = draw(st.tuples(*[rises] * r))
+        if draw(st.booleans()):
+            step = (step[0],) * r
+        bps.append(tuple(c + d for c, d in zip(bps[-1], step)))
+    return PLLoop(tuple(bps))
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(pl_loops(), wide_loops(), steep_loops()),
+    st.one_of(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=10**12)),
+    st.one_of(
+        st.sampled_from([Fr(1, 2), Fr(1, 3), Fr(1, 1000)]),
+        st.fractions(min_value=Fr(1, 10**4), max_value=Fr(1, 2), max_denominator=10**4),
+    ),
+    st.data(),
+)
+def test_walked_first_match_agrees_with_the_listed_intervals(loop, count, delta, data):
+    """Small counts leave close intervals with no integer in them, which the
+    walk must step past; large ones put the answer in the first interval."""
+    coords = st.fractions(min_value=0, max_value=1, max_denominator=10**3)
+    queries = [TorusPoint(tuple(data.draw(coords) for _ in range(loop.r)))]
+    sample = loop.point_at(Fr(data.draw(st.integers(min_value=0, max_value=count - 1)), count))
+    queries += [sample, TorusPoint(tuple(c + delta for c in sample.coords))]
+    for q in queries:
+        assert first_close_sample(loop, count, q, delta) == listed_first_close(
+            loop, count, q, delta)
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(min_value=1, max_value=3).flatmap(lambda r: st.tuples(
+        st.lists(st.integers(-6, 6), min_size=r, max_size=r).filter(any),
+        st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda x: x < 1),
+                 min_size=r, max_size=r),
+    )),
+    st.fractions(min_value=0, max_value=1, max_denominator=50).filter(lambda x: x < 1),
+    st.fractions(min_value=0, max_value=1, max_denominator=50),
+    st.integers(min_value=1, max_value=10**6),
+    st.data(),
+)
+def test_integer_arc_point_matches_arc_point_at(case, start, length, scale, data):
+    """Arcs with Fraction starts and anchors of mixed denominators, at
+    offsets over the whole arc."""
+    direction, anchor = case
+    arc = Arc(tuple(direction), tuple(anchor), start, length)
+    offset = data.draw(st.integers(min_value=0, max_value=math.floor(length * scale)))
+    p = _arc_point(arc, offset, scale)
+    assert p == arc.point_at(Fr(offset, scale))
+    assert p.coords == arc.point_at(Fr(offset, scale)).coords
+
+
+def test_first_match_stays_within_its_piece():
+    """Piece 0 of (0, 0) -> (1/10^6, 1/2) -> (0, 0) holds samples 0..500 of
+    1001.  Its second coordinate, carried on to sample 501, would reach the
+    query's 501/1001; but sample 501 lies on piece 1, at 500/1001 like
+    sample 500, exactly delta away.  The first coordinate is close on the
+    whole piece and has as few close intervals, so it is the one walked."""
+    loop = PLLoop(((0, 0), (Fr(1, 10**6), Fr(1, 2)), (0, 0)))
+    count, query, delta = 1001, TorusPoint((0, Fr(501, 1001))), Fr(1, 1001)
+    assert loop.point_at(Fr(500, count)).coords[1] == loop.point_at(Fr(501, count)).coords[1] == (
+        Fr(500, 1001))
+    assert first_close_sample(loop, count, query, delta) is None
+    assert listed_first_close(loop, count, query, delta) is None
+    assert first_close_sample(loop, count, query, delta + Fr(1, 10**6)) == 500
