@@ -34,6 +34,7 @@ from .exact_arith import (
 from .lifting import (
     WindingLike,
     WindingVector,
+    _stage_divisors,
     admissible_winding,
     as_winding,
     image_direction,
@@ -180,8 +181,7 @@ def _witness_basis(w, moduli: Moduli, n: int) -> tuple[int, int, tuple[int, ...]
     be c_i * j_i mod m_i for every i, c_i the inverse of (s_i / g_i) * D / d_i
     mod m_i, so x is linear in j mod M: b_i = c_i * E_i mod M, E_i the CRT
     idempotent (1 mod m_i, 0 mod every other m_l)."""
-    gs = [math.gcd(e, m**n) for e, m in zip(w, moduli)]
-    ds = [m**n // g for m, g in zip(moduli, gs)]
+    gs, ds = _stage_divisors(w, n, moduli)
     basis = []
     for i, (e, m, g) in enumerate(zip(w, moduli, gs)):
         # D / d_i mod m_i, from the other d_l reduced mod m_i

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exact_arith import Moduli, _integer_entries
-from .torus import _FULL, Arc, SegmentSet, TorusPoint, Vec, _exact_vecs, _point, _primitive
+from .torus import _FULL, SegmentSet, TorusPoint, Vec, _arc, _exact_vecs, _point
 
 
 class NonadmissibleWinding(ValueError):
@@ -172,6 +172,15 @@ class PLLoop:
         return Fraction(step * self.pieces)
 
 
+def _pl_loop(breakpoints: tuple[Vec, ...]) -> PLLoop:
+    """The loop of breakpoints that are a loop by construction (exact
+    coordinates, one dimension, from the origin to an integer vector), with
+    none of PLLoop's checks run over them."""
+    loop = object.__new__(PLLoop)
+    object.__setattr__(loop, "breakpoints", breakpoints)
+    return loop
+
+
 def extend_periodic(loop: PLLoop, horizon: int) -> tuple[Vec, ...]:
     """Cover breakpoints of the periodic extension over [0, horizon]:
     block i is the loop translated by i times the winding."""
@@ -224,21 +233,50 @@ def lift(loop: PLLoop, n: int, moduli: Moduli, horizon: int) -> LiftedPath:
     )
 
 
-def image_period(s: WindingLike, n: int, moduli: Moduli) -> int:
-    """Least P > 0 with the stage-n standard lift P-periodic as a set sweep:
-    lcm over i of m_i^n / gcd(s_i, m_i^n).  Requires an admissible winding."""
+def _stage_divisors(w, n: int, moduli: Moduli) -> tuple[list[int], list[int]]:
+    """(g, d) with g_i = gcd(s_i, m_i^n) and d_i = m_i^n / g_i for the
+    winding w = (s_i) at stage n: coordinate i of the stage-n standard lift
+    is an integer exactly at the integer times that d_i divides."""
+    powers = [m**n for m in moduli]
+    gs = [math.gcd(e, p) for e, p in zip(w, powers)]
+    return gs, [p // g for p, g in zip(powers, gs)]
+
+
+def _admissible_stage(s: WindingLike, n: int, moduli: Moduli) -> WindingVector:
+    """s as an admissible winding of the moduli, at a stage n >= 0."""
     w = admissible_winding(s, moduli)
     if n < 0:
         raise ValueError("stage n must be >= 0")
-    return math.lcm(*(m**n // math.gcd(abs(e), m**n) for e, m in zip(w, moduli)))
+    return w
+
+
+def image_period(s: WindingLike, n: int, moduli: Moduli) -> int:
+    """Least P > 0 with the stage-n standard lift P-periodic as a set sweep:
+    lcm over i of d_i = m_i^n / gcd(s_i, m_i^n) (_stage_divisors).  Requires
+    an admissible winding."""
+    w = _admissible_stage(s, n, moduli)
+    return math.lcm(*_stage_divisors(w, n, moduli)[1])
 
 
 def image_direction(s: WindingLike, n: int, moduli: Moduli) -> tuple[int, ...]:
     """Primitive direction of the stage-n image of the straight loop of
     winding s: over one period P = image_period(s, n) its lift runs from 0
-    to the integer vector (s_i * P / m_i^n), and later periods retrace it."""
-    period = image_period(s, n, moduli)
-    return _primitive(tuple(e * period // m**n for e, m in zip(as_winding(s), moduli)))[0]
+    to the integer vector (s_i * P / m_i^n) = ((s_i/g_i) * P/d_i), and
+    later periods retrace it.
+
+    That vector is divided by its gcd in closed form, with no gcd of the
+    P-sized entries: the gcd is G = gcd_i(s_i/g_i).  A prime p dividing no
+    d_i divides no P/d_i either, so it divides the gcd as often as it
+    divides G.  A prime p dividing some d_k divides no s_k/g_k (g_k
+    holds every p in s_k, as it falls short of m_k^n), and for the k with
+    the most p in d_k it does not divide P/d_k either; so it divides
+    neither the gcd nor G.  The sign is the first entry's, that of s_1."""
+    w = _admissible_stage(s, n, moduli)
+    gs, ds = _stage_divisors(w, n, moduli)
+    period = math.lcm(*ds)
+    units = [e // g for e, g in zip(w, gs)]
+    unit = math.gcd(*units) if units[0] > 0 else -math.gcd(*units)
+    return tuple(u // unit * (period // d) for u, d in zip(units, ds))
 
 
 def image_set(loop: PLLoop, n: int, moduli: Moduli) -> SegmentSet:
@@ -248,4 +286,4 @@ def image_set(loop: PLLoop, n: int, moduli: Moduli) -> SegmentSet:
     if loop.pieces != 1:
         raise ValueError("image_set takes a straight loop (one piece)")
     u = image_direction(loop.winding(), n, moduli)
-    return SegmentSet(arcs=(Arc(u, (Fraction(0),) * len(u), *_FULL),), points=())
+    return SegmentSet(arcs=(_arc(u, ((0,) * len(u), 1), *_FULL),), points=())

@@ -20,7 +20,7 @@ from operator import add
 from typing import Sequence
 
 from .hitting import DEFAULT_SIZE_GUARD, check_size
-from .lifting import PLLoop, WindingLike, WindingVector, as_winding
+from .lifting import PLLoop, WindingLike, WindingVector, _pl_loop, as_winding
 
 
 class ZeroInjection(ValueError):
@@ -160,7 +160,8 @@ def design_all_nonzero(
     # a coordinate's column of moves, each entry repeated its count: formed
     # from the r-by-r moves, not by transposing the 1 + sum(l) repeated ones
     columns = (chain.from_iterable(map(repeat, col, counts)) for col in zip(*moves))
-    pl = PLLoop(tuple(zip(*(accumulate(col, add, initial=0) for col in columns))))
+    # integer running sums from the origin: a loop by construction
+    pl = _pl_loop(tuple(zip(*(accumulate(col, add, initial=0) for col in columns))))
     if pl.winding() != current:
         raise PreconditionViolated("assembled loop misses the combined winding")
     return NonvanishingDesign(

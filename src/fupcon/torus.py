@@ -12,7 +12,11 @@ so gcd(den, *nums) == 1 and == and hash compare (nums, den).  Every point
 kernel runs on those ints: f takes n/den to (m*n mod den)/den, the
 preimages of a point are (n + j*den)*(M/m_i) over den*M, distances and
 coherence are integer comparisons, and the anchor walk of point location
-runs over den*v*.  A Fraction is built only at the boundary: a point's
+runs over den*v*.  The set layer keys a closed geodesic the same way, by
+(direction, (nums, den)) with nums/den its canonical anchor: each Arc
+holds that integer anchor (Arc.anchor_ints), and the set maps, the
+canonical sort, membership and containment group, order and look up
+geodesics by it.  A Fraction is built only at the boundary: a point's
 coords (for the CSV, reports and tests), the Arc fields, and the
 distances a report states.
 
@@ -37,10 +41,9 @@ having integer pivot coordinate.  A segment then becomes an arc, an interval
 in the unit-speed parameterization of that circle, and overlapping/touching
 arcs on the same circle are merged into maximal ones.  Isolated points (from
 degenerate inputs such as constant loops) are carried separately.  The arcs
-are held in key order.  The keys are sorted as ints, each anchor coordinate
-a as a*L with L the lcm of every anchor denominator among them: L > 0, so
-this is exactly the order of the Fraction keys, without the Fraction
-comparisons.
+are held in key order.  The integer keys are sorted as ints, each anchor's
+numerators scaled to L, the lcm of the keys' dens: L > 0, so this is
+exactly the order of the Fraction keys, without building them.
 
 The canonical form decides the rest.  Arcs on one closed geodesic are
 disjoint and maximal, distinct parallel geodesics are disjoint, and
@@ -59,9 +62,10 @@ steps and modular inverses of that walk depend on w alone and are planned
 once per direction.  Two points lie on one closed geodesic of direction w
 exactly when their anchors agree, and then differ by the difference of
 their taus.  Each segment set indexes its arcs by direction and by the
-anchor as integers (nums, den); a membership query costs one integer anchor
-walk per distinct direction, a gcd and a lookup, and an interval test only
-on a geodesic the set holds in part.
+integer anchor, and keeps the anchors of its full geodesics in one set per
+direction; a membership query costs one integer anchor walk per distinct
+direction, a gcd and a set lookup, and an interval test only on a geodesic
+the set holds in part.
 
 Preimages are closed-form too.  The moduli are pairwise coprime, so the
 kernel of f is the cyclic group prod Z/m_i, generated by
@@ -72,7 +76,10 @@ M = prod m_i and g = gcd_i(u_i*m_i) is the number of kernel points on one
 of them; a partial arc has g sub-arcs on each.  So the preimage of a
 closed geodesic is connected exactly when g = M.  Forward images are
 closed-form too: f takes the closed geodesic of direction w through a onto
-the one of direction primitive(m_i*w_i) through (m_i*a_i).
+the one of direction primitive(m_i*w_i) through (m_i*a_i).  Both maps run
+on the integer anchor a = nums/den: m_i*a_i is (m_i*n_i mod den)/den, and
+(a_i + c)/m_i is (n_i + c*den)*(M/m_i) over den*M, so every image or coset
+key costs one integer anchor walk and a gcd.
 """
 
 import csv
@@ -81,7 +88,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .exact_arith import Moduli, format_rational, frac_mod1, parse_rational
 
@@ -297,7 +304,7 @@ def _primitive(d: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
 
 @functools.lru_cache(maxsize=4096)
 def _anchor_plan(w: tuple[int, ...]) -> tuple[int, int, tuple]:
-    """The point-independent part of _anchor_for for the primitive direction
+    """The point-independent part of _anchor_ints for the primitive direction
     w: the pivot, v*, and for each later coordinate k the tuple
     (k, w_k, n, the inverse of step*w_k/g mod n, step), step being the coset
     step before coordinate k.  The cache is bounded, so a long run over many
@@ -351,11 +358,15 @@ def _anchor_ints(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[lis
     return anchor, fn + j * den, big
 
 
-def _anchor_for(point: Vec, w: tuple[int, ...]) -> tuple[Vec, Fraction]:
-    """_anchor_ints for a point of exact coordinates, as (anchor, tau) in
-    Fractions: the set maps key geodesics by the Fraction anchor."""
-    anchor, tau, big = _anchor_ints(*_ints_mod1(point), w)
-    return tuple(Fraction(n, big) for n in anchor), Fraction(tau, big)
+def _anchor_key(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[tuple, int, int]:
+    """(key, tau, A): _anchor_ints with the anchor reduced to the integer
+    geodesic key (nums, den), den the least common denominator of the
+    anchor's coordinates, as _ints_mod1 gives it for the Fraction anchor."""
+    anchor, tau, big = _anchor_ints(nums, den, w)
+    g = math.gcd(big, *anchor)
+    if g > 1:
+        return (tuple(n // g for n in anchor), big // g), tau, big
+    return (tuple(anchor), big), tau, big
 
 
 @dataclass(frozen=True, order=True)
@@ -372,6 +383,13 @@ class Arc:
     @property
     def key(self):
         return (self.direction, self.anchor)
+
+    @functools.cached_property
+    def anchor_ints(self) -> tuple[tuple[int, ...], int]:
+        """The anchor as integers (nums, den), the form the set layer keys
+        geodesics by; an arc built from that key (_arc) holds it from the
+        start, any other computes it once, on first read."""
+        return _ints_mod1(self.anchor)
 
     @property
     def is_full(self) -> bool:
@@ -398,14 +416,25 @@ class Arc:
         return TorusSegment(s, e)
 
 
+def _arc(direction: tuple[int, ...], key: tuple, start: Fraction, length: Fraction) -> Arc:
+    """The Arc on the geodesic of the integer key (direction, (nums, den)):
+    its Fraction anchor is built from the key, which it keeps as
+    anchor_ints."""
+    nums, den = key
+    arc = Arc(direction, tuple(Fraction(n, den) for n in nums), start, length)
+    arc.__dict__["anchor_ints"] = key  # the cached_property's slot
+    return arc
+
+
 def _segment_to_arc_data(seg: TorusSegment):
-    """(key, (start, length)) of the raw segment in canonical circle
-    coordinates; a length of 1 or more is the whole geodesic."""
+    """((direction, integer anchor), (start, length)) of the raw segment in
+    canonical circle coordinates; a length of 1 or more is the whole
+    geodesic."""
     d = tuple(e - s for s, e in zip(seg.start, seg.end))
     w, scale = _primitive(d)
-    anchor, tau_anchor = _anchor_for(seg.start, w)
+    key, tau, big = _anchor_key(*_ints_mod1(seg.start), w)
     lo = min(Fraction(0), scale)
-    return (w, anchor), (frac_mod1(lo - tau_anchor), abs(scale))
+    return (w, key), (frac_mod1(lo - Fraction(tau, big)), abs(scale))
 
 
 _FULL = (Fraction(0), Fraction(1))  # the whole circle as (start, length)
@@ -474,34 +503,43 @@ class SegmentSet:
 
     @functools.cached_property
     def _geodesics(self) -> dict:
-        """{direction: {canonical anchor as (nums, den): arcs on that closed
+        """{direction: {integer anchor (nums, den): arcs on that closed
         geodesic}}, built on first use."""
         index: dict = {}
         for arc in self.arcs:
-            index.setdefault(arc.direction, {}).setdefault(_ints_mod1(arc.anchor), []).append(arc)
+            index.setdefault(arc.direction, {}).setdefault(arc.anchor_ints, []).append(arc)
         return index
+
+    @functools.cached_property
+    def _full_anchors(self) -> dict:
+        """{direction: the integer anchors of the geodesics the set holds
+        whole}, so that a full geodesic is found by one set lookup."""
+        return {
+            w: frozenset(k for k, arcs in geodesics.items() if any(a.is_full for a in arcs))
+            for w, geodesics in self._geodesics.items()
+        }
 
     @functools.cached_property
     def _point_keys(self) -> frozenset:
         return frozenset(map(_ints_mod1, self.points))
 
     def contains_point(self, p: TorusPoint) -> bool:
-        """One integer anchor walk per direction, its gcd and a lookup; tau
-        becomes a Fraction only on a geodesic the set holds in part."""
+        """One integer anchor walk per direction and a lookup of its key
+        among the full geodesics; tau becomes a Fraction only on a geodesic
+        the set holds in part."""
         _check_set_dims(self, p.r)
         if self.points and (p.nums, p.den) in self._point_keys:
             return True
+        full = self._full_anchors
         for w, geodesics in self._geodesics.items():
-            anchor, tau, big = _anchor_ints(p.nums, p.den, w)
-            g = math.gcd(big, *anchor)
-            arcs = geodesics.get((tuple(n // g for n in anchor), big // g))
-            if arcs is None:
-                continue
-            if any(arc.is_full for arc in arcs):
+            key, tau, big = _anchor_key(p.nums, p.den, w)
+            if key in full[w]:
                 return True
-            at = Fraction(-tau, big)
-            if any(arc.holds(at) for arc in arcs):
-                return True
+            arcs = geodesics.get(key)
+            if arcs is not None:
+                at = Fraction(-tau, big)
+                if any(arc.holds(at) for arc in arcs):
+                    return True
         return False
 
     def covers(self, other: "SegmentSet") -> bool:
@@ -517,8 +555,12 @@ class SegmentSet:
         for vec in other.points:
             if not self.contains_point(TorusPoint(vec)):
                 return False
+        full = self._full_anchors
         for arc in other.arcs:
-            same = self._geodesics.get(arc.direction, {}).get(_ints_mod1(arc.anchor), ())
+            key = arc.anchor_ints
+            if key in full.get(arc.direction, ()):
+                continue
+            same = self._geodesics.get(arc.direction, {}).get(key, ())
             if not any(a.holds(arc.start, arc.length) for a in same):
                 return False
         return True
@@ -534,27 +576,26 @@ def _check_set_dims(s: SegmentSet, r: int):
         _check_dims(s.r, r)
 
 
-def _key_order(keys: Iterable) -> Callable[[tuple], tuple]:
-    """A sort key that orders geodesic keys (direction, anchor) exactly as
-    the keys themselves, compared as ints: each anchor coordinate a becomes
-    a*L, L the lcm of every anchor denominator among the keys.  Scaling by
-    L > 0 keeps the order and equality of the rationals, and every a*L is
-    an integer."""
-    scale = math.lcm(*{a.denominator for _, anchor in keys for a in anchor})
-    return lambda key: (key[0], [a.numerator * (scale // a.denominator) for a in key[1]])
+def _sorted_keys(keys: Collection) -> list:
+    """Integer geodesic keys (direction, (nums, den)) in the order of the
+    Fraction keys (direction, nums/den), compared as ints: each anchor's
+    numerators are scaled to L, the lcm of the keys' dens.  Scaling by
+    L > 0 keeps the order and equality of the rationals, and each
+    n*(L/den) is an integer."""
+    scale = math.lcm(*(den for _, (_, den) in keys))
+    return sorted(keys, key=lambda key: (key[0], [n * (scale // key[1][1]) for n in key[1][0]]))
 
 
 def _from_circle_intervals(grouped: dict, points: Iterable) -> SegmentSet:
-    """The canonical set of closed circle intervals grouped by geodesic key
-    {(direction, canonical anchor): [(start, length), ...]}, plus the given
-    points that lie on none of them."""
+    """The canonical set of closed circle intervals grouped by integer
+    geodesic key {(direction, (nums, den)): [(start, length), ...]}, plus
+    the given points that lie on none of them."""
     pts = [p if isinstance(p, TorusPoint) else TorusPoint(p) for p in points]
     dims = {len(w) for w, _ in grouped} | {q.r for q in pts}
     if len(dims) > 1:
         raise DimensionMismatch(f"pieces of dimensions {sorted(dims)}")
     arcs = tuple(
-        Arc(*k, s, l) for k in sorted(grouped, key=_key_order(grouped))
-        for s, l in _merge_on_circle(grouped[k])
+        _arc(*k, s, l) for k in _sorted_keys(grouped) for s, l in _merge_on_circle(grouped[k])
     )
     bare = SegmentSet(arcs=arcs, points=())
     off_arcs = {q.coords for q in pts if not bare.contains_point(q)}
@@ -658,16 +699,18 @@ def apply_f_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     f is linear on the cover, so with m*w = h*u coordinatewise, u primitive,
     it takes a + t*w to m*a + h*t*u: the arc [t0, t0+L] goes to the interval
     of length h*L from h*t0 - tau on the geodesic of direction u through
-    m*a, tau from its anchor.  Isolated points go through apply_f."""
+    m*a, tau from its anchor.  With a = nums/den, m*a is (m*n mod den)/den,
+    so the image key comes from one integer anchor walk.  Isolated points
+    go through apply_f."""
     _check_set_dims(s, moduli.r)
     grouped: dict = {}
     for w, geodesics in s._geodesics.items():
         u, h = _primitive(tuple(m * x for m, x in zip(moduli, w)))
-        for arcs in geodesics.values():
-            anchor = arcs[0].anchor
-            key_anchor, tau = _anchor_for(tuple(m * a for m, a in zip(moduli, anchor)), u)
-            grouped.setdefault((u, key_anchor), []).extend(
-                _FULL if arc.is_full else (frac_mod1(h * arc.start - tau), h * arc.length)
+        for (nums, den), arcs in geodesics.items():
+            key, tau, big = _anchor_key(tuple(m * n % den for m, n in zip(moduli, nums)), den, u)
+            grouped.setdefault((u, key), []).extend(
+                _FULL if arc.is_full
+                else (frac_mod1(h * arc.start - Fraction(tau, big)), h * arc.length)
                 for arc in arcs
             )
     pts = [apply_f(TorusPoint(vec), moduli) for vec in s.points]
@@ -699,28 +742,29 @@ def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     its anchor, it is the g intervals starting at (t0 + k)/g - tau_c of
     length L/g, the whole geodesic when the arc is full.  Without
     coprimality K is not cyclic and e reaches only some of the cosets.
-    Isolated points go through f_preimages."""
+    With a = nums/den, (a_i + c)/m_i is (n_i + c*den)*(M/m_i) over den*M,
+    so each coset's key comes from one integer anchor walk.  Isolated
+    points go through f_preimages."""
     _check_set_dims(s, moduli.r)
     grouped: dict = {}
+    big_m = moduli.product()
+    parts = [big_m // m for m in moduli]
     for w, geodesics in s._geodesics.items():
         u, g, cosets = preimage_geodesics(w, moduli)
-        for arcs in geodesics.values():
-            anchor = arcs[0].anchor
-            # (a + c)/m = (n + c*d)/(m*d) for a = n/d: one Fraction per coordinate
-            fracs = [(a.numerator, a.denominator, m) for a, m in zip(anchor, moduli)]
+        for (nums, den), arcs in geodesics.items():
+            top = den * big_m
             for c in range(cosets):
-                key_anchor, tau = _anchor_for(
-                    tuple(Fraction(n + c * d, m * d) for n, d, m in fracs), u
+                key, tau, big = _anchor_key(
+                    tuple((n + c * den) * q % top for n, q in zip(nums, parts)), top, u
                 )
-                intervals = grouped.setdefault((u, key_anchor), [])
+                intervals = grouped.setdefault((u, key), [])
                 for arc in arcs:
                     if arc.is_full:
                         intervals.append(_FULL)
                     else:
-                        length = arc.length / g
+                        length, at = arc.length / g, Fraction(tau, big)
                         intervals.extend(
-                            (frac_mod1((arc.start + k) / g - tau), length)
-                            for k in range(g)
+                            (frac_mod1((arc.start + k) / g - at), length) for k in range(g)
                         )
     pts = [q.coords for vec in s.points for q in f_preimages(TorusPoint(vec), moduli)]
     return _from_circle_intervals(grouped, pts)
@@ -830,20 +874,24 @@ def _level_dist_terms(x: SolenoidPoint, y: SolenoidPoint) -> tuple[list[int], in
     f^(K-k)(z_K - y_K).  Coordinate i of it at level K is delta_i/D, and one
     level down it is m_i*delta_i mod D; its arc distance
     min(delta_i, D - delta_i)/D is an integer over D, and so is the max
-    over i."""
+    over i.  Each coordinate is walked down the levels as one column, and
+    each level's term is the max across the columns."""
     if x.moduli != y.moduli:
         raise ValueError("points from different solenoid products")
     if x.depth != y.depth:
         raise DepthMismatch(f"depth {x.depth} vs {y.depth}")
     a, b = x.deepest, y.deepest
     den = math.lcm(a.den, b.den)
-    sa, sb = den // a.den, den // b.den
-    deltas = [(p * sa - q * sb) % den for p, q in zip(a.nums, b.nums)]
-    ms, terms = x.moduli.values, []
-    for _ in range(x.depth):
-        if terms:
-            deltas = [m * e % den for m, e in zip(ms, deltas)]
-        terms.append(max(min(e, den - e) for e in deltas))
+    sa, sb, half = den // a.den, den // b.den, den // 2
+    columns = []  # coordinate i's arc distances, deepest level first
+    for m, p, q in zip(x.moduli.values, a.nums, b.nums):
+        e = (p * sa - q * sb) % den
+        column = [e if e <= half else den - e]
+        for _ in range(x.depth - 1):
+            e = m * e % den
+            column.append(e if e <= half else den - e)
+        columns.append(column)
+    terms = list(map(max, zip(*columns)))
     terms.reverse()
     return terms, den
 

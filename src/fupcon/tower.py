@@ -60,7 +60,6 @@ from .torus import (
     SolenoidPoint,
     TorusPoint,
     _arc_dist_terms,
-    _ints_mod1,
     _level_dist_terms,
     _point,
     _power_image,
@@ -451,7 +450,7 @@ def _arc_point(arc: Arc, offset: int, scale: int) -> TorusPoint:
     s = arc.start
     e = math.lcm(s.denominator, scale)
     tn = s.numerator * (e // s.denominator) + offset * (e // scale)
-    nums, den = _ints_mod1(arc.anchor)
+    nums, den = arc.anchor_ints
     d = math.lcm(den, e)
     return _point(
         tuple((n * (d // den) + tn * w * (d // e)) % d for n, w in zip(nums, arc.direction)), d

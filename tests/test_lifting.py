@@ -12,11 +12,12 @@ from fupcon.lifting import (
     PLLoop,
     WindingVector,
     extend_periodic,
+    image_direction,
     image_period,
     image_set,
     lift,
 )
-from fupcon.torus import SegmentSet, TorusPoint, TorusSegment, apply_f
+from fupcon.torus import SegmentSet, TorusPoint, TorusSegment, _primitive, apply_f
 from fupcon.tower import first_close_sample
 
 M23 = Moduli.of(2, 3)
@@ -392,3 +393,41 @@ def test_cover_speed_is_a_lipschitz_bound():
         for ca, cb in zip(pa.coords, pb.coords):
             d = min(abs(ca - cb), 1 - abs(ca - cb))
             assert d <= bound * (b - a)
+
+
+def primitive_period_direction(s, n, moduli):
+    """Oracle: the lift's displacement over one period, (s_i * P / m_i^n),
+    divided by its gcd and sign-normalized by _primitive."""
+    period = image_period(s, n, moduli)
+    return _primitive(tuple(e * period // m**n for e, m in zip(s, moduli)))[0]
+
+
+# entries sharing powers of the moduli, negative ones, and large ones
+direction_entries = st.one_of(
+    st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
+    st.builds(
+        lambda sign, unit, power: sign * unit * power,
+        st.sampled_from([1, -1]),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([1, 2, 4, 8, 16, 3, 9, 27, 5, 25, 6, 12, 36, 72, 7, 11, 49, 121]),
+    ),
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([(4, 9), (8, 3, 5), (4, 3), (2, 3, 5, 7, 11), (2, 3), (9, 2), (3,)]).flatmap(
+        lambda ms: st.tuples(
+            st.just(Moduli(ms)),
+            st.tuples(*[direction_entries] * len(ms)),
+            st.integers(min_value=0, max_value=8),
+        )
+    )
+)
+@example((Moduli.of(4, 9), (6, -4), 0))
+@example((Moduli.of(2, 3, 5, 7, 11), (-1, 2, 3, 5, 7), 8))
+def test_closed_form_direction_is_the_primitive_period_vector(case):
+    moduli, s, n = case
+    u = image_direction(s, n, moduli)
+    assert u == primitive_period_direction(s, n, moduli)
+    assert math.gcd(*u) == 1 and u[0] > 0

@@ -174,3 +174,28 @@ def test_assembled_loop_is_checked_against_the_winding(monkeypatch):
     monkeypatch.setattr(loop_design, "add", lambda a, b: a + 2 * b)
     with pytest.raises(PreconditionViolated, match="misses the combined winding"):
         design_all_nonzero([(3, 0), (-2, 1)])
+
+
+@settings(max_examples=80)
+@given(valid_family())
+def test_designed_loop_is_the_checked_loop(family):
+    """The design builds its loop without PLLoop's checks; PLLoop of the
+    same breakpoints passes them and is the same loop."""
+    design = design_all_nonzero(family)
+    checked = PLLoop(design.loop.breakpoints)
+    assert checked == design.loop and hash(checked) == hash(design.loop)
+    assert checked.winding() == design.final
+
+
+def test_guard_edge_design_runs_no_breakpoint_scan(monkeypatch):
+    # 2 + 499,998 breakpoints of 2 coordinates: the default guard exactly
+    def refuse(self):
+        raise RuntimeError("the designed loop is exact by construction")
+
+    family = [(499997, 0), (0, 1)]
+    monkeypatch.setattr(PLLoop, "__post_init__", refuse)
+    design = design_all_nonzero(family)
+    monkeypatch.undo()
+    assert len(design.loop.breakpoints) == 500000
+    assert design.loop == PLLoop(design.loop.breakpoints)
+    assert tuple(design.loop.winding()) == tuple(design.final) == (499997, 499998)

@@ -31,17 +31,25 @@ from fupcon.torus import (
     write_segment_set_csv,
 )
 from fupcon.torus import (
-    _anchor_for,
+    _anchor_ints,
     _anchor_plan,
     _cross_intersections,
-    _key_order,
+    _ints_mod1,
     _level_dist_terms,
     _preimages,
+    _sorted_keys,
 )
 
 M23 = Moduli.of(2, 3)
 
 Fr = Fraction
+
+
+def _anchor_for(point, w):
+    """Oracle: the integer anchor walk for a point of exact coordinates, as
+    (anchor, tau) in Fractions."""
+    anchor, tau, big = _anchor_ints(*_ints_mod1(point), w)
+    return tuple(Fraction(n, big) for n in anchor), Fraction(tau, big)
 
 
 def seg(a, b):
@@ -1076,6 +1084,14 @@ def test_indexed_membership_matches_scan_on_random_sets(raw, isolated, picks):
         assert s.contains_point(p) == scanned_contains_point(s, p)
 
 
+def _key_order(keys):
+    """A sort key on Fraction geodesic keys (direction, anchor): the rank of
+    the key's integer form (direction, (nums, den)) in torus._sorted_keys."""
+    ints = {key: (key[0], _ints_mod1(key[1])) for key in keys}
+    rank = {key: i for i, key in enumerate(_sorted_keys(list(ints.values())))}
+    return lambda key: rank[ints[key]]
+
+
 @st.composite
 def geodesic_keys(draw):
     """Distinct geodesic keys (direction, anchor) in one dimension, drawn
@@ -1197,3 +1213,208 @@ def test_integer_level_terms_sum_to_the_fraction_solenoid_distance(case):
     terms, den = _level_dist_terms(x, y)
     assert sum(Fr(t, den * 2**n) for n, t in enumerate(terms, start=1)) == (
         fraction_solenoid_distance(x, y))
+
+
+# Fraction-key oracles for the integer set layer: the set maps and
+# from_segments as they read with Fraction anchors, each geodesic keyed by
+# _anchor_for and the keys sorted as tuples of Fractions.
+
+
+def fraction_key_set(grouped, points=()):
+    """Oracle for _from_circle_intervals on Fraction keys
+    {(direction, anchor): [(start, length), ...]}: arcs in sorted(keys)
+    order, and the points on no arc, each arc tested by its Fraction key."""
+    arcs = tuple(
+        Arc(*key, start, length)
+        for key in sorted(grouped)
+        for start, length in torus._merge_on_circle(grouped[key])
+    )
+    pts = [p if isinstance(p, TorusPoint) else TorusPoint(p) for p in points]
+    off = {q.coords for q in pts if not any(fraction_key_holds(arc, q) for arc in arcs)}
+    return SegmentSet(arcs=arcs, points=tuple(sorted(off)))
+
+
+def fraction_key_holds(arc, q):
+    """q + tau*w is the anchor of q's geodesic, so q sits at parameter -tau."""
+    anchor, tau = _anchor_for(q.coords, arc.direction)
+    return anchor == arc.anchor and arc.holds(-tau)
+
+
+def fraction_from_segments(segments, points=()):
+    grouped = {}
+    for sg in segments:
+        w, scale = torus._primitive(tuple(e - a for a, e in zip(sg.start, sg.end)))
+        anchor, tau = _anchor_for(sg.start, w)
+        grouped.setdefault((w, anchor), []).append(
+            (frac_mod1(min(Fr(0), scale) - tau), abs(scale))
+        )
+    return fraction_key_set(grouped, points)
+
+
+def fraction_apply_f_set(s, moduli):
+    grouped = {}
+    for arc in s.arcs:
+        u, h = torus._primitive(tuple(m * x for m, x in zip(moduli, arc.direction)))
+        anchor, tau = _anchor_for(tuple(m * a for m, a in zip(moduli, arc.anchor)), u)
+        grouped.setdefault((u, anchor), []).append(
+            torus._FULL if arc.is_full else (frac_mod1(h * arc.start - tau), h * arc.length)
+        )
+    return fraction_key_set(grouped, [apply_f(TorusPoint(v), moduli) for v in s.points])
+
+
+def fraction_preimage_set(s, moduli):
+    grouped = {}
+    for arc in s.arcs:
+        u, g, cosets = torus.preimage_geodesics(arc.direction, moduli)
+        for c in range(cosets):
+            anchor, tau = _anchor_for(
+                tuple((a + c) / m for a, m in zip(arc.anchor, moduli)), u
+            )
+            grouped.setdefault((u, anchor), []).extend(
+                [torus._FULL] if arc.is_full
+                else [(frac_mod1((arc.start + k) / g - tau), arc.length / g) for k in range(g)]
+            )
+    points = [q for v in s.points for q in f_preimages(TorusPoint(v), moduli)]
+    return fraction_key_set(grouped, points)
+
+
+def assert_integer_anchors(s):
+    """Every arc holds the integer form of its Fraction anchor."""
+    assert all(arc.anchor_ints == _ints_mod1(arc.anchor) for arc in s.arcs)
+
+
+@st.composite
+def segment_case(draw):
+    """Raw segments, partial and full, in one direction or several, and
+    isolated points, in 1 to 3 dimensions."""
+    r = draw(st.integers(1, 3))
+    coord = st.fractions(min_value=-2, max_value=2, max_denominator=12)
+    directions = draw(st.lists(
+        st.tuples(*[st.sampled_from(DIRECTIONS)] * r).filter(any), min_size=1, max_size=3))
+    length = st.sampled_from([Fr(1), Fr(3, 2), Fr(1, 2), Fr(1, 3), Fr(5, 7), Fr(1, 12)])
+    segments = []
+    for _ in range(draw(st.integers(1, 5))):
+        start = tuple(draw(coord) for _ in range(r))
+        d, t = draw(st.sampled_from(directions)), draw(length)
+        segments.append(seg(start, tuple(a + t * x for a, x in zip(start, d))))
+    points = draw(st.lists(st.tuples(*[coord] * r), max_size=2))
+    return segments, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(segment_case())
+def test_from_segments_matches_the_fraction_key_oracle(case):
+    segments, points = case
+    s = SegmentSet.from_segments(segments, points)
+    assert s == fraction_from_segments(segments, points)
+    assert_integer_anchors(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(preimage_case(), image_case()))
+@example((Moduli.of(4, 9), sset(seg((0, 0), (4, 9)), seg((Fr(1, 3), 0), (Fr(5, 6), 1)))))
+def test_set_maps_match_the_fraction_key_oracles(case):
+    """On coprime moduli, non-squarefree ones among them, and sets of full
+    and partial arcs in one direction or several."""
+    moduli, s = case
+    image, pre = apply_f_set(s, moduli), preimage_set(s, moduli)
+    assert image == fraction_apply_f_set(s, moduli)
+    assert pre == fraction_preimage_set(s, moduli)
+    assert_integer_anchors(image)
+    assert_integer_anchors(pre)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(lambda r: st.tuples(
+        primitive_directions(r),
+        st.tuples(*[st.one_of(rationals, st.integers(-3, 3))] * r),
+        st.fractions(min_value=0, max_value=1, max_denominator=30).filter(lambda x: x < 1),
+        st.fractions(min_value=Fr(1, 30), max_value=1, max_denominator=30),
+    ))
+)
+def test_integer_anchor_of_a_hand_built_arc_is_that_of_its_fraction_anchor(case):
+    """Arcs built with Arc(...) get the integer anchor on first read, also
+    for anchors given as ints or outside [0, 1); arcs built from the
+    integer key hold the same form."""
+    w, anchor, start, length = case
+    arc = Arc(w, anchor, start, length)
+    assert arc.anchor_ints == _ints_mod1(anchor)
+    nums, den = arc.anchor_ints
+    assert all(0 <= n < den for n in nums) and math.gcd(den, *nums) == 1
+    built = torus._arc(w, arc.anchor_ints, start, length)
+    assert built.anchor_ints == arc.anchor_ints
+    assert built.anchor == tuple(frac_mod1(Fr(a)) for a in anchor)
+
+
+@st.composite
+def full_geodesic_case(draw):
+    """A set of full geodesics and partial arcs in one direction or several
+    (2 or 3 dimensions), and probe points: on its full geodesics, on its
+    partial arcs and just past their ends, and anywhere."""
+    r = draw(st.integers(2, 3))
+    coord = st.fractions(min_value=0, max_value=1, max_denominator=12)
+    directions = draw(st.lists(primitive_directions(r), min_size=1, max_size=3))
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        start = tuple(draw(coord) for _ in range(r))
+        d = draw(st.sampled_from(directions))
+        t = draw(st.sampled_from([Fr(1), Fr(1), Fr(1, 2), Fr(1, 5)]))
+        segments.append(seg(start, tuple(a + t * x for a, x in zip(start, d))))
+    s = SegmentSet.from_segments(segments)
+    offsets = st.fractions(min_value=-Fr(1, 4), max_value=Fr(5, 4), max_denominator=20)
+    probes = [draw(st.sampled_from(s.arcs)).point_at(Fr(0)) for _ in range(2)]
+    for _ in range(draw(st.integers(1, 6))):
+        arc = draw(st.sampled_from(s.arcs))
+        t = arc.start + draw(offsets) * arc.length
+        probes.append(TorusPoint(tuple(a + t * v for a, v in zip(arc.anchor, arc.direction))))
+    probes += [TorusPoint(tuple(draw(coord) for _ in range(r))) for _ in range(2)]
+    return s, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_geodesic_case())
+def test_full_key_membership_matches_a_scan_over_the_arcs(case):
+    s, probes = case
+    for p in probes:
+        assert s.contains_point(p) == scanned_contains_point(s, p)
+    # covers: each arc held by one arc of the same Fraction key
+    half = SegmentSet.from_segments(
+        [seg(*(tuple(a + t * v for a, v in zip(arc.anchor, arc.direction))
+               for t in (arc.start, arc.start + arc.length / 2))) for arc in s.arcs]
+    )
+    for a, b in ((s, half), (half, s), (s, s)):
+        assert a.covers(b) == all(
+            any(x.key == arc.key and x.holds(arc.start, arc.length) for x in a.arcs)
+            for arc in b.arcs
+        )
+
+
+def per_level_dist_terms(x, y):
+    """Oracle: the delta list rebuilt at every level, deepest first."""
+    a, b = x.deepest, y.deepest
+    den = math.lcm(a.den, b.den)
+    deltas = [(p * (den // a.den) - q * (den // b.den)) % den for p, q in zip(a.nums, b.nums)]
+    terms = []
+    for _ in range(x.depth):
+        if terms:
+            deltas = [m * e % den for m, e in zip(x.moduli, deltas)]
+        terms.append(max(min(e, den - e) for e in deltas))
+    return terms[::-1], den
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([(2,), (9,), (2, 3), (4, 9), (2, 3, 5), (8, 3, 5)]).flatmap(
+        lambda ms: st.tuples(
+            st.just(Moduli(ms)), kernel_points(len(ms)), kernel_points(len(ms)),
+            st.integers(min_value=1, max_value=9),
+        )
+    )
+)
+def test_column_level_terms_match_the_per_level_oracle(case):
+    moduli, p, q, depth = case
+    x = SolenoidPoint.from_deepest(moduli, p, depth)
+    y = SolenoidPoint.from_deepest(moduli, q, depth)
+    assert _level_dist_terms(x, y) == per_level_dist_terms(x, y)
+    assert len(_level_dist_terms(x, y)[0]) == depth
