@@ -269,7 +269,7 @@ def preimage_checks(
     equal to the stage-(n+1) image exactly when it has its direction."""
     w = admissible_winding(s, moduli)
     check_size(moduli, n + 2, size_guard)
-    u, _, count = preimage_geodesics(image_direction(w, n, moduli), moduli)
+    u, count = preimage_geodesics(image_direction(w, n, moduli), moduli)
     return count == 1 and u == image_direction(w, n + 1, moduli), count == 1, count
 
 

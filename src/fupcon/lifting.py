@@ -13,8 +13,8 @@ loop_design, hold only ints and build no Fraction.
 
 For a straight loop with an all-nonzero winding the stage-n lift is
 periodic, and one period of it winds a whole number of times round one
-closed geodesic: image_set writes down that geodesic's canonical form
-directly, without lifting the blocks of the period.
+closed geodesic: image_set writes down that geodesic's direction and
+anchor directly, without lifting the blocks of the period.
 """
 
 import math
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .exact_arith import Moduli, _integer_entries
-from .torus import _FULL, SegmentSet, TorusPoint, Vec, _arc, _exact_vecs, _point
+from .torus import SegmentSet, TorusPoint, Vec, _exact_vecs, _point
 
 
 class NonadmissibleWinding(ValueError):
@@ -280,10 +280,10 @@ def image_direction(s: WindingLike, n: int, moduli: Moduli) -> tuple[int, ...]:
 
 
 def image_set(loop: PLLoop, n: int, moduli: Moduli) -> SegmentSet:
-    """Image of the stage-n lift of a straight loop as a canonical segment
-    set: the full closed geodesic of direction image_direction anchored at
-    the origin (pivot entry 0, and lexicographically least)."""
+    """Image of the stage-n lift of a straight loop as a segment set: the
+    full closed geodesic of direction image_direction anchored at the
+    origin (pivot entry 0, and lexicographically least)."""
     if loop.pieces != 1:
         raise ValueError("image_set takes a straight loop (one piece)")
     u = image_direction(loop.winding(), n, moduli)
-    return SegmentSet(arcs=(_arc(u, ((0,) * len(u), 1), *_FULL),), points=())
+    return SegmentSet(u, (((0,) * len(u), 1),))

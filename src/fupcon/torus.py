@@ -2,9 +2,11 @@
 
 Points with rational angle coordinates, the coordinatewise power map
 f(z_1, ..., z_r) = (z_1^{m_1}, ..., z_r^{m_r}) written additively as
-x -> (m_1 x_1, ..., m_r x_r) mod 1, and finite unions of closed geodesic
-segments with a canonical form, so that set equality, containment and
-connected components are all decidable in exact arithmetic.
+x -> (m_1 x_1, ..., m_r x_r) mod 1, and finite unions of full closed
+geodesics of one direction, the sets every level of the paper's tower is
+made of: images of straight loops, their forward images and their
+iterated preimages.  Set equality, containment and connected components
+are decidable on them in exact arithmetic.
 
 A torus point is held as integer numerators over one denominator: nums,
 each in [0, den), with den the least common denominator of the coordinates,
@@ -12,13 +14,9 @@ so gcd(den, *nums) == 1 and == and hash compare (nums, den).  Every point
 kernel runs on those ints: f takes n/den to (m*n mod den)/den, the
 preimages of a point are (n + j*den)*(M/m_i) over den*M, distances and
 coherence are integer comparisons, and the anchor walk of point location
-runs over den*v*.  The set layer keys a closed geodesic the same way, by
-(direction, (nums, den)) with nums/den its canonical anchor: each Arc
-holds that integer anchor (Arc.anchor_ints), and the set maps, the
-canonical sort, membership and containment group, order and look up
-geodesics by it.  A Fraction is built only at the boundary: a point's
-coords (for the CSV, reports and tests), the Arc fields, and the
-distances a report states.
+runs over den*v*.  A Fraction is built only at the boundary: a point's
+coords (for the CSV, reports and tests), the CSV rows, and the distances a
+report states.
 
 Truncated solenoid points (finite coherent sequences under f) and the
 weighted metric sum 2^-n d_n on them live here too.  A coherent point
@@ -34,24 +32,17 @@ Vectors (Vec) are exact: every coordinate is an int or a Fraction.  A cover
 vector (a loop breakpoint, a segment end) keeps its coordinates as they come
 in, so an int stays an int and costs no Fraction.
 
-Canonical form: every nondegenerate rational segment lies on a unique closed
-geodesic; the geodesic is keyed by its primitive sign-normalized integer
-direction vector together with the lexicographically least of its points
-having integer pivot coordinate.  A segment then becomes an arc, an interval
-in the unit-speed parameterization of that circle, and overlapping/touching
-arcs on the same circle are merged into maximal ones.  Isolated points (from
-degenerate inputs such as constant loops) are carried separately.  The arcs
-are held in key order.  The integer keys are sorted as ints, each anchor's
-numerators scaled to L, the lcm of the keys' dens: L > 0, so this is
-exactly the order of the Fraction keys, without building them.
-
-The canonical form decides the rest.  Arcs on one closed geodesic are
-disjoint and maximal, distinct parallel geodesics are disjoint, and
-isolated points lie on no arc.  So an arc is covered exactly when a single
-arc on its own geodesic holds it, and two pieces of a set meet only when
-they are arcs of different directions that cross: components need the
-crossing search only across direction groups, and a set in one direction
-has one component per arc and per isolated point.
+A closed geodesic of primitive integer direction w (first nonzero entry
+positive) is keyed by its canonical anchor: the lexicographically least of
+its points whose pivot coordinate (the first with w nonzero) is 0, held as
+integers (nums, den) like a point.  A set is its direction and the sorted
+anchors of its geodesics.  Distinct parallel closed geodesics are
+disjoint, and a closed geodesic meets one of another direction in finitely
+many points, so a set covers another exactly when it has the same
+direction and a superset of its anchors, and each geodesic is a connected
+component of its own.  The anchors are sorted as ints, each anchor's
+numerators scaled to L, the lcm of the dens: L > 0, so this is exactly the
+order of the Fraction anchors, without building them.
 
 Point location is closed-form.  The pivot-zero points of the geodesic
 through x with primitive direction w are x + (first + j)/v* * w for j mod v*
@@ -60,12 +51,8 @@ value of each pins j to a finer coset, so the canonical anchor and the
 parameter tau with x + tau*w = anchor cost O(r), not O(v*); the moduli,
 steps and modular inverses of that walk depend on w alone and are planned
 once per direction.  Two points lie on one closed geodesic of direction w
-exactly when their anchors agree, and then differ by the difference of
-their taus.  Each segment set indexes its arcs by direction and by the
-integer anchor, and keeps the anchors of its full geodesics in one set per
-direction; a membership query costs one integer anchor walk per distinct
-direction, a gcd and a set lookup, and an interval test only on a geodesic
-the set holds in part.
+exactly when their anchors agree, so a membership query costs one integer
+anchor walk, a gcd and a set lookup.
 
 Preimages are closed-form too.  The moduli are pairwise coprime, so the
 kernel of f is the cyclic group prod Z/m_i, generated by
@@ -73,13 +60,13 @@ e = (1/m_1, ..., 1/m_r).  The preimage of the closed geodesic of primitive
 direction w through a is the M/g parallel closed geodesics of direction
 u = primitive(w_i/m_i) through (a_i + c)/m_i, c = 0..M/g-1, where
 M = prod m_i and g = gcd_i(u_i*m_i) is the number of kernel points on one
-of them; a partial arc has g sub-arcs on each.  So the preimage of a
-closed geodesic is connected exactly when g = M.  Forward images are
-closed-form too: f takes the closed geodesic of direction w through a onto
-the one of direction primitive(m_i*w_i) through (m_i*a_i).  Both maps run
-on the integer anchor a = nums/den: m_i*a_i is (m_i*n_i mod den)/den, and
-(a_i + c)/m_i is (n_i + c*den)*(M/m_i) over den*M, so every image or coset
-key costs one integer anchor walk and a gcd.
+of them.  So the preimage of a closed geodesic is connected exactly when
+g = M.  Forward images are closed-form too: f takes the closed geodesic of
+direction w through a onto the one of direction primitive(m_i*w_i) through
+(m_i*a_i).  Both directions come from a gcd with M of numbers below M, and
+both maps run on the integer anchor a = nums/den: m_i*a_i is
+(m_i*n_i mod den)/den, and (a_i + c)/m_i is (n_i + c*den)*(M/m_i) over
+den*M, so every image or coset key costs one integer anchor walk and a gcd.
 """
 
 import csv
@@ -90,7 +77,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .exact_arith import Moduli, format_rational, frac_mod1, parse_rational
+from .exact_arith import Moduli, format_rational, parse_rational
 
 Vec = tuple[int | Fraction, ...]  # exact rational coordinates
 
@@ -262,44 +249,16 @@ def torus_dist(p: TorusPoint, q: TorusPoint) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# segments and their canonical decomposition into arcs on closed geodesics
+# sets of full closed geodesics of one direction
 
 
-@dataclass(frozen=True, order=True)
-class TorusSegment:
-    """A geodesic segment given by two distinct endpoints in the universal cover."""
-
-    start: Vec
-    end: Vec
-
-    def __post_init__(self):
-        start, end = _exact_vecs((self.start, self.end))
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
-        if len(self.start) != len(self.end):
-            raise DimensionMismatch("segment endpoints of different dimension")
-        if self.start == self.end:
-            raise ValueError("zero-length segment")
-
-    @property
-    def r(self) -> int:
-        return len(self.start)
-
-
-def _primitive(d: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
-    """Write a nonzero rational direction d as scale * w with w a primitive
-    integer vector whose first nonzero entry is positive.  Returns (w, scale)."""
-    den = math.lcm(*(x.denominator for x in d))
-    ints = [int(x * den) for x in d]
-    g = math.gcd(*(abs(i) for i in ints))
-    w = [i // g for i in ints]
-    sign = 1
-    for c in w:
-        if c != 0:
-            if c < 0:
-                sign = -1
-            break
-    return tuple(sign * c for c in w), Fraction(sign * g, den)
+def _direction(d: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector of the nonzero integer vector d, its
+    first nonzero entry positive."""
+    g = math.gcd(*d)
+    if next(c for c in d if c != 0) < 0:
+        g = -g
+    return tuple(c // g for c in d)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -358,429 +317,169 @@ def _anchor_ints(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[lis
     return anchor, fn + j * den, big
 
 
-def _anchor_key(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[tuple, int, int]:
-    """(key, tau, A): _anchor_ints with the anchor reduced to the integer
-    geodesic key (nums, den), den the least common denominator of the
-    anchor's coordinates, as _ints_mod1 gives it for the Fraction anchor."""
-    anchor, tau, big = _anchor_ints(nums, den, w)
+def _anchor_key(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The integer key (nums, den) of the closed geodesic of direction w
+    through the point nums/den: its canonical anchor (_anchor_ints) over
+    the least common denominator, as _ints_mod1 gives it for the Fraction
+    anchor."""
+    anchor, _, big = _anchor_ints(nums, den, w)
     g = math.gcd(big, *anchor)
     if g > 1:
-        return (tuple(n // g for n in anchor), big // g), tau, big
-    return (tuple(anchor), big), tau, big
+        return tuple(n // g for n in anchor), big // g
+    return tuple(anchor), big
 
 
-@dataclass(frozen=True, order=True)
-class Arc:
-    """A maximal-form arc: interval [start, start+length] in the unit-speed
-    parameterization of the closed geodesic keyed by (direction, anchor).
-    length == 1 means the full circle (with start == 0)."""
-
-    direction: tuple[int, ...]
-    anchor: Vec
-    start: Fraction
-    length: Fraction
-
-    @property
-    def key(self):
-        return (self.direction, self.anchor)
-
-    @functools.cached_property
-    def anchor_ints(self) -> tuple[tuple[int, ...], int]:
-        """The anchor as integers (nums, den), the form the set layer keys
-        geodesics by; an arc built from that key (_arc) holds it from the
-        start, any other computes it once, on first read."""
-        return _ints_mod1(self.anchor)
-
-    @property
-    def is_full(self) -> bool:
-        return self.length == 1
-
-    def point_at(self, offset: Fraction) -> TorusPoint:
-        """Point at parameter start + offset, offset in [0, length]."""
-        t = self.start + offset
-        return TorusPoint(tuple(a + t * v for a, v in zip(self.anchor, self.direction)))
-
-    def holds(self, start: Fraction, length: Fraction = Fraction(0)) -> bool:
-        """Is [start, start + length] (a point at length 0) within the arc?"""
-        return self.is_full or frac_mod1(start - self.start) + length <= self.length
-
-    def cover_endpoints(self) -> tuple[Vec, Vec]:
-        """Least cover representative of the start point, plus the matching end."""
-        raw = tuple(a + self.start * v for a, v in zip(self.anchor, self.direction))
-        start = tuple(frac_mod1(c) for c in raw)
-        end = tuple(s + self.length * v for s, v in zip(start, self.direction))
-        return start, end
-
-    def to_segment(self) -> TorusSegment:
-        s, e = self.cover_endpoints()
-        return TorusSegment(s, e)
-
-
-def _arc(direction: tuple[int, ...], key: tuple, start: Fraction, length: Fraction) -> Arc:
-    """The Arc on the geodesic of the integer key (direction, (nums, den)):
-    its Fraction anchor is built from the key, which it keeps as
-    anchor_ints."""
-    nums, den = key
-    arc = Arc(direction, tuple(Fraction(n, den) for n in nums), start, length)
-    arc.__dict__["anchor_ints"] = key  # the cached_property's slot
-    return arc
-
-
-def _segment_to_arc_data(seg: TorusSegment):
-    """((direction, integer anchor), (start, length)) of the raw segment in
-    canonical circle coordinates; a length of 1 or more is the whole
-    geodesic."""
-    d = tuple(e - s for s, e in zip(seg.start, seg.end))
-    w, scale = _primitive(d)
-    key, tau, big = _anchor_key(*_ints_mod1(seg.start), w)
-    lo = min(Fraction(0), scale)
-    return (w, key), (frac_mod1(lo - Fraction(tau, big)), abs(scale))
-
-
-_FULL = (Fraction(0), Fraction(1))  # the whole circle as (start, length)
-
-
-def _merge_on_circle(intervals):
-    """Merge closed intervals (start in [0, 1), length > 0) on the circle
-    into the disjoint maximal ones, sorted by start; the full circle is
-    [(0, 1)].  Touching intervals merge.
-
-    One sweep in start order merges on the line.  Every merged interval but
-    the last ends before the next one starts, below 1, so only the last can
-    run past 1; while it reaches the first one's start + 1 it swallows that
-    one.  A merged length of 1 or more is the full circle."""
-    if any(l >= 1 for _, l in intervals):
-        return [_FULL]
-    merged: list[list[Fraction]] = []  # [start, end] on the line
-    for s, l in sorted(intervals):
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], s + l)
-        else:
-            merged.append([s, s + l])
-    while len(merged) > 1 and merged[-1][1] >= merged[0][0] + 1:
-        first_end = merged.pop(0)[1] + 1
-        merged[-1][1] = max(merged[-1][1], first_end)
-    if any(e - s >= 1 for s, e in merged):
-        return [_FULL]
-    return [(s, e - s) for s, e in merged]
+def _sorted_anchors(anchors: Collection) -> list:
+    """Integer anchors (nums, den) in the order of the Fraction anchors
+    nums/den, compared as ints: each anchor's numerators are scaled to L,
+    the lcm of the dens.  Scaling by L > 0 keeps the order and equality of
+    the rationals, and each n*(L/den) is an integer."""
+    scale = math.lcm(*(den for _, den in anchors))
+    return sorted(anchors, key=lambda a: [n * (scale // a[1]) for n in a[0]])
 
 
 @dataclass(frozen=True)
 class SegmentSet:
-    """A finite union of closed geodesic segments and isolated points, held in
-    canonical form; equality of canonical forms is equality of point sets."""
+    """A finite union of full closed geodesics of one primitive direction,
+    held as that direction and the geodesics' integer anchors (nums, den),
+    one entry of arcs per geodesic, sorted as their Fraction anchors; so
+    equal sets have equal fields."""
 
-    arcs: tuple[Arc, ...]
-    points: tuple[Vec, ...]
+    direction: tuple[int, ...]
+    arcs: tuple[tuple[tuple[int, ...], int], ...]
+    points = ()  # never an isolated point; perfbench counts pieces as len(arcs) + len(points)
 
     @classmethod
-    def from_segments(
-        cls,
-        segments: Iterable[TorusSegment] = (),
-        points: Iterable = (),
-    ) -> "SegmentSet":
-        grouped: dict = {}
+    def from_segments(cls, segments: Iterable) -> "SegmentSet":
+        """The set of the closed geodesics that the cover segments
+        (start, end) run round: end - start must be a nonzero integer
+        vector, of one primitive direction across the segments."""
+        direction, anchors = None, set()
         for seg in segments:
-            key, interval = _segment_to_arc_data(seg)
-            grouped.setdefault(key, []).append(interval)
-        return _from_circle_intervals(grouped, points)
+            start, end = _exact_vecs(seg)
+            _check_dims(len(start), len(end))
+            if direction is not None:
+                _check_dims(len(direction), len(start))
+            d = [e - s for s, e in zip(start, end)]
+            if not any(d) or any(c.denominator != 1 for c in d):
+                raise ValueError("a segment must run once or more round a closed geodesic")
+            w = _direction([int(c) for c in d])
+            if direction is None:
+                direction = w
+            elif w != direction:
+                raise ValueError("segments of two directions")
+            anchors.add(_anchor_key(*_ints_mod1(start), w))
+        if direction is None:
+            raise ValueError("need at least one segment")
+        return _geodesics(direction, anchors)
 
     @property
-    def is_empty(self) -> bool:
-        return not self.arcs and not self.points
-
-    @functools.cached_property
     def r(self) -> int:
-        if self.arcs:
-            return len(self.arcs[0].direction)
-        if self.points:
-            return len(self.points[0])
-        raise ValueError("empty set has no dimension")
-
-    @property
-    def segments(self) -> tuple[TorusSegment, ...]:
-        return tuple(arc.to_segment() for arc in self.arcs)
+        return len(self.direction)
 
     @functools.cached_property
-    def _geodesics(self) -> dict:
-        """{direction: {integer anchor (nums, den): arcs on that closed
-        geodesic}}, built on first use."""
-        index: dict = {}
-        for arc in self.arcs:
-            index.setdefault(arc.direction, {}).setdefault(arc.anchor_ints, []).append(arc)
-        return index
-
-    @functools.cached_property
-    def _full_anchors(self) -> dict:
-        """{direction: the integer anchors of the geodesics the set holds
-        whole}, so that a full geodesic is found by one set lookup."""
-        return {
-            w: frozenset(k for k, arcs in geodesics.items() if any(a.is_full for a in arcs))
-            for w, geodesics in self._geodesics.items()
-        }
-
-    @functools.cached_property
-    def _point_keys(self) -> frozenset:
-        return frozenset(map(_ints_mod1, self.points))
+    def _anchors(self) -> frozenset:
+        return frozenset(self.arcs)
 
     def contains_point(self, p: TorusPoint) -> bool:
-        """One integer anchor walk per direction and a lookup of its key
-        among the full geodesics; tau becomes a Fraction only on a geodesic
-        the set holds in part."""
-        _check_set_dims(self, p.r)
-        if self.points and (p.nums, p.den) in self._point_keys:
-            return True
-        full = self._full_anchors
-        for w, geodesics in self._geodesics.items():
-            key, tau, big = _anchor_key(p.nums, p.den, w)
-            if key in full[w]:
-                return True
-            arcs = geodesics.get(key)
-            if arcs is not None:
-                at = Fraction(-tau, big)
-                if any(arc.holds(at) for arc in arcs):
-                    return True
-        return False
+        """One integer anchor walk and a lookup of its key."""
+        _check_dims(self.r, p.r)
+        return _anchor_key(p.nums, p.den, self.direction) in self._anchors
 
     def covers(self, other: "SegmentSet") -> bool:
-        """Is `other` a subset of self?  Precondition: self is canonical, as
-        every set built by from_segments is.  An arc can only be covered by
-        arcs on its own geodesic (any other meets it in finitely many
-        points); those are disjoint and maximal, so one of them, a, must hold
-        it: a is full, or the arc starts and ends within a.length of a.start,
-        going forward round the circle."""
-        if other.is_empty:
-            return True
-        _check_set_dims(self, other.r)
-        for vec in other.points:
-            if not self.contains_point(TorusPoint(vec)):
-                return False
-        full = self._full_anchors
-        for arc in other.arcs:
-            key = arc.anchor_ints
-            if key in full.get(arc.direction, ()):
-                continue
-            same = self._geodesics.get(arc.direction, {}).get(key, ())
-            if not any(a.holds(arc.start, arc.length) for a in same):
-                return False
-        return True
-
-    def total_arc_length(self) -> Fraction:
-        """Total length in the unit-speed circle parameterizations."""
-        return sum((a.length for a in self.arcs), Fraction(0))
+        """Is `other` a subset of self?  A closed geodesic meets one of
+        another direction in finitely many points, so it is covered only by
+        itself."""
+        _check_dims(self.r, other.r)
+        return other.direction == self.direction and self._anchors.issuperset(other.arcs)
 
 
-def _check_set_dims(s: SegmentSet, r: int):
-    """_check_dims for a set; the empty set has no dimension to check."""
-    if not s.is_empty:
-        _check_dims(s.r, r)
-
-
-def _sorted_keys(keys: Collection) -> list:
-    """Integer geodesic keys (direction, (nums, den)) in the order of the
-    Fraction keys (direction, nums/den), compared as ints: each anchor's
-    numerators are scaled to L, the lcm of the keys' dens.  Scaling by
-    L > 0 keeps the order and equality of the rationals, and each
-    n*(L/den) is an integer."""
-    scale = math.lcm(*(den for _, (_, den) in keys))
-    return sorted(keys, key=lambda key: (key[0], [n * (scale // key[1][1]) for n in key[1][0]]))
-
-
-def _from_circle_intervals(grouped: dict, points: Iterable) -> SegmentSet:
-    """The canonical set of closed circle intervals grouped by integer
-    geodesic key {(direction, (nums, den)): [(start, length), ...]}, plus
-    the given points that lie on none of them."""
-    pts = [p if isinstance(p, TorusPoint) else TorusPoint(p) for p in points]
-    dims = {len(w) for w, _ in grouped} | {q.r for q in pts}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"pieces of dimensions {sorted(dims)}")
-    arcs = tuple(
-        _arc(*k, s, l) for k in _sorted_keys(grouped) for s, l in _merge_on_circle(grouped[k])
-    )
-    bare = SegmentSet(arcs=arcs, points=())
-    off_arcs = {q.coords for q in pts if not bare.contains_point(q)}
-    return SegmentSet(arcs=arcs, points=tuple(sorted(off_arcs)))
-
-
-def _cross_intersections(a: Arc, b: Arc) -> list[Vec]:
-    """Common points of arcs on circles with different primitive directions,
-    via the bounded integer-translate search in the cover."""
-    va, vb = a.direction, b.direction
-    p_start, _ = a.cover_endpoints()
-    r_start, _ = b.cover_endpoints()
-    la, lb = a.length, b.length
-    r = len(va)
-    pivot = None
-    for i in range(r):
-        for j in range(i + 1, r):
-            det = va[i] * vb[j] - va[j] * vb[i]
-            if det != 0:
-                pivot = (i, j, det)
-                break
-        if pivot:
-            break
-    i, j, det = pivot  # exists: distinct primitive sign-normalized directions
-
-    def k_range(idx):
-        lo = min(0, la * va[idx]) - max(0, lb * vb[idx]) - (r_start[idx] - p_start[idx])
-        hi = max(0, la * va[idx]) - min(0, lb * vb[idx]) - (r_start[idx] - p_start[idx])
-        return range(math.ceil(lo), math.floor(hi) + 1)
-
-    found = set()
-    for ki in k_range(i):
-        for kj in k_range(j):
-            ci = r_start[i] - p_start[i] + ki
-            cj = r_start[j] - p_start[j] + kj
-            t = Fraction(ci * vb[j] - cj * vb[i], det)
-            u = Fraction(va[j] * ci - va[i] * cj, det)
-            if not (0 <= t <= la and 0 <= u <= lb):
-                continue
-            ok = True
-            for o in range(r):
-                val = t * va[o] - u * vb[o] - (r_start[o] - p_start[o])
-                if val.denominator != 1:
-                    ok = False
-                    break
-            if ok:
-                found.add(tuple(frac_mod1(p_start[o] + t * va[o]) for o in range(r)))
-    return sorted(found)
-
-
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _geodesics(direction: tuple[int, ...], anchors: Collection) -> SegmentSet:
+    return SegmentSet(direction, tuple(_sorted_anchors(anchors)))
 
 
 def components(s: SegmentSet) -> list[SegmentSet]:
-    """Connected components of s.  Precondition: s is canonical, as every
-    set built by from_segments is; a hand-built SegmentSet with touching
-    arcs on one geodesic, or a point on an arc, gets wrong components.
-
-    In canonical form two pieces meet only when they are arcs of different
-    directions that cross, so union-find joins crossing arcs across
-    direction groups only, and each isolated point is a component of its
-    own.  Any subset of a canonical set's pieces is canonical, so each
-    component is assembled from its pieces as they are.  Components come in
-    the order of their first piece, arcs before points."""
-    arcs = s.arcs
-    uf = _UnionFind(len(arcs))
-    by_direction: dict = {}
-    for i, arc in enumerate(arcs):
-        by_direction.setdefault(arc.direction, []).append(i)
-    groups = list(by_direction.values())
-    for g, xs in enumerate(groups):
-        for ys in groups[g + 1:]:
-            for i in xs:
-                for j in ys:
-                    if uf.find(i) != uf.find(j) and _cross_intersections(arcs[i], arcs[j]):
-                        uf.union(i, j)
-    members: dict[int, list] = {}
-    for i, arc in enumerate(arcs):
-        members.setdefault(uf.find(i), []).append(arc)
-    return [SegmentSet(arcs=tuple(m), points=()) for m in members.values()] + [
-        SegmentSet(arcs=(), points=(p,)) for p in s.points
-    ]
+    """Connected components of s: distinct parallel closed geodesics are
+    disjoint, so each geodesic is one, in the order of s.arcs."""
+    return [SegmentSet(s.direction, (anchor,)) for anchor in s.arcs]
 
 
 def apply_f_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
-    """Forward image under the power map, in closed form on geodesic keys.
+    """Forward image under the power map, in closed form on the anchors.
 
-    f is linear on the cover, so with m*w = h*u coordinatewise, u primitive,
-    it takes a + t*w to m*a + h*t*u: the arc [t0, t0+L] goes to the interval
-    of length h*L from h*t0 - tau on the geodesic of direction u through
-    m*a, tau from its anchor.  With a = nums/den, m*a is (m*n mod den)/den,
-    so the image key comes from one integer anchor walk.  Isolated points
-    go through apply_f."""
-    _check_set_dims(s, moduli.r)
-    grouped: dict = {}
-    for w, geodesics in s._geodesics.items():
-        u, h = _primitive(tuple(m * x for m, x in zip(moduli, w)))
-        for (nums, den), arcs in geodesics.items():
-            key, tau, big = _anchor_key(tuple(m * n % den for m, n in zip(moduli, nums)), den, u)
-            grouped.setdefault((u, key), []).extend(
-                _FULL if arc.is_full
-                else (frac_mod1(h * arc.start - Fraction(tau, big)), h * arc.length)
-                for arc in arcs
-            )
-    pts = [apply_f(TorusPoint(vec), moduli) for vec in s.points]
-    return _from_circle_intervals(grouped, pts)
+    f is linear on the cover, so it takes a + t*w to m*a + t*(m*w): the
+    closed geodesic of direction w through a goes onto the one of direction
+    u = m*w/h through m*a, h = gcd_i(m_i*w_i).  w is primitive, so h
+    divides M = prod m_i (a prime power dividing h divides m_j*w_j for a w_j
+    it does not divide), and h = gcd(M, m_i*w_i mod M), a gcd of numbers
+    below M.  With a = nums/den, m*a is (m*n mod den)/den, so each image key
+    costs one integer anchor walk."""
+    _check_dims(s.r, moduli.r)
+    big_m = moduli.product()
+    scaled = [m * x for m, x in zip(moduli, s.direction)]
+    h = math.gcd(big_m, *(x % big_m for x in scaled))
+    u = tuple(x // h for x in scaled)
+    return _geodesics(u, {
+        _anchor_key(tuple(m * n % den for m, n in zip(moduli, nums)), den, u)
+        for nums, den in s.arcs
+    })
 
 
-def preimage_geodesics(w: tuple[int, ...], moduli: Moduli) -> tuple[tuple[int, ...], int, int]:
-    """(u, g, M/g) with u = primitive(w_i/m_i) and w/m = u/g, for w primitive:
-    the preimage of a closed geodesic of direction w is M/g parallel closed
-    geodesics of direction u (see preimage_set)."""
-    u, scale = _primitive(tuple(Fraction(x, m) for x, m in zip(w, moduli)))
-    g = scale.denominator  # gcd(w) = 1, so scale = 1/g
-    return u, g, moduli.product() // g
+def preimage_geodesics(w: tuple[int, ...], moduli: Moduli) -> tuple[tuple[int, ...], int]:
+    """(u, M/g) with u primitive and w/m = u/g, for w primitive: the
+    preimage of a closed geodesic of direction w is M/g parallel closed
+    geodesics of direction u (see preimage_set).
+
+    w/m = v/M with v_i = w_i*(M/m_i), so u = v/gcd(v) and M/g = gcd(v).
+    That gcd divides M (a prime power dividing it divides M/m_j for a w_j it
+    does not divide), so it is gcd(M, v_i mod M), a gcd of numbers below
+    M."""
+    big_m = moduli.product()
+    v = [x * (big_m // m) for x, m in zip(w, moduli)]
+    cosets = math.gcd(big_m, *(x % big_m for x in v))
+    return tuple(x // cosets for x in v), cosets
 
 
 def preimage_set(s: SegmentSet, moduli: Moduli) -> SegmentSet:
     """Full preimage under the power map, in closed form from the kernel.
 
     A point a + t*w of a closed geodesic (w primitive) has the preimages
-    (a + t*w + j)/m, j integer.  With u = primitive(w_i/m_i) and
-    g = gcd_i(u_i*m_i), so that w/m = u/g, they are a/m + k + (t/g)*u for k
-    in the kernel K = {(j_i/m_i)} of f.  The moduli are pairwise coprime, so
-    K is cyclic of order M = prod m_i, generated by e = (1/m_1, ..., 1/m_r).
-    Its points on the geodesic of direction u through 0 are (k/g)*u,
-    k = 0..g-1, the subgroup of order g, and its cosets are c*e + that
-    subgroup for c = 0..M/g-1.  So the preimage of the arc [t0, t0+L] lies
-    on the M/g parallel closed geodesics of direction u through
-    (a_i + c)/m_i; on the one through that point, with parameter tau_c from
-    its anchor, it is the g intervals starting at (t0 + k)/g - tau_c of
-    length L/g, the whole geodesic when the arc is full.  Without
-    coprimality K is not cyclic and e reaches only some of the cosets.
-    With a = nums/den, (a_i + c)/m_i is (n_i + c*den)*(M/m_i) over den*M,
-    so each coset's key comes from one integer anchor walk.  Isolated
-    points go through f_preimages."""
-    _check_set_dims(s, moduli.r)
-    grouped: dict = {}
+    (a + t*w + j)/m, j integer.  With w/m = u/g, u primitive
+    (preimage_geodesics), they are a/m + k + (t/g)*u for k in the kernel
+    K = {(j_i/m_i)} of f.  The moduli are pairwise coprime, so K is cyclic
+    of order M = prod m_i, generated by e = (1/m_1, ..., 1/m_r).  Its points
+    on the geodesic of direction u through 0 are (k/g)*u, k = 0..g-1, the
+    subgroup of order g, and its cosets are c*e + that subgroup for
+    c = 0..M/g-1.  So the preimage of the closed geodesic is the M/g
+    parallel closed geodesics of direction u through (a_i + c)/m_i, and it
+    is connected exactly when g = M.  Without coprimality K is not cyclic
+    and e reaches only some of the cosets.  With a = nums/den,
+    (a_i + c)/m_i is (n_i + c*den)*(M/m_i) over den*M, so each coset's key
+    costs one integer anchor walk."""
+    _check_dims(s.r, moduli.r)
+    u, cosets = preimage_geodesics(s.direction, moduli)
     big_m = moduli.product()
     parts = [big_m // m for m in moduli]
-    for w, geodesics in s._geodesics.items():
-        u, g, cosets = preimage_geodesics(w, moduli)
-        for (nums, den), arcs in geodesics.items():
-            top = den * big_m
-            for c in range(cosets):
-                key, tau, big = _anchor_key(
-                    tuple((n + c * den) * q % top for n, q in zip(nums, parts)), top, u
-                )
-                intervals = grouped.setdefault((u, key), [])
-                for arc in arcs:
-                    if arc.is_full:
-                        intervals.append(_FULL)
-                    else:
-                        length, at = arc.length / g, Fraction(tau, big)
-                        intervals.extend(
-                            (frac_mod1((arc.start + k) / g - at), length) for k in range(g)
-                        )
-    pts = [q.coords for vec in s.points for q in f_preimages(TorusPoint(vec), moduli)]
-    return _from_circle_intervals(grouped, pts)
+    anchors = set()
+    for nums, den in s.arcs:
+        top = den * big_m
+        for c in range(cosets):
+            coset = tuple((n + c * den) * q % top for n, q in zip(nums, parts))
+            anchors.add(_anchor_key(coset, top, u))
+    return _geodesics(u, anchors)
 
 
 # ---------------------------------------------------------------------------
-# CSV wire format: one row per segment, r start rationals then r end rationals
+# CSV wire format: one row per geodesic, r start rationals then r end
+# rationals, the anchor and the anchor plus the direction
 
 
 def segment_set_rows(s: SegmentSet) -> list[list[str]]:
     rows = []
-    for seg in s.segments:
-        rows.append([format_rational(c) for c in seg.start] + [format_rational(c) for c in seg.end])
-    for vec in s.points:
-        cols = [format_rational(c) for c in vec]
-        rows.append(cols + cols)
+    for nums, den in s.arcs:
+        start = [Fraction(n, den) for n in nums]
+        rows.append([format_rational(c) for c in start]
+                    + [format_rational(c + w) for c, w in zip(start, s.direction)])
     return rows
 
 
@@ -791,19 +490,14 @@ def write_segment_set_csv(s: SegmentSet, path):
 
 
 def read_segment_set_csv(path) -> SegmentSet:
-    segs, pts = [], []
+    segs = []
     with open(path, newline="") as fh:
         for row in csv.reader(fh):
             if not row:
                 continue
             r = len(row) // 2
-            start = tuple(parse_rational(c) for c in row[:r])
-            end = tuple(parse_rational(c) for c in row[r:])
-            if start == end:
-                pts.append(start)
-            else:
-                segs.append(TorusSegment(start, end))
-    return SegmentSet.from_segments(segs, pts)
+            segs.append((tuple(map(parse_rational, row[:r])), tuple(map(parse_rational, row[r:]))))
+    return SegmentSet.from_segments(segs)
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,12 @@ first preimage in sorted order that lies in the next level.
 
 The check runs on torus points held as integer numerators over one
 denominator (torus.TorusPoint): the base samples (PLLoop.point_at), the
-deep sample placed on the deepest level's arcs (_arc_point), every
+deep sample placed on the deepest level's geodesics (_arc_point), every
 threaded preimage and forward image, each membership test, the query of
 first_close_sample, and each candidate's level distances to its match,
 which come from the two deepest levels (torus._level_dist_terms), so the
 epsilon/2 test and the weighted sum are integer comparisons.  A Fraction is
-built only at the boundary: the Arc fields the levels are held in, the
-CSV, and the maxima the report states.
+built only at the boundary: the CSV and the maxima the report states.
 """
 
 import functools
@@ -54,7 +53,6 @@ from .hitting import (
 )
 from .lifting import PLLoop, admissible_winding, as_winding, image_set
 from .torus import (
-    Arc,
     DepthMismatch,
     SegmentSet,
     SolenoidPoint,
@@ -264,7 +262,7 @@ def verify_tower(t: Tower) -> TowerReport:
             LevelCheck(
                 index=idx,
                 role=_role(idx, t.params),
-                segment_count=len(lvl.arcs) + len(lvl.points),
+                segment_count=len(lvl.arcs),
                 connected=len(comps) == 1,
                 component_count=len(comps),
                 contains_base=lvl.contains_point(one),
@@ -443,46 +441,33 @@ def coherent_base_sample(
     }
 
 
-def _arc_point(arc: Arc, offset: int, scale: int) -> TorusPoint:
-    """arc.point_at(offset/scale) in integers: the parameter
-    start + offset/scale is tn/e, and the point anchor + (tn/e)*w is taken
-    over lcm(den, e), den the anchor's least common denominator."""
-    s = arc.start
-    e = math.lcm(s.denominator, scale)
-    tn = s.numerator * (e // s.denominator) + offset * (e // scale)
-    nums, den = arc.anchor_ints
-    d = math.lcm(den, e)
+def _arc_point(direction: tuple[int, ...], anchor: tuple, offset: int, scale: int) -> TorusPoint:
+    """The point anchor + (offset/scale)*direction of the closed geodesic
+    with integer anchor (nums, den), in integers over lcm(den, scale)."""
+    nums, den = anchor
+    d = math.lcm(den, scale)
     return _point(
-        tuple((n * (d // den) + tn * w * (d // e)) % d for n, w in zip(nums, arc.direction)), d
+        tuple((n * (d // den) + offset * w * (d // scale)) % d for n, w in zip(nums, direction)), d
     )
 
 
 def coherent_deep_sample(t: Tower, count: int) -> list[SolenoidPoint]:
     """Coherent points threaded from `count` spread samples of the deepest
-    level, at the arc-length positions (2c+1)/(2*count) of its total
-    length, c = 0..count-1, walked over its arcs in order; below the
-    deepest level everything is determined by the map.  build_tower takes
-    only an admissible winding, so that level has arcs.
+    level, at the positions (2c+1)/(2*count) of its total length,
+    c = 0..count-1, walked over its geodesics in order, each of length 1;
+    below the deepest level everything is determined by the map.
 
-    The walk runs in integers: with q the lcm of the arc lengths'
-    denominators, every position and arc length is held times 2*count*q,
-    and each sample point is formed in integers (_arc_point)."""
+    The walk runs in integers: a position is held times 2*count, and one on
+    the end of geodesic k stays on it, at offset 1, which is its anchor."""
     if count < 1:
         raise ValueError("count must be >= 1")
     deepest = t.levels[-1]
-    scale = 2 * count * math.lcm(*(arc.length.denominator for arc in deepest.arcs))
-    lengths = [arc.length.numerator * (scale // arc.length.denominator) for arc in deepest.arcs]
-    half_step = sum(lengths) // (2 * count)  # total length / (2*count), times scale
-    arcs = iter(zip(deepest.arcs, lengths))
-    arc, length = next(arcs)
-    walked = 0
-    pts: list[TorusPoint] = []
+    step = 2 * count
+    pts = []
     for c in range(count):
-        pos = (2 * c + 1) * half_step
-        while pos > walked + length:
-            walked += length
-            arc, length = next(arcs)
-        pts.append(_arc_point(arc, pos - walked, scale))
+        pos = (2 * c + 1) * len(deepest.arcs)
+        k = (pos - 1) // step
+        pts.append(_arc_point(deepest.direction, deepest.arcs[k], pos - k * step, step))
     return [coherent_point_through(t, p, len(t.levels)) for p in pts]
 
 

@@ -39,6 +39,7 @@ from fupcon.tower import (
 )
 
 from test_lifting import standard_lift_points
+from test_tower import shifted_level
 
 M23 = Moduli.of(2, 3)
 
@@ -273,16 +274,8 @@ def test_criterion_7_negative_controls():
         params = choose_params(Fr(1, 2), M23, (1, 1))
         tower = build_tower(PLLoop.straight((1, 1)), params, M23)
 
-        # (a) truncate a middle level: the bonding check must go red
-        arc = tower.levels[2].arcs[0]
-        from fupcon.torus import SegmentSet
-
-        half = SegmentSet(
-            arcs=(dataclasses.replace(arc, length=arc.length / 2),), points=()
-        )
-        levels = list(tower.levels)
-        levels[2] = half
-        broken = dataclasses.replace(tower, levels=tuple(levels))
+        # (a) shift a middle level off itself: the bonding check must go red
+        broken = shifted_level(tower, 3, (Fr(1, 5), 0))
         report = verify_tower(broken)
         assert not report.all_ok
         assert any(c.bonding_into_previous is False for c in report.checks)

@@ -7,13 +7,16 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import fupcon
 from fupcon import cli, hitting
 from fupcon.cli import main
-from fupcon.torus import SegmentSet
+from fupcon.torus import _geodesics, apply_f_set
+
+from test_tower import shifted_level
 
 CERTIFY = ["certify", "--moduli", "2,3", "--winding", "2,3", "--range", "0..3"]
 TOWER = ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "1/2"]
@@ -363,25 +366,41 @@ def test_tiny_epsilon_tower_finishes():
 
 @pytest.mark.parametrize("cut, defect", [
     (4, "MembershipFails"),  # the lift level: deep points fall out of it
-    (6, "NoPreimageInLevel"),  # the deepest level: f of it misses part of L_5
+    (6, "MembershipFails"),  # the deepest level: its image falls off L_5
 ])
 def test_tower_defect_exits_1(capsys, monkeypatch, cut, defect):
     real = cli.build_tower
 
-    def truncated(*args, **kwargs):
-        t = real(*args, **kwargs)
-        arc = t.levels[cut - 1].arcs[0]
-        levels = list(t.levels)
-        levels[cut - 1] = SegmentSet(
-            arcs=(dataclasses.replace(arc, length=arc.length / 12),), points=()
-        )
-        return dataclasses.replace(t, levels=tuple(levels))
+    def shifted(*args, **kwargs):
+        return shifted_level(real(*args, **kwargs), cut, (Fraction(1, 5), 0))
 
-    monkeypatch.setattr(cli, "build_tower", truncated)
+    monkeypatch.setattr(cli, "build_tower", shifted)
     assert main(TOWER) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {defect}: ")
+
+
+def test_uncovered_tower_level_exits_1(capsys, monkeypatch):
+    # L_3 = N0 joined by its translate through the kernel point (1/2, 0), a
+    # geodesic off it: f takes that onto L_2, so every bonding holds, but
+    # f(L_4) = L_3 misses it, so no base sample past N0 can be threaded
+    real = cli.build_tower
+
+    def widened(*args, **kwargs):
+        t = real(*args, **kwargs)
+        extra = shifted_level(t, 3, (Fraction(1, 2), 0)).level(3)
+        assert extra != t.level(3) and apply_f_set(extra, t.moduli) == t.level(2)
+        levels = list(t.levels)
+        levels[2] = _geodesics(extra.direction, {*extra.arcs, *t.level(3).arcs})
+        return dataclasses.replace(t, levels=tuple(levels))
+
+    monkeypatch.setattr(cli, "build_tower", widened)
+    assert main(TOWER) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: NoPreimageInLevel: the image of level 4 does not cover level 3")
 
 
 def test_non_witness_exits_1(capsys, monkeypatch):

@@ -28,6 +28,8 @@ from fupcon.hitting import _fiber_target, _witness_basis, level_condition, preim
 from fupcon.lifting import PLLoop, image_period, image_set
 from fupcon.torus import components, preimage_set
 
+import segment_oracle
+from segment_oracle import general
 from test_torus import pairwise_components, sheet_preimage
 
 
@@ -83,17 +85,17 @@ def test_closed_form_preimage_misses_the_components(m, partner, w):
     same, coprime = PlainModuli((m, m)), PlainModuli((m, partner))
     for n in STAGES:
         sheets, closed = preimages(w, same, n)
-        count = len(components(sheets))
+        count = len(segment_oracle.components(sheets))
         assert count == len(pairwise_components(sheets)) == m
         assert len(components(closed)) == 1
-        assert sheets != closed
-        equal = sheets == image_set(PLLoop.straight(w), n + 1, same)
+        assert sheets != general(closed)
+        equal = sheets == general(image_set(PLLoop.straight(w), n + 1, same))
         assert preimage_checks(w, same, n) == (equal, count == 1, count) == (False, False, m)
 
         sheets, closed = preimages(w, coprime, n)
-        assert sheets == closed
+        assert sheets == general(closed)
         count = len(pairwise_components(sheets))
-        equal = sheets == image_set(PLLoop.straight(w), n + 1, coprime)
+        equal = sheets == general(image_set(PLLoop.straight(w), n + 1, coprime))
         assert preimage_checks(w, coprime, n) == (equal, count == 1, count)
         assert (equal and count == 1) is level_condition(w, coprime, n)
 

@@ -12,18 +12,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from fupcon import torus
 from fupcon.exact_arith import Moduli, frac_mod1
 from fupcon.torus import (
-    Arc,
-    SegmentSet,
     SolenoidPoint,
     TorusPoint,
-    TorusSegment,
     apply_f,
-    apply_f_set,
     arc_dist,
     base_point,
-    components,
     f_preimages,
-    preimage_set,
     read_segment_set_csv,
     solenoid_distance,
     solenoid_tail_bound,
@@ -33,11 +27,26 @@ from fupcon.torus import (
 from fupcon.torus import (
     _anchor_ints,
     _anchor_plan,
-    _cross_intersections,
     _ints_mod1,
     _level_dist_terms,
     _preimages,
-    _sorted_keys,
+    _sorted_anchors,
+)
+
+# The unqualified set names are the general oracle's (partial arcs,
+# isolated points, several directions); the program's sets of full
+# geodesics are torus.SegmentSet, and its set maps torus.*.
+import segment_oracle
+from segment_oracle import (
+    Arc,
+    SegmentSet,
+    TorusSegment,
+    _cross_intersections,
+    apply_f_set,
+    components,
+    general,
+    narrowed,
+    preimage_set,
 )
 
 M23 = Moduli.of(2, 3)
@@ -61,6 +70,14 @@ def sset(*segments):
 
 
 DIAGONAL = sset(seg((0, 0), (1, 1)))
+
+
+def geodesic_set(*segments):
+    """The program set of segments that each run round a closed geodesic."""
+    return torus.SegmentSet.from_segments([(sg.start, sg.end) for sg in segments])
+
+
+GEODESIC = geodesic_set(seg((0, 0), (1, 1)))
 
 
 def preimage_sheets(s, moduli):
@@ -93,7 +110,8 @@ def segment_image(s, moduli):
 
 def sheet_preimage(s, moduli):
     """Oracle for preimage_set: every sheet and every point preimage,
-    recanonicalized."""
+    recanonicalized; a program set is taken in its general form."""
+    s = general(s)
     pts = [q.coords for vec in s.points for q in f_preimages(TorusPoint(vec), moduli)]
     return SegmentSet.from_segments(preimage_sheets(s, moduli), pts)
 
@@ -172,7 +190,9 @@ def equal_as_point_sets(a, b):
 
 def pairwise_components(s):
     """Oracle for components: join two pieces whenever their intersection is
-    nonempty, testing every pair."""
+    nonempty, testing every pair; a program set is taken in its general
+    form."""
+    s = general(s)
     pieces = [SegmentSet(arcs=(a,), points=()) for a in s.arcs]
     pieces += [SegmentSet(arcs=(), points=(p,)) for p in s.points]
     label = list(range(len(pieces)))
@@ -358,19 +378,19 @@ def test_disjoint_parallels_do_not_intersect():
 
 
 def test_components_counts():
-    pre_diag = preimage_set(DIAGONAL, M23)
-    assert len(components(pre_diag)) == 1  # a single (3,2)-geodesic
+    pre_diag = torus.preimage_set(GEODESIC, M23)
+    assert len(torus.components(pre_diag)) == 1  # a single (3,2)-geodesic
 
-    loop23 = sset(seg((0, 0), (2, 3)))
-    pre23 = preimage_set(loop23, M23)
-    assert len(components(pre23)) == 6
+    loop23 = geodesic_set(seg((0, 0), (2, 3)))
+    pre23 = torus.preimage_set(loop23, M23)
+    assert len(torus.components(pre23)) == 6
 
 
 def test_preimage_sheet_count_and_inverse():
-    for base in (DIAGONAL, sset(seg((0, 0), (2, 3)))):
-        sheets = preimage_sheets(base, M23)
-        assert len(sheets) == M23.product() * len(base.segments)
-        assert apply_f_set(preimage_set(base, M23), M23) == base
+    for base in (GEODESIC, geodesic_set(seg((0, 0), (2, 3)))):
+        sheets = preimage_sheets(general(base), M23)
+        assert len(sheets) == M23.product() * len(base.arcs)
+        assert torus.apply_f_set(torus.preimage_set(base, M23), M23) == base
 
 
 PREIMAGE_MODULI = [(2, 3), (4, 3), (9, 2), (2, 3, 5), (8, 3, 5)]
@@ -378,68 +398,59 @@ DIRECTIONS = [0, 0, 1, -1, 2, 3, -4, 5]
 
 
 @st.composite
-def preimage_case(draw):
-    """A moduli tuple and a set of partial and full arcs in several
-    directions (zero entries included) plus isolated points."""
-    moduli = Moduli(draw(st.sampled_from(PREIMAGE_MODULI)))
-    r = moduli.r
+def geodesic_draw(draw, r, count):
+    """A program set of up to `count` full geodesics of one direction in r
+    dimensions (zero entries included), each segment run round once or
+    twice."""
     coord = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    d = tuple(draw(st.sampled_from(DIRECTIONS)) for _ in range(r))
+    assume(any(d))
     segments = []
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(1, count))):
         start = tuple(draw(coord) for _ in range(r))
-        d = tuple(draw(st.sampled_from(DIRECTIONS)) for _ in range(r))
-        assume(any(d))
-        length = draw(st.sampled_from([Fr(1), Fr(2), Fr(1, 2), Fr(1, 3), Fr(5, 7)]))
-        segments.append(seg(start, tuple(a + length * x for a, x in zip(start, d))))
-    points = draw(st.lists(st.tuples(*[coord] * r), max_size=2))
-    return moduli, SegmentSet.from_segments(segments, points)
+        turns = draw(st.sampled_from([1, 2]))
+        segments.append(seg(start, tuple(a + turns * x for a, x in zip(start, d))))
+    return geodesic_set(*segments)
+
+
+@st.composite
+def preimage_case(draw):
+    """A moduli tuple and a program set of one to three full geodesics."""
+    moduli = Moduli(draw(st.sampled_from(PREIMAGE_MODULI)))
+    return moduli, draw(geodesic_draw(moduli.r, 3))
 
 
 @settings(max_examples=80, deadline=None)
 @given(preimage_case())
 def test_preimage_set_matches_sheet_oracle(case):
     moduli, s = case
-    pre = preimage_set(s, moduli)
-    assert pre == sheet_preimage(s, moduli)
-    # canonical arcs come out in Arc order with no final sort
-    assert list(s.arcs) == sorted(s.arcs)
-    assert list(pre.arcs) == sorted(pre.arcs)
-    assert components(s) == rebuilt_components(s) == pairwise_components(s)
-    if len({arc.direction for arc in pre.arcs}) == 1:
-        # pieces in several directions make components quadratic in
-        # crossing tests, too slow for hundreds of preimage arcs
-        assert components(pre) == rebuilt_components(pre) == pairwise_components(pre)
+    pre = torus.preimage_set(s, moduli)
+    assert general(pre) == sheet_preimage(s, moduli)
+    # the anchors come out in Arc order with no final sort
+    assert list(general(s).arcs) == sorted(general(s).arcs)
+    assert list(general(pre).arcs) == sorted(general(pre).arcs)
+    for x in (s, pre):
+        assert [general(c) for c in torus.components(x)] == rebuilt_components(general(x)) == (
+            pairwise_components(x))
 
 
 @st.composite
 def image_case(draw):
-    """A moduli tuple and a set of arcs with rational displacements in two
-    directions, plus isolated points.  Many directions scale under f (on
-    (2,3), (3,2) goes to (6,6) = 6*(1,1)), so short arcs test the start and
-    the length of a stretched image arc."""
+    """A moduli tuple and a program set of one to four full geodesics.
+    Many directions scale under f (on (2,3), (3,2) goes to (6,6) =
+    6*(1,1))."""
     moduli = Moduli(draw(st.sampled_from([(2, 3), (2, 3, 5), (4, 9)])))
-    r = moduli.r
-    coord = st.fractions(min_value=-2, max_value=2, max_denominator=6)
-    directions = [tuple(draw(st.sampled_from(DIRECTIONS)) for _ in range(r)) for _ in range(2)]
-    assume(all(any(d) for d in directions))
-    length = st.fractions(min_value=Fr(1, 40), max_value=2, max_denominator=40)
-    segments = []
-    for _ in range(draw(st.integers(1, 4))):
-        start = tuple(draw(coord) for _ in range(r))
-        d, t = draw(st.sampled_from(directions)), draw(length)
-        segments.append(seg(start, tuple(a + t * x for a, x in zip(start, d))))
-    points = draw(st.lists(st.tuples(*[coord] * r), max_size=2))
-    return moduli, SegmentSet.from_segments(segments, points)
+    return moduli, draw(geodesic_draw(moduli.r, 4))
 
 
 @settings(max_examples=150, deadline=None)
 @given(image_case())
-@example((M23, sset(seg((0, 0), (Fr(1, 12), Fr(1, 18))))))  # (3,2)/36: h = 6
+@example((M23, geodesic_set(seg((0, 0), (3, 2)))))  # (3,2): h = 6
 def test_apply_f_set_matches_segment_oracle(case):
     moduli, s = case
-    image = apply_f_set(s, moduli)
-    assert image == segment_image(s, moduli)
-    assert list(image.arcs) == sorted(image.arcs)
+    image = torus.apply_f_set(s, moduli)
+    assert general(image) == segment_image(general(s), moduli)
+    assert list(general(image).arcs) == sorted(general(image).arcs)
 
 
 @pytest.mark.parametrize(
@@ -452,16 +463,16 @@ def test_preimage_of_a_geodesic_has_m_over_g_components(moduli, direction):
     # u = primitive(w_i/m_i), g = gcd(u_i*m_i): M/g parallel geodesics
     moduli = Moduli(moduli)
     start = (Fr(1, 7),) * moduli.r
-    s = SegmentSet.from_segments(
-        [TorusSegment(start, tuple(a + x for a, x in zip(start, direction)))]
+    s = torus.SegmentSet.from_segments(
+        [(start, tuple(a + x for a, x in zip(start, direction)))]
     )
     den = math.lcm(*(Fr(x, m).denominator for x, m in zip(direction, moduli)))
     u = [int(Fr(x, m) * den) for x, m in zip(direction, moduli)]
     u = [x // math.gcd(*u) for x in u]
     g = math.gcd(*(x * m for x, m in zip(u, moduli)))
-    comps = components(preimage_set(s, moduli))
+    comps = torus.components(torus.preimage_set(s, moduli))
     assert len(comps) == moduli.product() // g
-    assert all(len(c.arcs) == 1 and c.arcs[0].is_full for c in comps)
+    assert all(len(c.arcs) == 1 for c in comps)
 
 
 def test_components_match_rebuilt_components():
@@ -484,7 +495,7 @@ def test_one_direction_components_need_no_crossing_search(monkeypatch):
     def no_crossings(a, b):
         raise AssertionError("crossing search on parallel arcs")
 
-    monkeypatch.setattr(torus, "_cross_intersections", no_crossings)
+    monkeypatch.setattr(segment_oracle, "_cross_intersections", no_crossings)
     comps = components(pre)
     assert len(comps) == 120
     assert [c.arcs for c in comps] == [(arc,) for arc in pre.arcs]
@@ -492,88 +503,55 @@ def test_one_direction_components_need_no_crossing_search(monkeypatch):
 
 @st.composite
 def covers_case(draw):
-    """A set A of partial and full arcs in several directions plus isolated
-    points, in 2 or 3 dimensions, and a set B: half the time sub-arcs of A's
-    arcs plus one of A's points, otherwise drawn like A."""
+    """Program sets A and B of full geodesics in 2 or 3 dimensions: B is
+    half the time some of A's geodesics, with or without one parallel
+    geodesic of its own, otherwise drawn like A."""
     r = draw(st.integers(2, 3))
-    coord = st.fractions(min_value=-2, max_value=2, max_denominator=6)
-    length = st.sampled_from([Fr(1), Fr(2), Fr(1, 2), Fr(1, 3), Fr(5, 7), Fr(1, 6)])
-
-    def random_set():
-        segments = []
-        for _ in range(draw(st.integers(0, 3))):
-            start = tuple(draw(coord) for _ in range(r))
-            d = tuple(draw(st.sampled_from(DIRECTIONS)) for _ in range(r))
-            assume(any(d))
-            t = draw(length)
-            segments.append(seg(start, tuple(a + t * x for a, x in zip(start, d))))
-        points = draw(st.lists(st.tuples(*[coord] * r), max_size=2))
-        return SegmentSet.from_segments(segments, points)
-
-    a = random_set()
+    a = draw(geodesic_draw(r, 3))
     if not draw(st.booleans()):
-        return a, random_set()
-    assume(a.arcs)
-    fraction = st.fractions(min_value=0, max_value=1, max_denominator=8)
-    segments = []
-    for _ in range(draw(st.integers(1, 2))):
-        arc = draw(st.sampled_from(a.arcs))
-        lo, hi = sorted((draw(fraction), draw(fraction)))
-        assume(lo < hi)
-        start, _ = arc.cover_endpoints()
-        segments.append(seg(
-            tuple(c + lo * arc.length * v for c, v in zip(start, arc.direction)),
-            tuple(c + hi * arc.length * v for c, v in zip(start, arc.direction)),
-        ))
-    arc = draw(st.sampled_from(a.arcs))
-    points = [arc.point_at(draw(fraction) * arc.length).coords] + list(a.points[:1])
-    return a, SegmentSet.from_segments(segments, points[: draw(st.integers(1, 2))])
+        return a, draw(geodesic_draw(r, 3))
+    kept = draw(st.lists(st.sampled_from(general(a).arcs), min_size=1, max_size=2))
+    segments = [seg(*arc.cover_endpoints()) for arc in kept]
+    if draw(st.booleans()):
+        start = draw(st.tuples(*[st.fractions(min_value=0, max_value=1, max_denominator=8)] * r))
+        segments.append(seg(start, tuple(c + v for c, v in zip(start, a.direction))))
+    return a, geodesic_set(*segments)
 
 
 @settings(max_examples=150, deadline=None)
 @given(covers_case())
 def test_covers_matches_intersection_oracle(case):
     a, b = case
-    assert a.covers(b) == (intersect(a, b) == b)
+    assert a.covers(b) == (intersect(general(a), general(b)) == general(b))
     assert a.covers(a) and equal_as_point_sets(a, a)
 
 
 def test_preimage_contains_all_base_preimages():
-    pre = preimage_set(DIAGONAL, M23)
+    pre = torus.preimage_set(GEODESIC, M23)
     for q in f_preimages(base_point(2), M23):
         assert pre.contains_point(q)
 
 
 @settings(max_examples=60)
 @given(
+    st.tuples(*[st.integers(min_value=-3, max_value=3)] * 2).filter(any),
     st.lists(
         st.tuples(
             st.fractions(min_value=-2, max_value=2, max_denominator=12),
             st.fractions(min_value=-2, max_value=2, max_denominator=12),
-            st.integers(min_value=-3, max_value=3),
-            st.integers(min_value=-3, max_value=3),
         ),
         min_size=1,
         max_size=4,
-    )
+    ),
 )
-def test_apply_f_inverts_preimage_for_random_sets(raw):
-    segments = []
-    for x, y, dx, dy in raw:
-        if dx == 0 and dy == 0:
-            continue
-        segments.append(seg((x, y), (x + dx, y + dy)))
-    if not segments:
-        return
-    s = SegmentSet.from_segments(segments)
-    assert apply_f_set(preimage_set(s, M23), M23) == s
+def test_apply_f_inverts_preimage_for_random_sets(direction, starts):
+    dx, dy = direction
+    s = geodesic_set(*(seg((x, y), (x + dx, y + dy)) for x, y in starts))
+    assert torus.apply_f_set(torus.preimage_set(s, M23), M23) == s
 
 
 def test_csv_roundtrip(tmp_path):
-    s = SegmentSet.from_segments(
-        [seg((0, 0), (1, 1)), seg((Fr(1, 2), 0), (Fr(1, 2), Fr(1, 3)))],
-        points=[(Fr(1, 7), Fr(2, 7))],
-    )
+    s = geodesic_set(seg((0, 0), (1, 1)), seg((Fr(1, 2), 0), (Fr(3, 2), 1)))
     path = tmp_path / "set.csv"
     write_segment_set_csv(s, path)
     back = read_segment_set_csv(path)
@@ -583,18 +561,18 @@ def test_csv_roundtrip(tmp_path):
 
 def test_contains_point_rejects_a_point_of_more_coordinates():
     with pytest.raises(torus.DimensionMismatch):
-        DIAGONAL.contains_point(TorusPoint((Fr(1, 5), Fr(1, 5), Fr(1, 7))))
+        GEODESIC.contains_point(TorusPoint((Fr(1, 5), Fr(1, 5), Fr(1, 7))))
 
 
 def test_contains_point_rejects_a_point_of_fewer_coordinates():
     with pytest.raises(torus.DimensionMismatch):
-        DIAGONAL.contains_point(TorusPoint((Fr(1, 5),)))
+        GEODESIC.contains_point(TorusPoint((Fr(1, 5),)))
 
 
-@pytest.mark.parametrize("image", [preimage_set, apply_f_set])
+@pytest.mark.parametrize("image", [torus.preimage_set, torus.apply_f_set])
 def test_set_maps_reject_moduli_of_another_dimension(image):
     with pytest.raises(torus.DimensionMismatch):
-        image(DIAGONAL, Moduli.of(2, 3, 5))
+        image(GEODESIC, Moduli.of(2, 3, 5))
 
 
 def test_csv_rows_of_mixed_widths_are_rejected(tmp_path):
@@ -614,6 +592,28 @@ def test_covers_and_from_segments_reject_mixed_dimensions():
     assert DIAGONAL.covers(empty)
     assert not empty.contains_point(TorusPoint((0, 0, 0)))
     assert apply_f_set(empty, Moduli.of(2, 3, 5)).is_empty
+
+
+def test_geodesic_sets_reject_mixed_dimensions_and_no_segments():
+    with pytest.raises(torus.DimensionMismatch):
+        GEODESIC.covers(geodesic_set(seg((0, 0, 0), (1, 1, 1))))
+    with pytest.raises(torus.DimensionMismatch):
+        torus.SegmentSet.from_segments([((0, 0), (1, 1)), ((0, 0, 0), (1, 1, 1))])
+    with pytest.raises(torus.DimensionMismatch):
+        torus.SegmentSet.from_segments([((0, 0), (1, 1, 1))])
+    with pytest.raises(ValueError, match="at least one segment"):
+        torus.SegmentSet.from_segments([])
+
+
+@pytest.mark.parametrize("segments", [
+    [((0, 0), (Fr(1, 2), 1))],  # part of a geodesic
+    [((Fr(1, 3), 0), (Fr(1, 3), 0))],  # a point
+    [((0, 0), (1, 1)), ((0, 0), (1, 2))],  # two directions
+])
+def test_from_segments_takes_only_full_geodesics_of_one_direction(segments):
+    with pytest.raises(ValueError) as info:
+        torus.SegmentSet.from_segments(segments)
+    assert info.type is ValueError
 
 
 def test_arc_dist_basic():
@@ -1040,56 +1040,51 @@ def test_closed_form_point_location_matches_enumeration(data, r):
 def test_indexed_membership_matches_scan_on_parallel_geodesics():
     # the stage-0 image of winding (2,3) and its preimage levels, as in the
     # tower negative control with n1 = 0: 1, 6 and 6 parallel geodesics
-    lvl = sset(seg((0, 0), (2, 3)))
+    lvl = geodesic_set(seg((0, 0), (2, 3)))
     for geodesics in (1, 6, 6):
-        assert len({arc.key for arc in lvl.arcs}) == geodesics
+        assert len(lvl.arcs) == geodesics
         probes = set(f_preimages(base_point(2), M23))
-        for arc in lvl.arcs:
+        for arc in general(lvl).arcs:
             probes.update(arc.point_at(arc.length * Fr(k, 7)) for k in range(7))
             probes.update(f_preimages(arc.point_at(arc.length / 3), M23))
         probes.update(TorusPoint((Fr(a, 12), Fr(b, 12))) for a in range(12) for b in range(12))
         found = {lvl.contains_point(p) for p in probes}
         assert found == {True, False}
         for p in probes:
-            assert lvl.contains_point(p) == scanned_contains_point(lvl, p)
-        lvl = preimage_set(lvl, M23)
+            assert lvl.contains_point(p) == scanned_contains_point(general(lvl), p)
+        lvl = torus.preimage_set(lvl, M23)
 
 
 @settings(max_examples=60)
 @given(
+    st.sampled_from([(1, 0), (0, 1), (1, 2), (2, -1), (3, 1)]),
     st.lists(
-        st.tuples(
-            st.sampled_from([(1, 0), (0, 1), (1, 2), (2, -1), (3, 1)]),
-            rationals,
-            rationals,
-            st.fractions(min_value=Fr(1, 12), max_value=3, max_denominator=12),
-        ),
+        st.tuples(rationals, rationals, st.integers(min_value=1, max_value=3)),
         min_size=1,
         max_size=6,
     ),
-    st.lists(st.tuples(rationals, rationals), max_size=3),
     st.lists(st.tuples(st.integers(0, 5), rationals), min_size=1, max_size=6),
 )
-def test_indexed_membership_matches_scan_on_random_sets(raw, isolated, picks):
-    segments = [
-        seg((x, y), (x + t * dx, y + t * dy)) for (dx, dy), x, y, t in raw
-    ]
-    s = SegmentSet.from_segments(segments, isolated)
-    probes = [TorusPoint(v) for v in isolated]
+def test_indexed_membership_matches_scan_on_random_sets(direction, raw, picks):
+    dx, dy = direction
+    segments = [seg((x, y), (x + t * dx, y + t * dy)) for x, y, t in raw]
+    s = geodesic_set(*segments)
+    probes = []
     for i, off in picks:
         start, end = segments[i % len(segments)].start, segments[i % len(segments)].end
         probes.append(TorusPoint(tuple(a + off * (b - a) for a, b in zip(start, end))))
         probes.append(TorusPoint((start[0] + off, start[1])))
     for p in probes:
-        assert s.contains_point(p) == scanned_contains_point(s, p)
+        assert s.contains_point(p) == scanned_contains_point(general(s), p)
 
 
 def _key_order(keys):
-    """A sort key on Fraction geodesic keys (direction, anchor): the rank of
-    the key's integer form (direction, (nums, den)) in torus._sorted_keys."""
-    ints = {key: (key[0], _ints_mod1(key[1])) for key in keys}
-    rank = {key: i for i, key in enumerate(_sorted_keys(list(ints.values())))}
-    return lambda key: rank[ints[key]]
+    """A sort key on Fraction geodesic keys (direction, anchor): the
+    direction, then the rank of the anchor's integer form (nums, den) in
+    torus._sorted_anchors."""
+    ints = {key: _ints_mod1(key[1]) for key in keys}
+    rank = {anchor: i for i, anchor in enumerate(_sorted_anchors(set(ints.values())))}
+    return lambda key: (key[0], rank[ints[key]])
 
 
 @st.composite
@@ -1227,7 +1222,7 @@ def fraction_key_set(grouped, points=()):
     arcs = tuple(
         Arc(*key, start, length)
         for key in sorted(grouped)
-        for start, length in torus._merge_on_circle(grouped[key])
+        for start, length in segment_oracle._merge_on_circle(grouped[key])
     )
     pts = [p if isinstance(p, TorusPoint) else TorusPoint(p) for p in points]
     off = {q.coords for q in pts if not any(fraction_key_holds(arc, q) for arc in arcs)}
@@ -1243,7 +1238,7 @@ def fraction_key_holds(arc, q):
 def fraction_from_segments(segments, points=()):
     grouped = {}
     for sg in segments:
-        w, scale = torus._primitive(tuple(e - a for a, e in zip(sg.start, sg.end)))
+        w, scale = segment_oracle._primitive(tuple(e - a for a, e in zip(sg.start, sg.end)))
         anchor, tau = _anchor_for(sg.start, w)
         grouped.setdefault((w, anchor), []).append(
             (frac_mod1(min(Fr(0), scale) - tau), abs(scale))
@@ -1254,10 +1249,11 @@ def fraction_from_segments(segments, points=()):
 def fraction_apply_f_set(s, moduli):
     grouped = {}
     for arc in s.arcs:
-        u, h = torus._primitive(tuple(m * x for m, x in zip(moduli, arc.direction)))
+        u, h = segment_oracle._primitive(tuple(m * x for m, x in zip(moduli, arc.direction)))
         anchor, tau = _anchor_for(tuple(m * a for m, a in zip(moduli, arc.anchor)), u)
         grouped.setdefault((u, anchor), []).append(
-            torus._FULL if arc.is_full else (frac_mod1(h * arc.start - tau), h * arc.length)
+            segment_oracle._FULL if arc.is_full
+            else (frac_mod1(h * arc.start - tau), h * arc.length)
         )
     return fraction_key_set(grouped, [apply_f(TorusPoint(v), moduli) for v in s.points])
 
@@ -1265,13 +1261,13 @@ def fraction_apply_f_set(s, moduli):
 def fraction_preimage_set(s, moduli):
     grouped = {}
     for arc in s.arcs:
-        u, g, cosets = torus.preimage_geodesics(arc.direction, moduli)
+        u, g, cosets = segment_oracle.preimage_geodesics(arc.direction, moduli)
         for c in range(cosets):
             anchor, tau = _anchor_for(
                 tuple((a + c) / m for a, m in zip(arc.anchor, moduli)), u
             )
             grouped.setdefault((u, anchor), []).extend(
-                [torus._FULL] if arc.is_full
+                [segment_oracle._FULL] if arc.is_full
                 else [(frac_mod1((arc.start + k) / g - tau), arc.length / g) for k in range(g)]
             )
     points = [q for v in s.points for q in f_preimages(TorusPoint(v), moduli)]
@@ -1285,43 +1281,39 @@ def assert_integer_anchors(s):
 
 @st.composite
 def segment_case(draw):
-    """Raw segments, partial and full, in one direction or several, and
-    isolated points, in 1 to 3 dimensions."""
+    """Raw segments of one direction in 1 to 3 dimensions, each run round
+    its closed geodesic one to three times."""
     r = draw(st.integers(1, 3))
     coord = st.fractions(min_value=-2, max_value=2, max_denominator=12)
-    directions = draw(st.lists(
-        st.tuples(*[st.sampled_from(DIRECTIONS)] * r).filter(any), min_size=1, max_size=3))
-    length = st.sampled_from([Fr(1), Fr(3, 2), Fr(1, 2), Fr(1, 3), Fr(5, 7), Fr(1, 12)])
+    d = draw(st.tuples(*[st.sampled_from(DIRECTIONS)] * r).filter(any))
     segments = []
     for _ in range(draw(st.integers(1, 5))):
         start = tuple(draw(coord) for _ in range(r))
-        d, t = draw(st.sampled_from(directions)), draw(length)
+        t = draw(st.integers(min_value=1, max_value=3))
         segments.append(seg(start, tuple(a + t * x for a, x in zip(start, d))))
-    points = draw(st.lists(st.tuples(*[coord] * r), max_size=2))
-    return segments, points
+    return segments
 
 
 @settings(max_examples=200, deadline=None)
 @given(segment_case())
-def test_from_segments_matches_the_fraction_key_oracle(case):
-    segments, points = case
-    s = SegmentSet.from_segments(segments, points)
-    assert s == fraction_from_segments(segments, points)
-    assert_integer_anchors(s)
+def test_from_segments_matches_the_fraction_key_oracle(segments):
+    s = geodesic_set(*segments)
+    assert general(s) == fraction_from_segments(segments) == SegmentSet.from_segments(segments)
+    assert_integer_anchors(general(s))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(preimage_case(), image_case()))
-@example((Moduli.of(4, 9), sset(seg((0, 0), (4, 9)), seg((Fr(1, 3), 0), (Fr(5, 6), 1)))))
+@example((Moduli.of(4, 9), geodesic_set(seg((0, 0), (4, 9)), seg((Fr(1, 3), 0), (Fr(13, 3), 9)))))
 def test_set_maps_match_the_fraction_key_oracles(case):
     """On coprime moduli, non-squarefree ones among them, and sets of full
-    and partial arcs in one direction or several."""
+    geodesics of one direction."""
     moduli, s = case
-    image, pre = apply_f_set(s, moduli), preimage_set(s, moduli)
-    assert image == fraction_apply_f_set(s, moduli)
-    assert pre == fraction_preimage_set(s, moduli)
-    assert_integer_anchors(image)
-    assert_integer_anchors(pre)
+    image, pre = torus.apply_f_set(s, moduli), torus.preimage_set(s, moduli)
+    assert general(image) == fraction_apply_f_set(general(s), moduli)
+    assert general(pre) == fraction_preimage_set(general(s), moduli)
+    assert_integer_anchors(general(image))
+    assert_integer_anchors(general(pre))
 
 
 @settings(max_examples=100, deadline=None)
@@ -1342,30 +1334,29 @@ def test_integer_anchor_of_a_hand_built_arc_is_that_of_its_fraction_anchor(case)
     assert arc.anchor_ints == _ints_mod1(anchor)
     nums, den = arc.anchor_ints
     assert all(0 <= n < den for n in nums) and math.gcd(den, *nums) == 1
-    built = torus._arc(w, arc.anchor_ints, start, length)
+    built = segment_oracle._arc(w, arc.anchor_ints, start, length)
     assert built.anchor_ints == arc.anchor_ints
     assert built.anchor == tuple(frac_mod1(Fr(a)) for a in anchor)
 
 
 @st.composite
 def full_geodesic_case(draw):
-    """A set of full geodesics and partial arcs in one direction or several
-    (2 or 3 dimensions), and probe points: on its full geodesics, on its
-    partial arcs and just past their ends, and anywhere."""
+    """A program set of one to four full geodesics of one direction (2 or
+    3 dimensions), and probe points: on its geodesics, at offsets past one
+    turn too, and anywhere."""
     r = draw(st.integers(2, 3))
     coord = st.fractions(min_value=0, max_value=1, max_denominator=12)
-    directions = draw(st.lists(primitive_directions(r), min_size=1, max_size=3))
+    d = draw(primitive_directions(r))
     segments = []
     for _ in range(draw(st.integers(1, 4))):
         start = tuple(draw(coord) for _ in range(r))
-        d = draw(st.sampled_from(directions))
-        t = draw(st.sampled_from([Fr(1), Fr(1), Fr(1, 2), Fr(1, 5)]))
-        segments.append(seg(start, tuple(a + t * x for a, x in zip(start, d))))
-    s = SegmentSet.from_segments(segments)
+        segments.append(seg(start, tuple(a + x for a, x in zip(start, d))))
+    s = geodesic_set(*segments)
+    arcs = general(s).arcs
     offsets = st.fractions(min_value=-Fr(1, 4), max_value=Fr(5, 4), max_denominator=20)
-    probes = [draw(st.sampled_from(s.arcs)).point_at(Fr(0)) for _ in range(2)]
+    probes = [draw(st.sampled_from(arcs)).point_at(Fr(0)) for _ in range(2)]
     for _ in range(draw(st.integers(1, 6))):
-        arc = draw(st.sampled_from(s.arcs))
+        arc = draw(st.sampled_from(arcs))
         t = arc.start + draw(offsets) * arc.length
         probes.append(TorusPoint(tuple(a + t * v for a, v in zip(arc.anchor, arc.direction))))
     probes += [TorusPoint(tuple(draw(coord) for _ in range(r))) for _ in range(2)]
@@ -1377,16 +1368,13 @@ def full_geodesic_case(draw):
 def test_full_key_membership_matches_a_scan_over_the_arcs(case):
     s, probes = case
     for p in probes:
-        assert s.contains_point(p) == scanned_contains_point(s, p)
+        assert s.contains_point(p) == scanned_contains_point(general(s), p)
     # covers: each arc held by one arc of the same Fraction key
-    half = SegmentSet.from_segments(
-        [seg(*(tuple(a + t * v for a, v in zip(arc.anchor, arc.direction))
-               for t in (arc.start, arc.start + arc.length / 2))) for arc in s.arcs]
-    )
-    for a, b in ((s, half), (half, s), (s, s)):
+    part = torus.components(s)[0]
+    for a, b in ((s, part), (part, s), (s, s)):
         assert a.covers(b) == all(
-            any(x.key == arc.key and x.holds(arc.start, arc.length) for x in a.arcs)
-            for arc in b.arcs
+            any(x.key == arc.key and x.holds(arc.start, arc.length) for x in general(a).arcs)
+            for arc in general(b).arcs
         )
 
 
@@ -1418,3 +1406,86 @@ def test_column_level_terms_match_the_per_level_oracle(case):
     y = SolenoidPoint.from_deepest(moduli, q, depth)
     assert _level_dist_terms(x, y) == per_level_dist_terms(x, y)
     assert len(_level_dist_terms(x, y)[0]) == depth
+
+
+# The program's sets of full geodesics against the general oracle, and the
+# closed-form directions of the set maps against _primitive.
+
+ORACLE_MODULI = [(2, 3), (4, 3), (9, 2), (4, 9), (3,), (2, 3, 5), (8, 3, 5)]
+
+
+@st.composite
+def geodesic_pair_case(draw):
+    """Coprime moduli, non-squarefree ones among them; two program sets of
+    full geodesics, the second half the time in the first one's direction
+    and sharing some of its geodesics; and probe points on and off them."""
+    moduli = Moduli(draw(st.sampled_from(ORACLE_MODULI)))
+    r = moduli.r
+    a = draw(geodesic_draw(r, 4))
+    b = draw(geodesic_draw(r, 2))
+    if draw(st.booleans()):
+        kept = draw(st.lists(st.sampled_from(a.arcs), min_size=1, max_size=2))
+        b = torus.SegmentSet(a.direction, tuple(_sorted_anchors(set(kept) | (
+            set(b.arcs) if b.direction == a.direction else set()))))
+    offset = st.fractions(min_value=0, max_value=1, max_denominator=24)
+    probes = [arc.point_at(draw(offset)) for arc in general(a).arcs]
+    probes += [TorusPoint(tuple(draw(offset) for _ in range(r))) for _ in range(2)]
+    return moduli, a, b, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(geodesic_pair_case())
+def test_geodesic_sets_match_the_general_oracle(case):
+    moduli, a, b, probes = case
+    oa, ob = general(a), general(b)
+    rows = [arc.cover_endpoints() for arc in oa.arcs]
+    assert general(torus.SegmentSet.from_segments(rows)) == SegmentSet.from_segments(
+        [TorusSegment(*row) for row in rows]) == oa
+    for p in probes:
+        assert a.contains_point(p) == oa.contains_point(p)
+    assert a.covers(b) == oa.covers(ob)
+    assert b.covers(a) == ob.covers(oa)
+    assert [general(c) for c in torus.components(a)] == components(oa)
+    assert general(torus.apply_f_set(a, moduli)) == apply_f_set(oa, moduli)
+    assert general(torus.preimage_set(a, moduli)) == preimage_set(oa, moduli)
+    assert narrowed(oa) == a
+
+
+class TupleModuli(tuple):
+    """Moduli as a plain tuple, coprime or not, with the members the set
+    maps read."""
+
+    @property
+    def r(self) -> int:
+        return len(self)
+
+    def product(self) -> int:
+        return math.prod(self)
+
+
+# pairwise coprime tuples, and the non-coprime ones of the paper's contrast
+# (test_noncoprime_contrast) and beyond
+DIRECTION_MODULI = [
+    (2, 3), (4, 9), (2, 3, 5), (8, 3, 5), (2, 3, 5, 7, 11), (3,),
+    (2, 2), (3, 3), (4, 4), (3, 4), (4, 6), (8, 12), (6, 10, 15),
+]
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from(DIRECTION_MODULI), st.booleans())
+@example(None, (4, 6), False)
+@example(None, (8, 12), True)
+def test_closed_form_directions_match_the_primitive_oracle(data, moduli, huge):
+    """apply_f_set's image direction and preimage_geodesics against
+    _primitive of m*w and of w/m, on primitive directions up to 10^30."""
+    moduli = TupleModuli(moduli)
+    if data is None:
+        w = (3, -2) if not huge else (10**30 + 1, -(10**29 + 7))
+    else:
+        directions = huge_primitive_directions if huge else primitive_directions
+        w = data.draw(directions(moduli.r))
+    image = torus.apply_f_set(torus.SegmentSet(w, (((0,) * len(w), 1),)), moduli)
+    assert image.direction == segment_oracle._primitive(
+        tuple(Fr(m * x) for m, x in zip(moduli, w)))[0]
+    u, _, cosets = segment_oracle.preimage_geodesics(w, moduli)
+    assert torus.preimage_geodesics(w, moduli) == (u, cosets)

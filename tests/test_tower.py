@@ -12,11 +12,11 @@ from hypothesis import given, settings, strategies as st
 from fupcon.exact_arith import Moduli
 from fupcon.lifting import NonadmissibleWinding, PLLoop
 from fupcon.torus import (
-    Arc,
     DepthMismatch,
     SegmentSet,
     SolenoidPoint,
     TorusPoint,
+    _ints_mod1,
     apply_f,
     apply_f_set,
     arc_dist,
@@ -44,6 +44,8 @@ from fupcon.tower import (
     verify_tower,
 )
 
+from segment_oracle import Arc, general
+
 M23 = Moduli.of(2, 3)
 
 Fr = Fraction
@@ -52,6 +54,22 @@ Fr = Fraction
 def good_tower():
     params = choose_params(Fr(1, 2), M23, (1, 1))
     return build_tower(PLLoop.straight((1, 1)), params, M23)
+
+
+def shifted_level(t, index, shift):
+    """t with level `index` (1-based) translated by the vector `shift`: the
+    same number of full geodesics in the same direction, off the level."""
+    rows = [arc.cover_endpoints() for arc in general(t.level(index)).arcs]
+    levels = list(t.levels)
+    levels[index - 1] = SegmentSet.from_segments([
+        tuple(tuple(c + x for c, x in zip(end, shift)) for end in row) for row in rows
+    ])
+    return dataclasses.replace(t, levels=tuple(levels))
+
+
+def off_shift(t, denominator):
+    """(1/denominator, 0, ..., 0) in t's dimension."""
+    return (Fr(1, denominator),) + (0,) * (t.moduli.r - 1)
 
 
 def test_choose_params_frozen():
@@ -94,7 +112,7 @@ def test_params_validation():
 def test_tower_levels_frozen():
     t = good_tower()
     assert len(t.levels) == 6
-    directions = [lvl.arcs[0].direction for lvl in t.levels]
+    directions = [lvl.direction for lvl in t.levels]
     assert directions == [(4, 9), (2, 3), (1, 1), (3, 2), (9, 4), (27, 8)]
     for lvl in t.levels:
         assert len(lvl.arcs) == 1
@@ -152,20 +170,18 @@ def test_low_certificate_stage_breaks_connectivity():
 
 def test_corrupted_level_breaks_bonding():
     t = good_tower()
-    arc = t.levels[2].arcs[0]
-    half = SegmentSet(arcs=(dataclasses.replace(arc, length=arc.length / 2),), points=())
-    levels = list(t.levels)
-    levels[2] = half
-    report = verify_tower(dataclasses.replace(t, levels=tuple(levels)))
+    report = verify_tower(shifted_level(t, 3, off_shift(t, 5)))
     assert not report.all_ok
     flags = {c.index: (c.bonding_into_previous, c.forward_equality) for c in report.checks}
-    assert flags[3] == (True, False)  # half the loop no longer matches level 2
+    # the shifted geodesic's image is a translate of level 2, not level 2
+    assert flags[3] == (False, False)
     assert flags[4][0] is False  # the lift level no longer maps into it
+    assert not report.checks[2].contains_base
 
 
 def test_coherent_point_through_threads_all_levels():
     t = good_tower()
-    pt = t.levels[-1].arcs[0].point_at(Fr(1, 7))
+    pt = general(t.levels[-1]).arcs[0].point_at(Fr(1, 7))
     z = coherent_point_through(t, pt, len(t.levels))
     assert isinstance(z, SolenoidPoint)
     assert len(z.levels) == len(t.levels)
@@ -181,14 +197,8 @@ def test_coherent_point_through_rejects_outsiders():
 
 def test_coherent_point_through_detects_missing_preimages():
     t = good_tower()
-    arc = t.levels[3].arcs[0]
-    tiny = SegmentSet(
-        arcs=(dataclasses.replace(arc, length=arc.length / 36),), points=()
-    )
-    levels = list(t.levels)
-    levels[3] = tiny
-    broken = dataclasses.replace(t, levels=tuple(levels))
-    probe = t.levels[2].arcs[0].point_at(Fr(1, 2))
+    broken = shifted_level(t, 4, off_shift(t, 5))
+    probe = general(t.levels[2]).arcs[0].point_at(Fr(1, 2))
     with pytest.raises(NoPreimageInLevel):
         coherent_point_through(broken, probe, 3)
 
@@ -227,31 +237,21 @@ def test_first_member_threading_agrees_with_the_min_oracle(moduli, s, epsilon):
     t = threading_tower(moduli, s, epsilon)
     assert t.params.n1 >= 1
     for idx, lvl in enumerate(t.levels, start=1):
-        for arc in lvl.arcs[:3]:
+        for arc in general(lvl).arcs[:3]:
             for offset in (Fr(0), arc.length / 7, arc.length * Fr(5, 9), arc.length):
                 p = arc.point_at(offset)
                 assert coherent_point_through(t, p, idx) == threaded_by_min(t, p, idx)
 
 
-def _cut_level(t, index, fraction):
-    """t with level `index` (1-based) cut to `fraction` of its first arc."""
-    arc = t.level(index).arcs[0]
-    levels = list(t.levels)
-    levels[index - 1] = SegmentSet(
-        arcs=(dataclasses.replace(arc, length=arc.length * fraction),), points=()
-    )
-    return dataclasses.replace(t, levels=tuple(levels))
-
-
 @pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
 def test_first_member_threading_fails_where_the_min_oracle_fails(moduli, s, epsilon):
-    """Cut each level past N0 to a sliver; a point threaded from the level
+    """Shift each level past N0 off itself; a point threaded from the level
     before it finds no preimage there in both, or the same one."""
     t = threading_tower(moduli, s, epsilon)
     failed = 0
     for index in range(t.params.n0 + 1, len(t.levels) + 1):
-        broken = _cut_level(t, index, Fr(1, 1000))
-        arc = t.level(index - 1).arcs[0]
+        broken = shifted_level(t, index, off_shift(t, 7))
+        arc = general(t.level(index - 1)).arcs[0]
         for offset in (arc.length / 2, arc.length / 3):
             p = arc.point_at(offset)
             try:
@@ -310,18 +310,19 @@ def descended_with_every_test(t, point, level_index):
 
 @pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
 def test_threading_tests_a_point_below_an_unproven_bonding(moduli, s, epsilon, monkeypatch):
-    """Cut each level below the deepest to a sliver, so that it no longer
-    covers the image of the level above it: points threaded down from the
-    deepest level are tested there, and there only, and fail there exactly
-    when testing every level fails."""
+    """Shift each level below the deepest off itself, so that it no longer
+    covers the image of the level above it (nor maps into the level below
+    it): points threaded down from the deepest level are tested there, and
+    there only, and fail there exactly when testing every level fails."""
     t = threading_tower(moduli, s, epsilon)
     total = len(t.levels)
     calls = count_membership_tests(monkeypatch)
     raised = 0
     for index in range(1, total):
-        broken = _cut_level(t, index, Fr(1, 1000))
-        assert [i + 1 for i, ok in enumerate(broken.bonded) if not ok] == [index]
-        arc = broken.levels[-1].arcs[0]
+        broken = shifted_level(t, index, off_shift(t, 7))
+        unbonded = [index - 1, index] if index > 1 else [index]
+        assert [i + 1 for i, ok in enumerate(broken.bonded) if not ok] == unbonded
+        arc = general(broken.levels[-1]).arcs[0]
         for offset in (Fr(0), arc.length / 7, arc.length * Fr(5, 9), arc.length):
             p = arc.point_at(offset)
             try:
@@ -502,7 +503,7 @@ def test_deep_sample_needs_a_positive_count(count):
 def fraction_deep_positions(t, count):
     """Oracle for the integer position walk of coherent_deep_sample: the
     same walk over the deepest level's arcs, held in Fractions."""
-    deepest = t.levels[-1]
+    deepest = general(t.levels[-1])
     total_len = deepest.total_arc_length()
     positions = [Fr(2 * c + 1, 2 * count) * total_len for c in range(count)]
     pts = []
@@ -517,31 +518,32 @@ def fraction_deep_positions(t, count):
     return pts
 
 
-def several_arc_tower(t, cuts):
-    """t with its deepest level replaced by the preimage of the pieces
-    [a, a + l] (a, l in cuts, as fractions of its length) of the first arc
-    of the level below, so that it has several arcs of unequal lengths, and
-    still maps into the level below."""
-    arc = t.levels[-2].arcs[0]
-    pieces = SegmentSet.from_segments(
-        dataclasses.replace(arc, start=arc.start + a * arc.length, length=l * arc.length)
-        .to_segment()
-        for a, l in cuts
-    )
+def several_geodesic_tower(moduli, s, epsilon, cuts):
+    """The tower of winding m*s with N1 = 0, whose first preimage level is
+    M/g parallel geodesics (six for (2,3) and m*s = (2,3)), with its
+    deepest level replaced by the preimage of the geodesics `cuts` (indices)
+    of that level: so it has several geodesics, and still maps into the
+    level below."""
+    moduli = Moduli(moduli)
+    w = tuple(e * m for e, m in zip(s, moduli))
+    params = dataclasses.replace(choose_params(epsilon, moduli, w), n1=0)
+    t = build_tower(PLLoop.straight(w), params, moduli, size_guard=10**9)
+    below = t.levels[-2]
+    pieces = SegmentSet(below.direction, tuple(below.arcs[i] for i in cuts))
     deepest = preimage_set(pieces, t.moduli)
     return dataclasses.replace(t, levels=t.levels[:-1] + (deepest,))
 
 
 @pytest.mark.parametrize("moduli,s,epsilon", THREADING_TOWERS)
-@pytest.mark.parametrize("cuts", [
-    ((Fr(0), Fr(1, 4)), (Fr(1, 3), Fr(1, 2))),
-    ((Fr(1, 10), Fr(1, 5)), (Fr(2, 5), Fr(1, 20)), (Fr(3, 5), Fr(1, 3))),
-])
+@pytest.mark.parametrize("cuts", [(0, 2), (1, 3, 4, 5)])
 def test_integer_deep_sample_walk_agrees_with_the_fraction_walk(moduli, s, epsilon, cuts):
-    t = several_arc_tower(threading_tower(moduli, s, epsilon), cuts)
-    deepest = t.levels[-1]
-    assert len({arc.length for arc in deepest.arcs}) == len(cuts)
-    assert len(deepest.arcs) > len(cuts)
+    """An even number of geodesics, so that some positions fall on the end
+    of one: the walk keeps them on it, at its anchor."""
+    t = several_geodesic_tower(moduli, s, epsilon, cuts)
+    assert len(t.levels[-2].arcs) >= 6
+    assert all(t.bonded)
+    deepest = general(t.levels[-1])
+    assert len(deepest.arcs) >= len(cuts) and len(deepest.arcs) % 2 == 0
     ends = set(itertools.accumulate(arc.length for arc in deepest.arcs))
     total = deepest.total_arc_length()
     on_an_end = 0
@@ -554,13 +556,10 @@ def test_integer_deep_sample_walk_agrees_with_the_fraction_walk(moduli, s, epsil
 
 
 def test_uncovered_level_past_n0_has_no_preimage():
-    """L_6 maps 6-to-1 onto L_5; cut to a twelfth of its geodesic, its image
-    is half of L_5 > N0, so not every sample of L_5 could be threaded."""
+    """L_6 maps onto L_5; shifted off itself, its image is a translate of
+    L_5 > N0, so not every sample of L_5 could be threaded."""
     t = good_tower()
-    arc = t.levels[5].arcs[0]
-    levels = list(t.levels)
-    levels[5] = SegmentSet(arcs=(dataclasses.replace(arc, length=arc.length / 12),), points=())
-    broken = dataclasses.replace(t, levels=tuple(levels))
+    broken = shifted_level(t, 6, off_shift(t, 5))
     with pytest.raises(NoPreimageInLevel, match="level 6 does not cover level 5"):
         coherent_base_sample(broken, 55, [])
 
@@ -856,18 +855,16 @@ def test_walked_first_match_agrees_with_the_listed_intervals(loop, count, delta,
         st.lists(st.fractions(min_value=0, max_value=1, max_denominator=40).filter(lambda x: x < 1),
                  min_size=r, max_size=r),
     )),
-    st.fractions(min_value=0, max_value=1, max_denominator=50).filter(lambda x: x < 1),
-    st.fractions(min_value=0, max_value=1, max_denominator=50),
     st.integers(min_value=1, max_value=10**6),
     st.data(),
 )
-def test_integer_arc_point_matches_arc_point_at(case, start, length, scale, data):
-    """Arcs with Fraction starts and anchors of mixed denominators, at
-    offsets over the whole arc."""
+def test_integer_arc_point_matches_arc_point_at(case, scale, data):
+    """Geodesics with anchors of mixed denominators, at offsets over the
+    whole geodesic."""
     direction, anchor = case
-    arc = Arc(tuple(direction), tuple(anchor), start, length)
-    offset = data.draw(st.integers(min_value=0, max_value=math.floor(length * scale)))
-    p = _arc_point(arc, offset, scale)
+    arc = Arc(tuple(direction), tuple(anchor), Fr(0), Fr(1))
+    offset = data.draw(st.integers(min_value=0, max_value=scale))
+    p = _arc_point(arc.direction, _ints_mod1(arc.anchor), offset, scale)
     assert p == arc.point_at(Fr(offset, scale))
     assert p.coords == arc.point_at(Fr(offset, scale)).coords
 
