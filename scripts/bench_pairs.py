@@ -8,7 +8,10 @@ the change's wins over the pairs, and the verdict of the ten-pair rule: the
 change wins at least 9 of every 10 pairs, and the medians differ, in the
 change's favour, by more than the parent's interquartile range.  It also
 flags a median that is worse than the parent's by more than the metric's
-bound in BENCHMARK.json.
+bound in BENCHMARK.json.  Every run gets a fresh, empty bytecode cache
+(PYTHONPYCACHEPREFIX), so both sides compile their source: run.py's setup_s
+times the import, and a checkout's leftover __pycache__ would show there as
+a difference of code.
 
 Usage:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -20,9 +23,11 @@ whatever the verdicts.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 SIDES = ("parent", "change")
@@ -57,13 +62,20 @@ def worse_than_bound(parent: list[float], change: list[float], better: str, boun
     return worse > bound * abs(p)
 
 
+def child_env(cache_dir: Path) -> dict[str, str]:
+    """The environment of one run.py process: this one, with Python's
+    bytecode cache read from and written to cache_dir alone."""
+    return dict(os.environ, PYTHONPYCACHEPREFIX=str(cache_dir))
+
+
 def run_once(root: Path, args) -> dict | None:
     """The JSON result line of one run.py process, or None."""
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "run.py"), "--workload", args.workload,
-         "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
-        capture_output=True, text=True,
-    )
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache_dir:
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "run.py"), "--workload", args.workload,
+             "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"],
+            capture_output=True, text=True, env=child_env(Path(cache_dir)),
+        )
     lines = proc.stdout.strip().splitlines()
     try:
         return json.loads(lines[-1])

@@ -423,6 +423,7 @@ def main(argv=None) -> int:
         elif args.size_guard < 1:
             raise ValueError("size guard must be positive")
         report, code = _COMMANDS[args.command](args)
+        text = render_report(report)
     except (NoPreimageInLevel, MembershipFails, AssertionError) as exc:
         # an internal defect: the program's own construction failed its check
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
@@ -437,7 +438,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO
     try:
-        _emit(render_report(report), args.out)
+        _emit(text, args.out)
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_IO

@@ -6,6 +6,7 @@ here; no floats anywhere.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -19,6 +20,25 @@ class NoDecomposition(ValueError):
     """s admits no factorization s = m^alpha * q with gcd(q, m) = 1."""
 
 
+class SizeGuardExceeded(RuntimeError):
+    """The requested computation exceeds the configured size bound.  needed
+    is the size, or a power expression for it when it is too large to
+    compute."""
+
+    def __init__(self, needed: int | str, guard: int | str):
+        super().__init__(f"size {needed} exceeds guard {guard}")
+        self.needed = needed
+        self.guard = guard
+
+
+def digit_limit() -> int:
+    """The most digits the interpreter converts an int to text with
+    (sys.get_int_max_str_digits, its default when that is 0, no limit).  A
+    number of more digits cannot be reported: it exceeds the guard
+    10^digit_limit()."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse 'p/q' (or a bare integer 'p') into an exact rational."""
     try:
@@ -28,9 +48,14 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x) -> str:
-    """Canonical 'p/q' form; denominator always explicit so parsing is uniform."""
+    """Canonical 'p/q' form; denominator always explicit so parsing is uniform.
+    A term past digit_limit() raises SizeGuardExceeded."""
     f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    try:
+        return f"{f.numerator}/{f.denominator}"
+    except ValueError as exc:  # past the interpreter's int-to-str digit limit
+        bits = max(abs(f.numerator), f.denominator).bit_length()
+        raise SizeGuardExceeded(f"{bits}-bit report rational", f"10^{digit_limit()}") from exc
 
 
 def frac_mod1(x) -> Fraction:

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 from .exact_arith import (
     Moduli,
     NoDecomposition,
+    SizeGuardExceeded,
     crt_solve,
+    digit_limit,
     gcd_certificate_condition,
     madic_decomposition,
 )
@@ -47,17 +49,6 @@ DEFAULT_SIZE_GUARD = 10**6
 
 class ConditionFails(ValueError):
     """The divisibility condition fails at the requested stage."""
-
-
-class SizeGuardExceeded(RuntimeError):
-    """The requested computation exceeds the configured size bound.  needed
-    is the size, or a power expression for it when it is too large to
-    compute."""
-
-    def __init__(self, needed: int | str, guard: int):
-        super().__init__(f"size {needed} exceeds guard {guard}")
-        self.needed = needed
-        self.guard = guard
 
 
 def check_size(
@@ -96,10 +87,21 @@ def valuation_level(s: WindingLike, moduli: Moduli) -> int:
     """The conservative stage bound (prod m_i)^alpha, alpha = max_i alpha_i,
     built from the splittings s_i = m_i^alpha_i * q_i.  Raises NoDecomposition
     when some coordinate admits no such splitting (possible for non-squarefree
-    moduli, e.g. m = 4, s = 2)."""
+    moduli, e.g. m = 4, s = 2).
+
+    A stage past digit_limit() could not be reported, and raises
+    SizeGuardExceeded.  The stage is at least 2^(alpha*(b - 1)), b the bit
+    length of prod m_i, so from 16^limit on it is refused before the power
+    is formed; below that it is formed and compared with 10^limit, at once
+    when it is below 8^limit."""
     w = admissible_winding(s, moduli)
     alpha = max(madic_decomposition(e, m).alpha for e, m in zip(w, moduli))
-    return moduli.product() ** alpha
+    limit, big = digit_limit(), moduli.product()
+    if alpha * (big.bit_length() - 1) < 4 * limit:
+        level = big**alpha
+        if level.bit_length() <= 3 * limit or level < 10**limit:
+            return level
+    raise SizeGuardExceeded(f"(prod m_i)^{alpha} (valuation stage)", f"10^{limit}")
 
 
 def minimal_level(s: WindingLike, moduli: Moduli) -> int:

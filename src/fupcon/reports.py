@@ -9,10 +9,13 @@ A report is a tree of dicts with `str` keys, lists and tuples, `str`,
 `TypeError`.  Its byte form is exactly
 `json.dumps(report, sort_keys=True, indent=2) + "\\n"`, written here by a
 recursive writer over that domain that quotes strings with json's C
-encoder (json's own indented encoder runs in pure Python).
+encoder (json's own indented encoder runs in pure Python).  An int past
+exact_arith.digit_limit() raises SizeGuardExceeded.
 """
 
 from json.encoder import encode_basestring_ascii as _quote
+
+from .exact_arith import SizeGuardExceeded, digit_limit
 
 SCHEMA_VERSION = 1
 
@@ -26,7 +29,10 @@ EXIT_IO = 4
 def render_report(report: dict) -> str:
     """Canonical byte form: sorted keys, two-space indent, trailing newline."""
     out: list[str] = []
-    _write(report, "\n", out)
+    try:
+        _write(report, "\n", out)
+    except ValueError as exc:  # an int past the interpreter's int-to-str digit limit
+        raise SizeGuardExceeded("of a report integer", f"10^{digit_limit()}") from exc
     out.append("\n")
     return "".join(out)
 

@@ -222,17 +222,12 @@ def f_preimages(p: TorusPoint, moduli: Moduli) -> list[TorusPoint]:
     return list(_preimages(p, moduli))
 
 
-def _arc_dist_terms(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
-    """(n, d) with n/d the shorter-arc distance of the rationals an/ad and
-    bn/bd."""
-    d = ad * bd
-    n = (an * bd - bn * ad) % d
-    return min(n, d - n), d
-
-
 def arc_dist(a: Fraction, b: Fraction) -> Fraction:
-    """Shorter-arc distance on R/Z, values in [0, 1/2]."""
-    return Fraction(*_arc_dist_terms(a.numerator, a.denominator, b.numerator, b.denominator))
+    """Shorter-arc distance on R/Z, values in [0, 1/2], from the numerators
+    over the product of the denominators."""
+    d = a.denominator * b.denominator
+    n = (a.numerator * b.denominator - b.numerator * a.denominator) % d
+    return Fraction(min(n, d - n), d)
 
 
 def torus_dist(p: TorusPoint, q: TorusPoint) -> Fraction:

@@ -15,8 +15,8 @@ and equality of the bonding at the forward levels.
 
 epsilon_bound_check compares coherent points threaded down from the deepest
 level with the delta-dense uniform sample of the base loop at level N0.  The
-first delta-close sample of each candidate is found in closed form (each
-coordinate of the loop is linear in the sample index on each piece), and
+first delta-close sample of each candidate is found in closed form
+(coordinate c of sample i of the straight loop is i*s_c/count), and
 only the matched samples are threaded; that the rest could be threaded too
 is checked exactly, as f(L_{k+1}) covering L_k for every k >= N0.  So the
 sample is never built, and the cost of the check grows with the number of
@@ -51,13 +51,12 @@ from .hitting import (
     minimal_level,
     valuation_level,
 )
-from .lifting import PLLoop, admissible_winding, as_winding, image_set
+from .lifting import NonadmissibleWinding, PLLoop, admissible_winding, as_winding, image_set
 from .torus import (
     DepthMismatch,
     SegmentSet,
     SolenoidPoint,
     TorusPoint,
-    _arc_dist_terms,
     _level_dist_terms,
     _point,
     _power_image,
@@ -77,10 +76,6 @@ class MembershipFails(ValueError):
 
 class NoPreimageInLevel(ValueError):
     """No preimage of a level point lies in the next level (tower defect)."""
-
-
-class DepthTooSmall(ValueError):
-    """Solenoid points too shallow for the requested comparison."""
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,9 @@ class TowerParams:
 def choose_params(epsilon, moduli: Moduli, s, depth: int = 2) -> TowerParams:
     """Derive tower parameters from the target epsilon.
 
-    epsilon is clamped into (0, 1]; N0 is least with 2^-N0 < epsilon/2;
-    delta = min(epsilon, (epsilon/2) / (max m_i)^N0) so that all N0 forward
+    epsilon is clamped into (0, 1]; N0 is least with 2^-N0 < epsilon/2,
+    that is 2^N0 > 2/epsilon, the bit length of floor(2/epsilon);
+    delta = (epsilon/2) / (max m_i)^N0 (below epsilon) so that all N0 forward
     images of delta-close points stay epsilon/2-close (the power map is
     (max m_i)-Lipschitz per application in the arc metric); N1 is the larger
     of the two certificate levels (valuation route when defined).  The
@@ -136,10 +132,8 @@ def choose_params(epsilon, moduli: Moduli, s, depth: int = 2) -> TowerParams:
         raise ValueError("epsilon must be positive")
     eps = min(eps, Fraction(1))
     w = as_winding(s)
-    n0 = 1
-    while Fraction(1, 2**n0) >= eps / 2:
-        n0 += 1
-    delta = min(eps, (eps / 2) / Fraction(max(moduli.values)) ** n0)
+    n0 = (2 * eps.denominator // eps.numerator).bit_length()
+    delta = (eps / 2) / max(moduli.values) ** n0
     try:
         val: int | None = valuation_level(w, moduli)
     except NoDecomposition:
@@ -315,37 +309,35 @@ def base_sample_count(loop: PLLoop, delta: Fraction) -> int:
     return math.floor(speed / (2 * delta)) + 1
 
 
-def _close_line(
-    a: Fraction, b: Fraction, qn: int, qd: int, delta: Fraction, p: int, k: int, count: int
-):
-    """Integers (A, B, C, R) such that a + (i*k/count - p)*(b - a), the
-    coordinate of sample i on piece p, lies within delta of qn/qd + n, n an
-    integer, exactly when |A + i*B - n*C| < R: the line times a common
-    denominator of a, b, qn/qd and delta, and count."""
-    den = math.lcm(a.denominator, b.denominator, qd, delta.denominator)
-    an, bn, dn = (x.numerator * (den // x.denominator) for x in (a, b, delta))
-    rise = bn - an
-    return count * (an - p * rise - qn * (den // qd)), k * rise, count * den, count * dn
+def _close_line(s: int, qn: int, qd: int, delta: Fraction, count: int):
+    """Integers (A, B, C, R) such that i*s/count, the coordinate of sample i
+    of a winding entry s, lies within delta of qn/qd + n, n an integer,
+    exactly when |A + i*B - n*C| < R: the line times count and D, the lcm of
+    qd and delta's denominator."""
+    den = math.lcm(qd, delta.denominator)
+    r = delta.numerator * (den // delta.denominator)
+    return -count * qn * (den // qd), s * den, count * den, count * r
 
 
-def _close_comb(line, lo: int, hi: int, scale: int) -> tuple[int, int, int, int]:
+def _close_comb(line, hi: int, scale: int) -> tuple[int, int, int, int]:
     """The open intervals of real i, times `scale` (a multiple of B != 0), on
     which |A + i*B - n*C| < R, one per integer n the line meets while i runs
-    over [lo, hi], as (low, step, half, n): the t-th in increasing order,
+    over [0, hi], as (low, step, half, n): the t-th in increasing order,
     t = 0..n-1, is centered on low + t*step with half-width `half`.  Each is
     centered on (n*C - A)/B with half-width R/|B|; they are disjoint when
     2R <= C."""
     a, b, c, r = line
-    y0, y1 = sorted((a + b * lo, a + b * hi))
+    y0, y1 = sorted((a, a + b * hi))
     first, stop = (y0 - r) // c + 1, -((-y1 - r) // c)  # n*C in (y0 - R, y1 + R)
     s = scale // b
     low = (first if s > 0 else stop - 1) * c * s - a * s  # the least center
     return low, c * abs(s), r * abs(s), stop - first
 
 
-def _least_close(lines: list, lo: int, hi: int) -> int | None:
-    """The least integer i in lo..hi lying in a close interval of every line,
-    or None.  The interval ends are held times D, the lcm of the lines' B.
+def _least_close(lines: list, count: int) -> int | None:
+    """The least integer i in 0..count-1 lying in a close interval of every
+    line, or None.  The interval ends are held times D, the lcm of the
+    lines' B.
 
     Only the line with the fewest intervals is walked, interval by interval.
     Within one, the candidate i starts at its least integer; for each other
@@ -353,18 +345,17 @@ def _least_close(lines: list, lo: int, hi: int) -> int | None:
     when that interval starts at or after i, i moves past its start.  When
     no line moves i, every line holds it.  i only grows, so no interval of
     the other lines is listed, and one that a line lacks past i ends the
-    search.  Every interval meets [lo, hi], so a common point past hi would
-    put hi in all of them: i > hi ends the search too."""
-    if not lines:
-        return lo if lo <= hi else None
+    search.  Every interval meets [0, count-1], so a common point past
+    count-1 would put count-1 in all of them: i >= count ends the search
+    too."""
     scale = math.lcm(*(abs(line[1]) for line in lines))
-    combs = sorted((_close_comb(line, lo, hi, scale) for line in lines), key=lambda c: c[3])
+    combs = sorted((_close_comb(line, count - 1, scale) for line in lines), key=lambda c: c[3])
     (low, step, half, n), rest = combs[0], combs[1:]
-    i = lo
+    i = 0
     for center in range(low, low + n * step, step):
         i = max(i, (center - half) // scale + 1)
         while i * scale < center + half:
-            if i > hi:
+            if i >= count:
                 return None
             x = i * scale
             for low2, step2, half2, n2 in rest:
@@ -386,40 +377,29 @@ def first_close_sample(
     """The least i in 0..count-1 with torus_dist(query, loop.point_at(i/count))
     < delta, or None, found without forming the samples.
 
-    The k pieces are uniform in time, so piece p holds the samples
-    i = ceil(p*count/k) .. ceil((p+1)*count/k) - 1, and on it coordinate c is
-    a_c + (i*k/count - p)*(b_c - a_c), linear in i.  Its arc distance to q_c
-    is below delta exactly on the open i-intervals where that line is within
-    delta of some q_c + n, n an integer; a constant coordinate passes for
-    every i of the piece or for none.  The least integer in the intersection
-    over the coordinates, piece by piece, is the answer (_least_close).  A
-    line meets about |b_c - a_c| + 2 translates on its piece; only the
-    coordinate with the fewest is walked, and another's interval is visited
-    only where it moves the candidate, so the cost does not depend on count,
-    and it is O(min_c |b_c - a_c| + r) when the candidates that fall in a
-    gap are few.  Everything is compared in integers: each line is written
-    as |A + i*B - n*C| < R, the query as its numerators over one
-    denominator."""
+    The loop is a tower's base loop: straight, of a winding s with no zero
+    entry; any other loop raises ValueError.  Coordinate c of sample i is
+    i*s_c/count, linear in i, so its arc distance to q_c is below delta
+    exactly on the open i-intervals where that line is within delta of some
+    q_c + n, n an integer, and the least integer in the intersection over the
+    coordinates is the answer (_least_close).  A line meets about |s_c| + 2
+    translates; only the coordinate with the fewest is walked, and
+    another's interval is visited only where it moves the candidate, so the
+    cost does not depend on count, and it is O(min_c |s_c| + r) when the
+    candidates that fall in a gap are few.  Everything is compared in
+    integers: each line is written as |A + i*B - n*C| < R, the query as its
+    numerators over one denominator."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if loop.pieces != 1:
+        raise ValueError("first_close_sample takes a straight loop (one piece)")
+    s = [c.numerator for c in loop.breakpoints[-1]]
+    if not all(s):
+        raise NonadmissibleWinding("winding has a zero entry")
     if 2 * delta.numerator > delta.denominator:  # no two torus points are over 1/2 apart
         return 0
-    k, qd = loop.pieces, query.den
-    for p, (a, b) in enumerate(zip(loop.breakpoints, loop.breakpoints[1:])):
-        lo, hi = -(-p * count // k), -(-(p + 1) * count // k) - 1
-        lines = []
-        for ac, bc, qn in zip(a, b, query.nums):
-            if ac != bc:
-                lines.append(_close_line(ac, bc, qn, qd, delta, p, k, count))
-            else:
-                n, d = _arc_dist_terms(ac.numerator, ac.denominator, qn, qd)
-                if n * delta.denominator >= delta.numerator * d:
-                    break
-        else:  # every constant coordinate of the piece is delta-close
-            i = _least_close(lines, lo, hi)
-            if i is not None:
-                return i
-    return None
+    lines = [_close_line(sc, qn, query.den, delta, count) for sc, qn in zip(s, query.nums)]
+    return _least_close(lines, count)
 
 
 def coherent_base_sample(
@@ -508,8 +488,6 @@ def epsilon_bound_check(
     n0, total = t.params.n0, len(t.levels)
     eps, delta = t.params.epsilon, t.params.delta
     for p in candidates:
-        if p.depth < n0:
-            raise DepthTooSmall(f"point depth {p.depth} below N0 = {n0}")
         if p.moduli != t.moduli:
             raise ValueError("points from different solenoid products")
         if p.depth != total:

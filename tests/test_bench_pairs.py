@@ -2,6 +2,9 @@
 benchmark runs here."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,33 @@ def test_unpaired_or_single_runs_are_refused():
         bench_pairs.verdict([1.0, 2.0], [1.0], "higher")
     with pytest.raises(ValueError):
         bench_pairs.verdict([1.0], [2.0], "higher")
+
+
+def test_each_run_reads_and_writes_only_its_own_bytecode_cache(tmp_path, monkeypatch):
+    """A child started with child_env keeps the rest of the environment and
+    neither reads nor writes a checkout's __pycache__: a stale .pyc there
+    is ignored, and the fresh one goes under the given directory."""
+    monkeypatch.setenv("BENCH_PAIRS_PROBE", "kept")
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "probe.py").write_text("VALUE = 'source'\n")
+    stale = src / "__pycache__"
+    stale.mkdir()
+    # without the prefix, Python would find this bad magic, compile the
+    # source and write its .pyc over it
+    (stale / f"probe.{sys.implementation.cache_tag}.pyc").write_bytes(b"not bytecode")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    env = bench_pairs.child_env(cache)
+    assert env["PYTHONPYCACHEPREFIX"] == str(cache)
+    assert env["BENCH_PAIRS_PROBE"] == "kept"
+    assert {k: v for k, v in env.items() if k != "PYTHONPYCACHEPREFIX"} == {
+        k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, probe; print(probe.VALUE, sys.pycache_prefix)"],
+        cwd=src, env=dict(env, PYTHONDONTWRITEBYTECODE=""), capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.stdout.split() == ["source", str(cache)], proc.stderr
+    assert [p.read_bytes() for p in stale.iterdir()] == [b"not bytecode"]
+    assert list(cache.rglob("probe.*.pyc"))

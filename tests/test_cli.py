@@ -290,6 +290,35 @@ def test_size_guard_exit_3(capsys, tmp_path):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    # 6^9000 has 7004 digits: it failed in the report writer
+    ["certify", "--moduli", "2,3", "--winding", f"{2**9000},1", "--range", "0..0"],
+    # 6^14000 failed as text in the size guard's message
+    ["tower", "--moduli", "2,3", "--winding", f"{2**14000},1", "--epsilon", "1/2"],
+    # (2 * (10^1200 + 1))^14000 took seconds to form
+    ["certify", "--moduli", f"2,{10**1200 + 1}", "--winding", f"{2**14000},1",
+     "--range", "0..0"],
+], ids=["certify-6^9000", "tower-6^14000", "certify-big-modulus"])
+def test_valuation_stage_past_the_digit_limit_exits_3(argv, capsys):
+    started = time.monotonic()
+    assert main(argv) == 3
+    assert time.monotonic() - started < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(valuation stage) exceeds guard 10^" in err
+
+
+def test_report_integer_past_the_digit_limit_exits_3(capsys):
+    # 3^9000 on moduli (2, 5) has valuation stage 1 and minimal level 0, and
+    # 2^-20 puts its base sample count, about 3^9000 * 5^22 * 2^21, past
+    # 4300 digits: it was a traceback from the report writer
+    argv = ["tower", "--moduli", "2,5", "--winding", f"{3**9000},1",
+            "--epsilon", "1/1048576", "--size-guard", str(10**4299)]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: size of a report integer exceeds guard 10^4300\n"
+
+
 def test_certify_finds_a_stage_above_64(capsys):
     # winding entry 2^131 on modulus 4: the least stage is ceil(131/2) = 66,
     # so the stage cross-check runs

@@ -1,6 +1,7 @@
 """Unit tests for rational parsing, CRT, m-adic splitting, and the gcd test."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from fupcon.exact_arith import (
     Moduli,
     ModuliNotCoprime,
     NoDecomposition,
+    SizeGuardExceeded,
     crt_solve,
     format_rational,
     frac_mod1,
@@ -150,6 +152,20 @@ def test_format_parse_roundtrip(x):
     text = format_rational(x)
     assert "/" in text
     assert parse_rational(text) == x
+
+
+def test_format_rational_past_the_digit_limit_is_a_size_error():
+    """A denominator of 4301 digits, one past the default int-to-str limit,
+    raises the size error (exit 3 in the CLI), not str()'s ValueError
+    (exit 2)."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        assert len(format_rational(Fraction(1, 10**4299))) == 4302
+        with pytest.raises(SizeGuardExceeded, match=r"14285-bit report rational exceeds guard 10\^4300"):
+            format_rational(Fraction(-1, 10**4300))
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_parse_accepts_plain_integers():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -98,6 +99,41 @@ def test_valuation_level_frozen():
 def test_valuation_needs_a_clean_split():
     with pytest.raises(NoDecomposition):
         valuation_level((6,), M4)
+
+
+def printable_stage(moduli, alpha):
+    """Oracle: (prod m)^alpha, or None when str() refuses it."""
+    level = moduli.product() ** alpha
+    try:
+        str(level)
+    except ValueError:
+        return None
+    return level
+
+
+@pytest.mark.parametrize("limit", [640, 4300])
+@pytest.mark.parametrize("values", [(2,), (2, 3), (3, 5, 7), (2, 10**500 + 1)])
+def test_valuation_stage_is_refused_exactly_past_the_digit_limit(values, limit):
+    """Around the largest stage that str() prints: every stage it prints is
+    returned, and every other one names the valuation stage."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        moduli = Moduli(values)
+        top = math.floor(limit / math.log10(moduli.product()))
+        verdicts = set()
+        for alpha in range(max(0, top - 2), top + 3):
+            s = (values[0] ** alpha,) + (1,) * (len(values) - 1)
+            want = printable_stage(moduli, alpha)
+            verdicts.add(want is None)
+            if want is None:
+                with pytest.raises(SizeGuardExceeded, match=rf"\^{alpha} \(valuation stage\)"):
+                    valuation_level(s, moduli)
+            else:
+                assert valuation_level(s, moduli) == want
+        assert verdicts == {True, False}
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_valuation_dominates_minimal():

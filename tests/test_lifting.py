@@ -146,17 +146,19 @@ def test_int_loops_agree_with_fraction_loops(bps, data):
     n = data.draw(st.integers(min_value=0, max_value=3))
     horizon = data.draw(st.integers(min_value=1, max_value=3))
     assert lift(ints, n, moduli, horizon).breakpoints == lift(fracs, n, moduli, horizon).breakpoints
-    coord = st.fractions(min_value=0, max_value=1, max_denominator=12)
-    query = TorusPoint(tuple(data.draw(coord) for _ in range(ints.r)))
-    count = data.draw(st.integers(min_value=1, max_value=40))
-    delta = data.draw(st.fractions(min_value=Fr(1, 60), max_value=Fr(1, 2), max_denominator=60))
-    assert first_close_sample(ints, count, query, delta) == first_close_sample(
-        fracs, count, query, delta)
     end = bps[-1]
-    if all(end):
+    if all(end):  # the straight, admissible loops that image_set and the locator take
+        straight_ints = PLLoop(((0,) * ints.r, end))
+        straight_fracs = PLLoop((fracs.breakpoints[0], fracs.breakpoints[-1]))
         n = data.draw(st.integers(min_value=0, max_value=2))
-        assert image_set(PLLoop(((0,) * ints.r, end)), n, moduli) == image_set(
-            PLLoop((fracs.breakpoints[0], fracs.breakpoints[-1])), n, moduli)
+        assert image_set(straight_ints, n, moduli) == image_set(straight_fracs, n, moduli)
+        coord = st.fractions(min_value=0, max_value=1, max_denominator=12)
+        query = TorusPoint(tuple(data.draw(coord) for _ in range(ints.r)))
+        count = data.draw(st.integers(min_value=1, max_value=40))
+        delta = data.draw(
+            st.fractions(min_value=Fr(1, 60), max_value=Fr(1, 2), max_denominator=60))
+        assert first_close_sample(straight_ints, count, query, delta) == first_close_sample(
+            straight_fracs, count, query, delta)
 
 
 def test_straight_and_constant():

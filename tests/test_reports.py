@@ -1,12 +1,14 @@
 """The report writer against json.dumps(sort_keys=True, indent=2), its oracle."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fupcon.exact_arith import SizeGuardExceeded
 from fupcon.reports import render_report
 
 # quotes, backslashes, control, DEL and non-ASCII (BMP and astral) characters
@@ -63,3 +65,16 @@ def test_writer_covers_the_corner_cases():
 def test_writer_refuses_values_outside_the_report_domain(value):
     with pytest.raises(TypeError):
         render_report(value)
+
+
+def test_an_int_past_the_digit_limit_is_a_size_error():
+    """The size error (exit 3 in the CLI), not str()'s ValueError, which
+    the CLI raised as a traceback."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        assert render_report({"n": [10**4299]}) == _oracle({"n": [10**4299]})
+        with pytest.raises(SizeGuardExceeded, match=r"of a report integer exceeds guard 10\^4300"):
+            render_report({"n": [1, {"m": 10**4300}]})
+    finally:
+        sys.set_int_max_str_digits(old)

@@ -19,7 +19,6 @@ from fupcon.torus import (
     _ints_mod1,
     apply_f,
     apply_f_set,
-    arc_dist,
     base_point,
     f_preimages,
     preimage_set,
@@ -28,7 +27,6 @@ from fupcon.torus import (
 from fupcon.tower import (
     _arc_point,
     _close_line,
-    DepthTooSmall,
     EpsilonCheck,
     MembershipFails,
     NoPreimageInLevel,
@@ -94,6 +92,34 @@ def test_choose_params_rejects_nonpositive_epsilon():
         choose_params(Fr(0), M23, (1, 1))
     with pytest.raises(ValueError):
         choose_params(Fr(-1, 2), M23, (1, 1))
+
+
+def looped_n0(eps):
+    """Oracle for choose_params' N0: the least N0 >= 1 with 2^-N0 < eps/2,
+    counted up."""
+    n0 = 1
+    while Fr(1, 2**n0) >= eps / 2:
+        n0 += 1
+    return n0
+
+
+@pytest.mark.parametrize(
+    "epsilon",
+    [Fr(1), Fr(999, 1000), Fr(1, 2), Fr(1, 3), Fr(2, 7), Fr(1, 10**12), Fr(10**12 - 1, 10**12)]
+    + [Fr(1, 2**k) + d for k in range(1, 42, 8) for d in (Fr(-1, 2**60), 0, Fr(1, 2**60))],
+)
+def test_closed_form_n0_is_the_least_n0(epsilon):
+    """At and just beside every power of two, where 2^-N0 = epsilon/2 is
+    decided by equality."""
+    p = choose_params(epsilon, M23, (1, 1))
+    assert p.n0 == looped_n0(epsilon)
+    assert p.delta == (epsilon / 2) / 3**p.n0 < epsilon
+
+
+@settings(max_examples=300)
+@given(st.fractions(min_value=Fr(1, 10**15), max_value=1, max_denominator=10**15).filter(bool))
+def test_closed_form_n0_agrees_with_the_loop(epsilon):
+    assert choose_params(epsilon, M23, (1, 1)).n0 == looped_n0(epsilon)
 
 
 def test_params_validation():
@@ -393,7 +419,7 @@ def test_epsilon_check_needs_depth():
     count = base_sample_count(t.base_loop, t.params.delta)
     base = coherent_base_sample(t, count, [0])[0]
     shallow = SolenoidPoint(M23, base.levels[:2])
-    with pytest.raises(DepthTooSmall):
+    with pytest.raises(DepthMismatch):
         epsilon_bound_check(t, count, [shallow])
 
 
@@ -595,11 +621,11 @@ def grid_first_close(bases, queries, delta):
     return out
 
 
-def fraction_close_intervals(start, step, delta, lo, hi):
+def fraction_close_intervals(start, step, delta, hi):
     """The open intervals of real i, in increasing order, on which
     start + step*i (step != 0) lies within delta of an integer n, one per n
-    the line meets while i runs over [lo, hi]; disjoint for delta <= 1/2."""
-    y0, y1 = sorted((start + step * lo, start + step * hi))
+    the line meets while i runs over [0, hi]; disjoint for delta <= 1/2."""
+    y0, y1 = sorted((start, start + step * hi))
     ns = range(math.floor(y0 - delta) + 1, math.ceil(y1 + delta))
     return [
         tuple(sorted(((n - delta - start) / step, (n + delta - start) / step)))
@@ -623,62 +649,40 @@ def fraction_intersect(xs, ys):
 
 
 def fraction_first_close(loop, count, query, delta):
-    """Oracle for first_close_sample: the same interval intersection, piece
-    by piece, held in Fractions."""
+    """Oracle for first_close_sample: the same interval intersection, held in
+    Fractions."""
     if delta > Fr(1, 2):
         return 0
-    k = loop.pieces
-    for p, (a, b) in enumerate(zip(loop.breakpoints, loop.breakpoints[1:])):
-        lo, hi = -(-p * count // k), -(-(p + 1) * count // k) - 1
-        window = [(Fr(lo - 1), Fr(hi + 1))]  # holds exactly lo..hi
-        for ac, bc, qc in zip(a, b, query.coords):
-            step = (bc - ac) * k / count
-            if step == 0:
-                if arc_dist(ac, qc) >= delta:
-                    window = []
-            else:
-                window = fraction_intersect(
-                    window, fraction_close_intervals(ac - p * (bc - ac) - qc, step, delta, lo, hi)
-                )
-            if not window:
-                break
-        for left, right in window:
-            i = math.floor(left) + 1
-            if i < right:
-                return i
+    window = [(Fr(-1), Fr(count))]  # holds exactly 0..count-1
+    for sc, qc in zip(loop.breakpoints[-1], query.coords):
+        window = fraction_intersect(
+            window, fraction_close_intervals(-qc, Fr(sc, count), delta, count - 1))
+    for left, right in window:
+        i = math.floor(left) + 1
+        if i < right:
+            return i
     return None
 
 
-cover_coords = st.fractions(min_value=-3, max_value=3, max_denominator=6)
 coords = st.fractions(min_value=0, max_value=1, max_denominator=40)
 
 
 @st.composite
-def pl_loops(draw):
-    """Random PL loops with r = 1..3 and 1-4 pieces, constant pieces and
-    constant coordinates included."""
+def straight_loops(draw, rises=st.integers(min_value=-3, max_value=3), big=None):
+    """Straight loops with r = 1..3 and no zero winding entry, some entries
+    equal; one entry, when `big` is given, drawn from it."""
     r = draw(st.integers(min_value=1, max_value=3))
-    k = draw(st.integers(min_value=1, max_value=4))
-    bps = [tuple(Fr(0) for _ in range(r))]
-    for _ in range(k - 1):
-        if draw(st.booleans()):
-            bps.append(bps[-1])  # a constant piece
-        else:
-            bps.append(tuple(
-                bps[-1][c] if draw(st.booleans()) else draw(cover_coords)
-                for c in range(r)
-            ))
-    bps.append(tuple(
-        bps[-1][c] if draw(st.booleans()) and bps[-1][c].denominator == 1
-        else Fr(draw(st.integers(min_value=-3, max_value=3)))
-        for c in range(r)
-    ))
-    return PLLoop(tuple(bps))
+    s = [draw(rises.filter(bool)) for _ in range(r)]
+    if draw(st.booleans()):
+        s[draw(st.integers(min_value=0, max_value=r - 1))] = s[0]
+    if big is not None:
+        s[draw(st.integers(min_value=0, max_value=r - 1))] = draw(big.filter(bool))
+    return PLLoop.straight(s)
 
 
 @settings(max_examples=150)
 @given(
-    pl_loops(),
+    straight_loops(),
     st.integers(min_value=1, max_value=60),
     st.one_of(
         st.sampled_from([Fr(1, 2), Fr(3, 5), Fr(1, 60)]),
@@ -690,8 +694,8 @@ def test_closed_form_first_match_agrees_with_the_linear_scan(loop, count, delta,
     samples = sample_loop_points(loop, count)
     queries = [TorusPoint(tuple(data.draw(coords) for _ in range(loop.r)))
                for _ in range(data.draw(st.integers(min_value=1, max_value=3)))]
-    # on a sample point, on the piece boundaries, and exactly delta off a
-    # sample in every coordinate
+    # on a sample point, on the loop's ends, and exactly delta off a sample
+    # in every coordinate
     queries += [samples[data.draw(st.integers(min_value=0, max_value=count - 1))]]
     queries += [TorusPoint(b) for b in loop.breakpoints]
     queries += [TorusPoint(tuple(c + delta * data.draw(st.sampled_from([-1, 1]))
@@ -718,37 +722,17 @@ def test_closed_form_first_match_agrees_with_the_grid_on_tower_samples(epsilon):
 
 
 # rises spread over every magnitude up to 10^5; the Fraction oracle lists
-# about |rise| + 2 intervals for each, so one rise per loop is drawn from
-# them and the others stay small
+# about |rise| + 2 intervals for each, so one entry per winding is drawn
+# from them and the others stay at most 30
 big_rises = st.integers(min_value=0, max_value=5).flatmap(
     lambda e: st.integers(min_value=-(10**e), max_value=10**e)
 )
-
-
-@st.composite
-def wide_loops(draw):
-    """PL loops with r = 1..3 and 1-3 pieces; one coordinate of one piece
-    rises by up to 10^5, the others by up to 30, some by a rational amount,
-    some not at all."""
-    r = draw(st.integers(min_value=1, max_value=3))
-    k = draw(st.integers(min_value=1, max_value=3))
-    big = draw(st.integers(min_value=0, max_value=k * r - 1))
-    bps = [tuple(Fr(0) for _ in range(r))]
-    for p in range(k):
-        step = []
-        for c in range(r):
-            rise = Fr(draw(big_rises if p * r + c == big else st.integers(-30, 30)))
-            if p < k - 1 and draw(st.booleans()):
-                rise += draw(st.fractions(min_value=0, max_value=1, max_denominator=12))
-            step.append(rise)
-        bps.append(tuple(c + d for c, d in zip(bps[-1], step)))
-    last = tuple(Fr(round(c)) for c in bps[-1])
-    return PLLoop(tuple(bps[:-1]) + (last,))
+wide_loops = straight_loops(st.integers(min_value=-30, max_value=30), big_rises)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
-    wide_loops(),
+    wide_loops,
     st.integers(min_value=1, max_value=10**16),
     st.one_of(
         st.sampled_from([Fr(1, 2), Fr(3, 5), Fr(1, 10**6)]),
@@ -770,12 +754,12 @@ def test_integer_first_match_agrees_with_the_fraction_oracle(loop, count, delta,
             loop, count, q, delta)
 
 
-def listed_close_intervals(line, lo, hi, scale):
+def listed_close_intervals(line, hi, scale):
     """Every open interval of real i, times scale, on which
     |A + i*B - n*C| < R, one per integer n the line meets while i runs over
-    [lo, hi], listed in increasing order."""
+    [0, hi], listed in increasing order."""
     a, b, c, r = line
-    y0, y1 = sorted((a + b * lo, a + b * hi))
+    y0, y1 = sorted((a, a + b * hi))
     first, stop = (y0 - r) // c + 1, -((-y1 - r) // c)
     s = scale // b
     half, step = r * abs(s), c * abs(s)
@@ -784,51 +768,38 @@ def listed_close_intervals(line, lo, hi, scale):
 
 
 def listed_first_close(loop, count, query, delta):
-    """Oracle for first_close_sample: every close interval of every moving
-    coordinate listed in integers, intersected piece by piece."""
+    """Oracle for first_close_sample: every close interval of every
+    coordinate listed in integers and intersected."""
     if delta > Fr(1, 2):
         return 0
-    k = loop.pieces
-    for p, (a, b) in enumerate(zip(loop.breakpoints, loop.breakpoints[1:])):
-        lo, hi = -(-p * count // k), -(-(p + 1) * count // k) - 1
-        lines = []
-        for ac, bc, qc in zip(a, b, query.coords):
-            if ac != bc:
-                lines.append(_close_line(ac, bc, qc.numerator, qc.denominator, delta, p, k, count))
-            elif arc_dist(ac, qc) >= delta:
-                break
-        else:
-            scale = math.lcm(*(abs(line[1]) for line in lines))
-            window = [((lo - 1) * scale, (hi + 1) * scale)]
-            for line in lines:
-                window = fraction_intersect(window, listed_close_intervals(line, lo, hi, scale))
-            for left, right in window:
-                i = left // scale + 1
-                if i * scale < right:
-                    return i
+    lines = [_close_line(sc, qc.numerator, qc.denominator, delta, count)
+             for sc, qc in zip(loop.breakpoints[-1], query.coords)]
+    scale = math.lcm(*(abs(line[1]) for line in lines))
+    window = [(-scale, count * scale)]
+    for line in lines:
+        window = fraction_intersect(window, listed_close_intervals(line, count - 1, scale))
+    for left, right in window:
+        i = left // scale + 1
+        if i * scale < right:
+            return i
     return None
 
 
 @st.composite
 def steep_loops(draw):
-    """One-piece or two-piece loops with r = 2..3 whose coordinates all
-    rise steeply, so that every coordinate meets many translates, and some
-    rise by the same amount."""
+    """Straight loops with r = 2..3 whose entries are all steep, so that
+    every coordinate meets many translates, and all equal on some draws."""
     r = draw(st.integers(min_value=2, max_value=3))
-    k = draw(st.integers(min_value=1, max_value=2))
-    rises = st.integers(min_value=-400, max_value=400)
-    bps = [(0,) * r]
-    for _ in range(k):
-        step = draw(st.tuples(*[rises] * r))
-        if draw(st.booleans()):
-            step = (step[0],) * r
-        bps.append(tuple(c + d for c, d in zip(bps[-1], step)))
-    return PLLoop(tuple(bps))
+    rises = st.integers(min_value=-400, max_value=400).filter(bool)
+    s = draw(st.tuples(*[rises] * r))
+    if draw(st.booleans()):
+        s = (s[0],) * r
+    return PLLoop.straight(s)
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.one_of(pl_loops(), wide_loops(), steep_loops()),
+    st.one_of(straight_loops(), wide_loops, steep_loops()),
     st.one_of(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=10**12)),
     st.one_of(
         st.sampled_from([Fr(1, 2), Fr(1, 3), Fr(1, 1000)]),
@@ -869,16 +840,13 @@ def test_integer_arc_point_matches_arc_point_at(case, scale, data):
     assert p.coords == arc.point_at(Fr(offset, scale)).coords
 
 
-def test_first_match_stays_within_its_piece():
-    """Piece 0 of (0, 0) -> (1/10^6, 1/2) -> (0, 0) holds samples 0..500 of
-    1001.  Its second coordinate, carried on to sample 501, would reach the
-    query's 501/1001; but sample 501 lies on piece 1, at 500/1001 like
-    sample 500, exactly delta away.  The first coordinate is close on the
-    whole piece and has as few close intervals, so it is the one walked."""
-    loop = PLLoop(((0, 0), (Fr(1, 10**6), Fr(1, 2)), (0, 0)))
-    count, query, delta = 1001, TorusPoint((0, Fr(501, 1001))), Fr(1, 1001)
-    assert loop.point_at(Fr(500, count)).coords[1] == loop.point_at(Fr(501, count)).coords[1] == (
-        Fr(500, 1001))
-    assert first_close_sample(loop, count, query, delta) is None
-    assert listed_first_close(loop, count, query, delta) is None
-    assert first_close_sample(loop, count, query, delta + Fr(1, 10**6)) == 500
+@pytest.mark.parametrize("delta", [Fr(1, 10), Fr(3, 5)])
+def test_first_close_sample_takes_only_a_tower_base_loop(delta):
+    """A second piece or a zero winding entry is refused, as image_set and
+    admissible_winding refuse them, even where delta > 1/2 needs no sample."""
+    q = TorusPoint((0, 0))
+    with pytest.raises(ValueError, match="one piece"):
+        first_close_sample(PLLoop(((0, 0), (Fr(1, 2), 1), (1, 1))), 10, q, delta)
+    with pytest.raises(NonadmissibleWinding, match="zero entry"):
+        first_close_sample(PLLoop.straight((1, 0)), 10, q, delta)
+    assert first_close_sample(PLLoop.straight((1, 1)), 10, q, delta) == 0
