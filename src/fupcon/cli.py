@@ -272,7 +272,7 @@ def cmd_combine(args: argparse.Namespace) -> tuple[dict, int]:
             "coefficients": list(design.coefficients),
             "final_winding": list(design.final),
             "all_nonzero": design.final.admissible,
-            "loop_breakpoints": len(design.loop.breakpoints),
+            "loop_breakpoints": 2 + sum(design.coefficients[1:]),
             "steps": [
                 {
                     "stage": s.stage,

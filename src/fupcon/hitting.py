@@ -51,6 +51,22 @@ class ConditionFails(ValueError):
     """The divisibility condition fails at the requested stage."""
 
 
+def _shown(n: int) -> str:
+    """n in decimal, or its bit length when it has more digits than
+    digit_limit() and cannot be printed."""
+    try:
+        return str(n)
+    except ValueError:  # past the interpreter's int-to-str digit limit
+        return f"<{n.bit_length()}-bit integer>"
+
+
+def _power(moduli: Moduli, exponent: int, factors: tuple[int, ...]) -> str:
+    """The guarded size as an expression: the factors, then each m_i^exponent."""
+    return " * ".join(
+        [_shown(f) for f in factors] + [f"{_shown(m)}^{_shown(exponent)}" for m in moduli]
+    )
+
+
 def check_size(
     moduli: Moduli, exponent: int, size_guard: int, factors: tuple[int, ...] = ()
 ):
@@ -59,16 +75,16 @@ def check_size(
     only the factors count.  Every m_i >= 2, so an exponent above
     size_guard.bit_length() trips the guard before any m_i^exponent is
     formed; needed is then a power expression, as it is when the product has
-    too many digits to print."""
-    power = " * ".join([str(f) for f in factors] + [f"{m}^{exponent}" for m in moduli])
+    too many digits to print.  The expression is formed only when the guard
+    trips, and writes a number past digit_limit() as its bit length."""
     if exponent > size_guard.bit_length():
-        raise SizeGuardExceeded(power, size_guard)
+        raise SizeGuardExceeded(_power(moduli, exponent, factors), size_guard)
     needed = math.prod(factors) * math.prod(m**exponent for m in moduli)
     if needed > size_guard:
         try:
             str(needed)
         except ValueError:  # past the interpreter's int-to-str digit limit
-            needed = power
+            needed = _power(moduli, exponent, factors)
         raise SizeGuardExceeded(needed, size_guard)
 
 

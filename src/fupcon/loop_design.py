@@ -8,15 +8,21 @@ without disturbing what has been fixed.  The new entries are l*t_i + s_i;
 where t_i = 0 the entry stays s_i != 0, and where t_i != 0 the bound gives
 |l*t_i| >= l > |s_i|, so the sum cannot vanish.
 
-The literal loop is built in one pass: with straight-line representatives
-every breakpoint is an integer partial sum of the injected windings, the
-last stage's loop first, and the first family loop closes it up; each
-coordinate's partial sums are one running sum of its column of moves.
+The design is made and checked through windings alone.  Its loop, the
+injected windings with straight-line representatives, the last stage's loop
+first and then the first family loop, has 2 + sum(l) breakpoints, and its
+winding is sum_k count_k * move_k: both are closed forms in the r-by-r moves.
+The size guard still prices (2 + sum(l)) * r coordinates, so each input ends
+with the exit code it always had.  The literal loop is built only when
+`NonvanishingDesign.loop` is read, in one pass: every breakpoint is an integer
+partial sum of the moves, and each coordinate's partial sums are one running
+sum of its column of moves.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, repeat
-from operator import add
+from operator import add, mul
 from typing import Sequence
 
 from .hitting import DEFAULT_SIZE_GUARD, check_size
@@ -100,29 +106,52 @@ class CombineStep:
             raise PreconditionViolated("inconsistent combination step record")
 
 
+def _moves(steps: Sequence[CombineStep], first: WindingVector):
+    """The loop's moves and their counts: each stage's injected winding l
+    times, the last stage first, and then the first family loop once."""
+    moves = [step.injected.entries for step in reversed(steps)] + [first.entries]
+    counts = [step.repetitions for step in reversed(steps)] + [1]
+    return moves, counts
+
+
 @dataclass(frozen=True)
 class NonvanishingDesign:
     """Result of the full design: final = sum_i coefficients[i] * family[i],
     all final entries nonzero, and `loop` the literal concatenation realizing
-    it with straight-line representatives."""
+    it with straight-line representatives, built when first read."""
 
     coefficients: tuple[int, ...]
     final: WindingVector
-    loop: PLLoop
     steps: tuple[CombineStep, ...]
+
+    @cached_property
+    def loop(self) -> PLLoop:
+        """The breakpoints are the integer running sums of the moves, one
+        coordinate at a time, from the origin; the chain starts with the
+        first family loop, steps[0].before (final when there are no steps)."""
+        first = self.steps[0].before if self.steps else self.final
+        moves, counts = _moves(self.steps, first)
+        # a coordinate's column of moves, each entry repeated its count: formed
+        # from the r-by-r moves, not by transposing the 1 + sum(l) repeated ones
+        columns = (chain.from_iterable(map(repeat, col, counts)) for col in zip(*moves))
+        # integer running sums from the origin: a loop by construction
+        pl = _pl_loop(tuple(zip(*(accumulate(col, add, initial=0) for col in columns))))
+        if pl.winding() != self.final:
+            raise PreconditionViolated("assembled loop misses the combined winding")
+        return pl
 
 
 def design_all_nonzero(
     family: Sequence[WindingLike], size_guard: int = DEFAULT_SIZE_GUARD
 ) -> NonvanishingDesign:
     """Run the combination scheme over a family of r windings, the i-th with
-    nonzero i-th entry, producing an all-nonzero winding and its loop.
+    nonzero i-th entry, producing an all-nonzero winding; its loop is built
+    on request.
 
     The loop has 2 + sum(l) breakpoints of r coordinates each, l the
-    repetition counts; that size is checked against size_guard before any
-    breakpoint is built.  The breakpoints are the integer running sums of the
-    moves, one coordinate at a time: from the origin, each stage's injected
-    winding l times, the last stage first, and then the first family loop."""
+    repetition counts; that size is checked against size_guard, and the
+    loop's winding sum_k count_k * move_k against the combined winding, with
+    no breakpoint built."""
     loops = [as_winding(s) for s in family]
     if not loops:
         raise BadInputFamily("empty family")
@@ -155,18 +184,11 @@ def design_all_nonzero(
     if not current.admissible:
         raise PreconditionViolated("combined winding has a zero entry")
     check_size((), 0, size_guard, (2 + sum(coefficients[1:]), r))
-    moves = [step.injected.entries for step in reversed(steps)] + [loops[0].entries]
-    counts = [step.repetitions for step in reversed(steps)] + [1]
-    # a coordinate's column of moves, each entry repeated its count: formed
-    # from the r-by-r moves, not by transposing the 1 + sum(l) repeated ones
-    columns = (chain.from_iterable(map(repeat, col, counts)) for col in zip(*moves))
-    # integer running sums from the origin: a loop by construction
-    pl = _pl_loop(tuple(zip(*(accumulate(col, add, initial=0) for col in columns))))
-    if pl.winding() != current:
+    moves, counts = _moves(steps, loops[0])
+    if tuple(sum(map(mul, col, counts)) for col in zip(*moves)) != current.entries:
         raise PreconditionViolated("assembled loop misses the combined winding")
     return NonvanishingDesign(
         coefficients=tuple(coefficients),
         final=current,
-        loop=pl,
         steps=tuple(steps),
     )

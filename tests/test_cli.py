@@ -319,6 +319,17 @@ def test_report_integer_past_the_digit_limit_exits_3(capsys):
     assert captured.err == "error: size of a report integer exceeds guard 10^4300\n"
 
 
+def test_level_count_past_the_digit_limit_exits_3():
+    # depth 10^4300 - 1 makes levels_total n0 + n1 + depth 4301 digits long:
+    # the guard's message writes it as its bit length, where str() failed
+    # and the command exited 2
+    argv = ["tower", "--moduli", "2,3", "--winding", "1,1", "--epsilon", "1/2",
+            "--depth", "9" * 4300]
+    proc = _run_python(["-m", "fupcon", *argv])
+    assert proc.returncode == 3, proc.stderr
+    assert "exceeds guard" in proc.stderr and "-bit integer>" in proc.stderr
+
+
 def test_certify_finds_a_stage_above_64(capsys):
     # winding entry 2^131 on modulus 4: the least stage is ceil(131/2) = 66,
     # so the stage cross-check runs
@@ -373,8 +384,8 @@ def test_tower_size_guard_trips_without_computing_the_size():
 
 def test_combine_just_under_the_guard_finishes():
     # (2 + 83001 + 83002 + 83003) x 4 = 996032 coordinates, just under the
-    # guard: the loop is built in one pass of int partial sums, and the
-    # command takes 0.4-0.6 s (best of 3, 2-vCPU Xeon VM, Python 3.11.7)
+    # guard: the count is closed form and no breakpoint is built, and the
+    # command takes 0.09-0.14 s (3 runs, 2-vCPU Xeon VM, Python 3.11.7)
     argv = ["combine", "--loops", "83000,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"]
     proc = _run_python(["-m", "fupcon", *argv], timeout=60)
     assert proc.returncode == 0, proc.stderr

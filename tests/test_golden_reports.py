@@ -235,6 +235,14 @@ GOLDEN = {
         ["combine", "--loops=5,3,2,1;1,7,2,3;2,1,9,4;3,2,1,11"], 0,
         "27a921bf5d26fff3d59bd2c5052366731e06aa742655eaf587d6fdf3283dccde", {},
     ),
+    "combine-guard-edge": (  # 83,002 breakpoints of 4, just under the guard
+        ["combine", "--loops", "83000,0,0,0;0,1,0,0;0,0,1,0;0,0,0,1"], 0,
+        "c299c875990b69ac10c1e421d6efc9b1d1620f1a2c2a53d3ad9168b501aae9d4", {},
+    ),
+    "combine-1": (  # r = 1: no steps, 2 breakpoints
+        ["combine", "--loops", "5"], 0,
+        "e4c7e62c432ed5db3d258b7d58a2c7b95d833f0abd16df51480ed9594f6735f1", {},
+    ),
 }
 
 

@@ -17,6 +17,7 @@ from fupcon.hitting import (
     _fiber_target,
     _witness_basis,
     build_certificate,
+    check_size,
     crt_witness,
     hitting_check,
     level_condition,
@@ -132,6 +133,24 @@ def test_valuation_stage_is_refused_exactly_past_the_digit_limit(values, limit):
             else:
                 assert valuation_level(s, moduli) == want
         assert verdicts == {True, False}
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_size_message_writes_an_unprintable_int_as_its_bit_length():
+    """A 4301-digit factor or exponent is named by its bit length in the
+    guard's message, where str() of it raised ValueError."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        big = 10**4300
+        shown = f"<{big.bit_length()}-bit integer>"
+        with pytest.raises(SizeGuardExceeded) as info:
+            check_size((), 0, 10**6, (20, big))
+        assert str(info.value) == f"size 20 * {shown} exceeds guard 1000000"
+        with pytest.raises(SizeGuardExceeded) as info:
+            check_size(Moduli.of(2, 3), big, 10**6, (7,))
+        assert str(info.value) == f"size 7 * 2^{shown} * 3^{shown} exceeds guard 1000000"
     finally:
         sys.set_int_max_str_digits(old)
 

@@ -1,13 +1,16 @@
-"""Unit tests for the winding repair and its one-pass loop build."""
+"""Unit tests for the winding repair, its closed-form checks and its
+one-pass loop build on request."""
 
+import argparse
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fupcon import loop_design
-from fupcon.hitting import SizeGuardExceeded
-from fupcon.lifting import PLLoop
+from fupcon import cli, loop_design
+from fupcon.hitting import DEFAULT_SIZE_GUARD, SizeGuardExceeded
+from fupcon.lifting import PLLoop, WindingVector
 from fupcon.loop_design import (
     BadInputFamily,
     PreconditionViolated,
@@ -170,10 +173,57 @@ def test_design_builds_no_intermediate_loops(monkeypatch):
 
 
 def test_assembled_loop_is_checked_against_the_winding(monkeypatch):
-    # a faulty partial sum must be caught by a raise, which python -O keeps
+    # a faulty partial sum must be caught by a raise, which python -O keeps,
+    # where the loop is built: when design.loop is first read
     monkeypatch.setattr(loop_design, "add", lambda a, b: a + 2 * b)
+    design = design_all_nonzero([(3, 0), (-2, 1)])
+    with pytest.raises(PreconditionViolated, match="misses the combined winding"):
+        design.loop
+
+
+def refuse_loop(*args, **kwargs):
+    raise RuntimeError("the combine path must build no loop")
+
+
+def test_faulted_step_record_trips_the_closed_form_check(monkeypatch):
+    # with combine() and the step record's own check patched out, a wrong
+    # winding is caught by sum_k count_k * move_k, before any loop is built
+    real = loop_design.combine
+
+    def doubled(before, injected, stage, repetitions):
+        return WindingVector(tuple(2 * e for e in real(before, injected, stage, repetitions)))
+
+    monkeypatch.setattr(loop_design, "combine", doubled)
+    monkeypatch.setattr(loop_design.CombineStep, "__post_init__", lambda self: None)
+    monkeypatch.setattr(loop_design, "_pl_loop", refuse_loop)
     with pytest.raises(PreconditionViolated, match="misses the combined winding"):
         design_all_nonzero([(3, 0), (-2, 1)])
+
+
+@pytest.mark.parametrize("loops, breakpoints", [
+    ("5", 2),
+    ("3,0;-2,1", 6),
+    ("5,3,2,1;1,7,2,3;2,1,9,4;3,2,1,11", 483),
+])
+def test_combine_command_builds_no_loop(monkeypatch, capsys, loops, breakpoints):
+    monkeypatch.setattr(loop_design, "_pl_loop", refuse_loop)
+    assert cli.main(["combine", "--loops", loops]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["loop_breakpoints"] == breakpoints
+
+
+@settings(max_examples=80)
+@given(valid_family())
+def test_reported_breakpoints_are_the_built_loop(family):
+    """The report's closed-form count is the length of the loop built on
+    request, and that loop realizes the combined winding."""
+    args = argparse.Namespace(
+        loops=";".join(",".join(map(str, w)) for w in family), size_guard=DEFAULT_SIZE_GUARD
+    )
+    report, code = cli.cmd_combine(args)
+    design = design_all_nonzero(family)
+    assert code == 0
+    assert report["results"]["loop_breakpoints"] == len(design.loop.breakpoints)
+    assert design.loop.winding() == design.final
 
 
 @settings(max_examples=80)

@@ -6,6 +6,7 @@ checks or its counters fails the test suite."""
 
 import dataclasses
 import importlib.util
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -66,6 +67,24 @@ def test_tracer_counts_the_rows_and_geodesics_read_back(tmp_path):
     assert tracer.counts["torus.from_segments.calls"] == len(levels)
     assert tracer.counts["torus.from_segments.segments_in"] == rows
     assert tracer.counts["torus.from_segments.pieces_out"] == rows
+
+
+def test_tracer_counts_the_reported_combine_breakpoints(capsys):
+    """The report counts the loop in closed form and the tracer counts the
+    loop it builds: the benchmark's loop_breakpoints counter agrees with the
+    report."""
+    argv = ["combine", "--loops=5,3,2,1;1,7,2,3;2,1,9,4;3,2,1,11"]
+    tracer = load_tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        assert fupcon.cli.main(argv) == 0
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert tracer.counts["loop_design.loop_breakpoints"] == results["loop_breakpoints"] == 483
+    assert tracer.counts["loop_design.steps"] == len(results["steps"]) == 3
 
 
 @pytest.mark.parametrize("rows", [
