@@ -255,6 +255,7 @@ def image_period(s: WindingLike, n: int, moduli: Moduli) -> int:
     lcm over i of d_i = m_i^n / gcd(s_i, m_i^n) (_stage_divisors).  Requires
     an admissible winding."""
     w = _admissible_stage(s, n, moduli)
+    # an lcm, not the product: the d_i of non-coprime moduli such as (m, m) share factors
     return math.lcm(*_stage_divisors(w, n, moduli)[1])
 
 

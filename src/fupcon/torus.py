@@ -47,12 +47,13 @@ order of the Fraction anchors, without building them.
 Point location is closed-form.  The pivot-zero points of the geodesic
 through x with primitive direction w are x + (first + j)/v* * w for j mod v*
 (v* the pivot entry of w); walking the later coordinates in order, the least
-value of each pins j to a finer coset, so the canonical anchor and the
-parameter tau with x + tau*w = anchor cost O(r), not O(v*); the moduli,
-steps and modular inverses of that walk depend on w alone and are planned
-once per direction.  Two points lie on one closed geodesic of direction w
-exactly when their anchors agree, so a membership query costs one integer
-anchor walk, a gcd and a set lookup.
+value of each pins j to a finer coset, so the canonical anchor costs O(r),
+not O(v*).  One function walks it (_anchor_key): it forms each
+coordinate's coset modulus and step as it goes, takes a modular inverse
+for every walked coordinate but the last, so an r = 2 walk takes none, and
+holds no state between calls.  Two points lie on one closed geodesic of
+direction w exactly when their anchors agree, so a membership query costs
+one integer anchor walk, a gcd and a set lookup.
 
 Preimages are closed-form too.  The moduli are pairwise coprime, so the
 kernel of f is the cyclic group prod Z/m_i, generated by
@@ -256,68 +257,49 @@ def _direction(d: Sequence[int]) -> tuple[int, ...]:
     return tuple(c // g for c in d)
 
 
-@functools.lru_cache(maxsize=4096)
-def _anchor_plan(w: tuple[int, ...]) -> tuple[int, int, tuple]:
-    """The point-independent part of _anchor_ints for the primitive direction
-    w: the pivot, v*, and for each later coordinate k the tuple
-    (k, w_k, n, the inverse of step*w_k/g mod n, step), step being the coset
-    step before coordinate k.  The cache is bounded, so a long run over many
-    directions keeps its memory flat."""
-    idx = next(i for i, c in enumerate(w) if c != 0)
-    v_star = w[idx]  # positive by sign normalization
-    walk, step = [], 1
-    for k in range(idx + 1, len(w)):
-        g = math.gcd(step * w[k], v_star)
-        n = v_star // g
-        walk.append((k, w[k], n, pow(step * w[k] // g, -1, n), step))
-        step *= n
-    return idx, v_star, tuple(walk)
+def _anchor_key(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The integer key (nums, den) of the closed geodesic of direction w
+    through the point nums/den (each numerator in [0, den)): its canonical
+    anchor, the lexicographically least of the finitely many geodesic
+    points whose pivot coordinate is 0, over the least common denominator,
+    as _ints_mod1 gives it for the Fraction anchor.
 
-
-def _anchor_ints(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[list[int], int, int]:
-    """Canonical anchor of the closed geodesic through the point nums/den
-    (each numerator in [0, den)) with primitive direction w: among the
-    finitely many geodesic points whose pivot coordinate is 0, the
-    lexicographically least.  Returns (anchor, tau, A): the anchor's
-    numerators and tau, with point + tau * w projecting to the anchor, all
-    over A = den*v*.
-
-    The candidates are tau = (first + j) / v* for j mod v*, first the
-    distance from the pivot coordinate up to the next integer, fn/den.  So
-    every candidate is a point over A: tau = (fn + j*den)/A.  On the coset
-    j = j0 + step*t still in the running, coordinate k is b + t*step*w_k/v*
-    mod 1, b = rem/A its value at j0.  With g = gcd(step*w_k, v*) and
-    n = v*/g that is b + s/n, s = t*(step*w_k/g) mod n a unit multiple of
-    t, so the least value b - floor(b*n)/n is taken at s = -floor(b*n): t
-    is fixed mod n and the coset step becomes step*n.  As A/n = den*g is an
-    integer, floor(b*n) and the least value are rem divided by A/n with
-    remainder.  The geodesic is simple, so one j is left.  Only b depends
-    on the point: g, n, the unit's inverse mod n and the steps depend on w
-    alone, and come from its plan (_anchor_plan), made once per direction.
-    The origin is the least pivot-zero point of its own geodesic, so it is
-    its own anchor with tau 0 and needs no plan."""
+    The candidates are the point + tau*w with tau = (first + j)/v* for
+    j mod v*, first the distance from the pivot coordinate up to the next
+    integer, fn/den.  So every candidate is a point over A = den*v*:
+    tau = (fn + j*den)/A.  On the coset j = j0 + step*t still in the
+    running, coordinate k is b + t*step*w_k/v* mod 1, b = rem/A its value
+    at j0.  With g = gcd(step*w_k, v*) and n = v*/g that is b + s/n,
+    s = t*(step*w_k/g) mod n a unit multiple of t, so the least value
+    b - floor(b*n)/n is taken at s = -floor(b*n): t is fixed mod n and the
+    coset step becomes step*n.  As A/n = den*g is an integer, floor(b*n)
+    and the least value are rem divided by den*g with remainder.  The
+    geodesic is simple, so one j is left.  j is never read after the last
+    coordinate, so that one takes no inverse, and an r = 2 walk none at
+    all.  The origin is the least pivot-zero point of its own geodesic, so
+    it is its own anchor and needs no walk."""
+    r = len(w)
     if not any(nums):
-        return [0] * len(w), 0, 1
-    idx, v_star, walk = _anchor_plan(w)
+        return (0,) * r, 1
+    idx = 0
+    while w[idx] == 0:
+        idx += 1
+    v_star = w[idx]  # positive by sign normalization
     big = den * v_star
     fn = -nums[idx] % den
     anchor = [n * v_star for n in nums[:idx]]  # w is 0 before the pivot
     anchor.append(0)
-    j = 0
-    for k, wk, n, inv, step in walk:
+    j, step = 0, 1
+    for k in range(idx + 1, r):
+        wk = w[k]
+        g = math.gcd(step * wk, v_star)
         # b = frac(x_k + (first + j)*w_k/v*) = rem/A
-        floor_bn, least = divmod((nums[k] * v_star + (fn + j * den) * wk) % big, big // n)
+        floor_bn, least = divmod((nums[k] * v_star + (fn + j * den) * wk) % big, den * g)
         anchor.append(least)
-        j += step * (-floor_bn * inv % n)
-    return anchor, fn + j * den, big
-
-
-def _anchor_key(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """The integer key (nums, den) of the closed geodesic of direction w
-    through the point nums/den: its canonical anchor (_anchor_ints) over
-    the least common denominator, as _ints_mod1 gives it for the Fraction
-    anchor."""
-    anchor, _, big = _anchor_ints(nums, den, w)
+        if k < r - 1:
+            n = v_star // g
+            j += step * (-floor_bn * pow(step * wk // g, -1, n) % n)
+            step *= n
     g = math.gcd(big, *anchor)
     if g > 1:
         return tuple(n // g for n in anchor), big // g

@@ -7,8 +7,9 @@ partial arcs and isolated points, in any number of directions, with a
 canonical form (the arcs on one closed geodesic merged into disjoint
 maximal ones), coverage arc by arc, components by the integer-translate
 crossing search, and the set maps on partial arcs and points.  It runs on
-the program's point kernels (TorusPoint, the anchor walk, f and its
-preimages).
+the program's point kernels (TorusPoint, f and its preimages) and on its
+own anchor walk, _anchor_ints, which also gives a point's parameter on its
+geodesic, the position a partial arc needs.
 
 general(s) writes a program set in this form, one full arc per geodesic,
 and narrowed(s) writes a set of full arcs in one direction back, so the
@@ -26,7 +27,6 @@ from fupcon.torus import (
     DimensionMismatch,
     TorusPoint,
     Vec,
-    _anchor_ints,
     _check_dims,
     _exact_vecs,
     _ints_mod1,
@@ -70,6 +70,37 @@ def _primitive(d: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
                 sign = -1
             break
     return tuple(sign * c for c in w), Fraction(sign * g, den)
+
+
+def _anchor_ints(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[list[int], int, int]:
+    """Canonical anchor of the closed geodesic through the point nums/den
+    (each numerator in [0, den)) with primitive direction w, and the
+    point's parameter on it: the walk of torus._anchor_key, with the anchor
+    left over A = den*v* and the inverse taken at every coordinate, so that
+    j is known at the end.  Returns (anchor, tau, A): the anchor's
+    numerators and tau, with point + tau * w projecting to the anchor, all
+    over A.  The candidates are tau = (fn + j*den)/A for j mod v*; on the
+    coset j = j0 + step*t still in the running, coordinate k takes its
+    least value at one t mod n = v*/gcd(step*w_k, v*), which multiplies the
+    step by n.  The origin is its own anchor with tau 0."""
+    if not any(nums):
+        return [0] * len(w), 0, 1
+    idx = next(i for i, c in enumerate(w) if c != 0)
+    v_star = w[idx]  # positive by sign normalization
+    big = den * v_star
+    fn = -nums[idx] % den
+    anchor = [n * v_star for n in nums[:idx]]  # w is 0 before the pivot
+    anchor.append(0)
+    j, step = 0, 1
+    for k in range(idx + 1, len(w)):
+        g = math.gcd(step * w[k], v_star)
+        n = v_star // g
+        # b = frac(x_k + (first + j)*w_k/v*) = rem/A
+        floor_bn, least = divmod((nums[k] * v_star + (fn + j * den) * w[k]) % big, big // n)
+        anchor.append(least)
+        j += step * (-floor_bn * pow(step * w[k] // g, -1, n) % n)
+        step *= n
+    return anchor, fn + j * den, big
 
 
 def _anchor_key(nums: Sequence[int], den: int, w: tuple[int, ...]) -> tuple[tuple, int, int]:

@@ -1,5 +1,5 @@
-"""The verdict of scripts/bench_pairs.py on synthetic numbers; no
-benchmark runs here."""
+"""The verdict of scripts/bench_pairs.py and the agreement check of
+scripts/heavy_pairs.py on synthetic numbers; no benchmark runs here."""
 
 import importlib.util
 import os
@@ -13,6 +13,9 @@ _path = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _path)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
+# heavy_pairs imports its sibling as a script would, from its own directory
+sys.path.insert(0, str(_path.parent))
+import heavy_pairs  # noqa: E402
 
 PARENT = [250.0, 248.0, 252.0, 251.0, 249.0, 250.5, 247.0, 253.0, 250.0, 249.5]
 
@@ -85,3 +88,14 @@ def test_each_run_reads_and_writes_only_its_own_bytecode_cache(tmp_path, monkeyp
     assert proc.stdout.split() == ["source", str(cache)], proc.stderr
     assert [p.read_bytes() for p in stale.iterdir()] == [b"not bytecode"]
     assert list(cache.rglob("probe.*.pyc"))
+
+
+def test_heavy_pairs_agree_only_on_one_exit_code_and_one_stdout():
+    same = [(0, "65869c6f"), (0, "65869c6f")]
+    assert heavy_pairs.outcomes_agree(same, same[:1])
+    assert not heavy_pairs.outcomes_agree(same, [(3, "65869c6f")])
+    assert not heavy_pairs.outcomes_agree(same, [(0, "10b63a1f")])
+    # a side that is not deterministic disagrees with itself
+    assert not heavy_pairs.outcomes_agree([(0, "65869c6f"), (0, "10b63a1f")], same)
+    assert not heavy_pairs.outcomes_agree([], [])
+

@@ -67,6 +67,16 @@ GOLDEN = {
          "--size-guard", str(10**1400)], 0,
         "c1f0b30a0cb5d7883cae82684fda1757b3e224324f2f0f3db72cfdb2d561b0cc", {},
     ),
+    "tower-23-16-81": (  # 1300 levels: r = 2 walks over thousands of bits
+        ["tower", "--moduli", "2,3", "--winding", "16,81", "--epsilon", "1/2",
+         "--size-guard", str(10**3000)], 0,
+        "65869c6fcd6d4493e14ee6126f964f3846e5db80ad870e02f8798f52108708a5", {},
+    ),
+    "tower-235-235-n1-0-depth-4": (  # preimage levels of 30 geodesics: r = 3 coset walks
+        ["tower", "--moduli", "2,3,5", "--winding", "2,3,5", "--epsilon", "1", "--n1", "0",
+         "--depth", "4", "--size-guard", str(10**3000)], 1,
+        "1f9bea19dbd2edcf4a4f82918793efd2975a60b8d605c9be49fc1e209357ad8a", {},
+    ),
     "tower-2357-11-n1-300": (  # 304 levels, 300 of them lift levels
         ["tower", "--moduli", "2,3,5,7,11", "--winding", "2,3,5,7,11", "--epsilon", "1",
          "--n1", "300", "--size-guard", str(10**1200)], 0,

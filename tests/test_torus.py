@@ -25,8 +25,6 @@ from fupcon.torus import (
     write_segment_set_csv,
 )
 from fupcon.torus import (
-    _anchor_ints,
-    _anchor_plan,
     _ints_mod1,
     _level_dist_terms,
     _preimages,
@@ -41,6 +39,7 @@ from segment_oracle import (
     Arc,
     SegmentSet,
     TorusSegment,
+    _anchor_ints,
     _cross_intersections,
     apply_f_set,
     components,
@@ -929,8 +928,8 @@ def test_closed_form_anchor_matches_enumeration(data, r, shared):
 
 
 def inverse_per_point_anchor(point, w):
-    """Oracle for the anchor plan: the same coset walk, with g, n and the
-    modular inverse computed afresh for every point."""
+    """Oracle for the integer anchor walk: the same coset walk in
+    Fractions, each coordinate over its own denominator."""
     idx = next(i for i, c in enumerate(w) if c != 0)
     v_star = w[idx]
     fd = point[idx].denominator
@@ -974,7 +973,7 @@ def huge_primitive_directions(draw, r):
 
 @settings(max_examples=200)
 @given(st.data(), st.integers(min_value=1, max_value=4))
-def test_anchor_plan_matches_the_inverse_per_point_walk(data, r):
+def test_anchor_walk_matches_the_inverse_per_point_walk(data, r):
     w = data.draw(huge_primitive_directions(r))
     coords = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
     point = tuple(data.draw(coords) for _ in w)
@@ -989,31 +988,16 @@ def test_anchor_plan_matches_the_inverse_per_point_walk(data, r):
     st.booleans(),
 )
 def test_origin_is_its_own_anchor_without_a_plan(data, r, zero, huge):
-    """The shortcut for the origin against the planned walk, for directions
-    whose plan would need inverses of thousands of bits and for small ones."""
+    """The shortcut for the origin against the walk, for directions whose
+    walk would need inverses of thousands of bits and for small ones."""
     w = data.draw(huge_primitive_directions(r) if huge else primitive_directions(r))
     origin = (zero,) * r
-    before = _anchor_plan.cache_info()
     anchor, tau = _anchor_for(origin, w)
-    assert _anchor_plan.cache_info() == before
     assert (anchor, tau) == inverse_per_point_anchor(origin, w)
     assert (anchor, tau) == ((Fr(0),) * r, Fr(0))
     assert all(type(c) is Fraction for c in anchor) and type(tau) is Fraction
     if not huge:
         assert (anchor, tau) == enumerated_anchor(origin, w)
-
-
-def test_anchor_plan_is_made_once_per_direction():
-    w = (10**30 + 1, -(10**29 + 7), 3, 0, 10**30)
-    points = [(Fr(1, 3), Fr(2, 7), Fr(5, 11), Fr(0), Fr(1, 2)),
-              (Fr(1, 5), Fr(3, 7), Fr(1, 2), Fr(1, 9), Fr(4, 5))]
-    before = _anchor_plan.cache_info()
-    assert _anchor_for(points[0], w) == inverse_per_point_anchor(points[0], w)
-    made = _anchor_plan.cache_info()
-    assert _anchor_for(points[1], w) == inverse_per_point_anchor(points[1], w)
-    reused = _anchor_plan.cache_info()
-    assert (made.misses, made.hits) == (before.misses + 1, before.hits)
-    assert (reused.misses, reused.hits) == (made.misses, made.hits + 1)
 
 
 @settings(max_examples=150)
@@ -1196,8 +1180,56 @@ def test_integer_anchor_walk_matches_enumeration_on_mixed_denominators(data, r):
     anchor, tau = enumerated_anchor(point, w)
     assert _anchor_for(point, w) == (anchor, tau)
     p = TorusPoint(point)
-    nums, tau_num, big = torus._anchor_ints(p.nums, p.den, w)
+    nums, tau_num, big = _anchor_ints(p.nums, p.den, w)
     assert (tuple(Fr(n, big) for n in nums), Fr(tau_num, big)) == (anchor, tau)
+
+
+@st.composite
+def repeated_factor_directions(draw, r):
+    """Primitive directions whose pivot is 2^a*3^b (a or b at least 2, so
+    4, 8, 9, 12, ...) and whose other entries are mostly its divisors times
+    small integers, so that the walk's coset moduli v*/g are proper
+    divisors of v*."""
+    a, b = draw(st.sampled_from([(a, b) for a in range(8) for b in range(6) if max(a, b) >= 2]))
+    v = 2**a * 3**b
+    divisors = [2**i * 3**j for i in range(a + 1) for j in range(b + 1)]
+    idx = draw(st.integers(min_value=0, max_value=r - 1))
+    later = st.one_of(
+        st.builds(lambda d, c: d * c, st.sampled_from(divisors), st.integers(-9, 9)),
+        st.integers(-50, 50),
+    )
+    raw = [0] * idx + [v] + [draw(later) for _ in range(r - idx - 1)]
+    g = math.gcd(*raw)
+    return tuple(c // g for c in raw)
+
+
+@settings(max_examples=400)
+@given(
+    st.data(),
+    st.integers(min_value=1, max_value=5),
+    st.sampled_from([primitive_directions, huge_primitive_directions,
+                     repeated_factor_directions]),
+    st.sampled_from(["fractions", "mixed", "origin"]),
+)
+def test_anchor_key_is_the_oracle_anchor_in_lowest_terms(data, r, directions, points):
+    """torus._anchor_key, the program's one anchor walk, against the
+    oracle's walk with tau (reduced to lowest terms) and, for directions
+    small enough, against enumeration of every pivot-zero candidate."""
+    w = data.draw(directions(r))
+    if points == "origin":
+        point = (0,) * r
+    elif points == "mixed":
+        point = data.draw(mixed_denominator_points(r))
+    else:
+        coords = st.fractions(min_value=-3, max_value=3, max_denominator=10**6)
+        point = tuple(data.draw(coords) for _ in w)
+    p = TorusPoint(point)
+    key = torus._anchor_key(p.nums, p.den, w)
+    anchor, _, big = _anchor_ints(p.nums, p.den, w)
+    assert key == _ints_mod1(tuple(Fr(n, big) for n in anchor))
+    assert math.gcd(key[1], *key[0]) == 1 and all(0 <= n < key[1] for n in key[0])
+    if next(c for c in w if c) <= 500:  # v* candidates to enumerate
+        assert tuple(Fr(n, key[1]) for n in key[0]) == enumerated_anchor(p.coords, w)[0]
 
 
 @settings(max_examples=150)
