@@ -8,13 +8,15 @@ re-check (AssertionError) exits 1 with an `error:` line, not 2 or a
 traceback.  Each command parses its own option strings, all of them before
 the moduli and winding are checked, so an argv with several bad values
 names the first one read.  Reports go to stdout (or --out, written
-atomically) and are byte-identical across repeated runs.
+atomically, with the mode a plain write would give) and are byte-identical
+across repeated runs.  Export CSVs are rewritten in place, not atomically.
 """
 
 import argparse
 import dataclasses
 import functools
 import os
+import stat
 import sys
 import tempfile
 import time
@@ -391,15 +393,30 @@ _COMMANDS = {
 }
 
 
+def _plain_write_mode(path: str) -> int:
+    """The mode `open(path, "w")` would leave: an existing file's own, else
+    0o666 less the umask (mkstemp's 0o600 would hide the report)."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _emit(text: str, out: str | None):
+    """Write the report to stdout, or atomically to out: a temporary file in
+    out's directory, given the plain-write mode, then renamed over out."""
     if out is None:
         sys.stdout.write(text)
         return
     directory = os.path.dirname(os.path.abspath(out)) or "."
+    mode = _plain_write_mode(out)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".fupcon-report-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+            os.fchmod(fh.fileno(), mode)
         os.replace(tmp, out)
     except BaseException:
         if os.path.exists(tmp):

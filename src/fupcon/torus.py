@@ -74,6 +74,7 @@ import csv
 import functools
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Iterator, Sequence
@@ -461,9 +462,18 @@ def segment_set_rows(s: SegmentSet) -> list[list[str]]:
 
 
 def write_segment_set_csv(s: SegmentSet, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerows(segment_set_rows(s))
+    """Write s to path as CSV, overwriting an existing file in place.
+
+    The rows are written from the start of the file, which is then cut to
+    their length: no truncate to zero first, which on some file systems
+    costs more than the write.  An existing path keeps its inode, mode and
+    hard links, and a symlink is followed; a new file gets 0o666 & ~umask.
+    The write is not atomic: a reader, or a crash, in the middle of it can
+    see new rows followed by the old file's tail."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        csv.writer(fh).writerows(segment_set_rows(s))
+        fh.truncate()
 
 
 def read_segment_set_csv(path) -> SegmentSet:

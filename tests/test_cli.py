@@ -1,21 +1,30 @@
 """In-process CLI tests: report shapes, determinism, exit codes."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import tempfile
 import time
+from datetime import timedelta
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import fupcon
 from fupcon import cli, hitting
 from fupcon.cli import main
-from fupcon.torus import _geodesics, apply_f_set
+from fupcon.torus import _geodesics, apply_f_set, read_segment_set_csv
 
+from test_cli_fuzz import IMAGE_STAGES, TOWER_LEVELS, VALID_MODULI, _int_list
 from test_tower import shifted_level
 
 CERTIFY = ["certify", "--moduli", "2,3", "--winding", "2,3", "--range", "0..3"]
@@ -525,6 +534,132 @@ def test_io_failure_exit_4(tmp_path, capsys):
     missing = tmp_path / "no" / "such" / "dir" / "r.json"
     assert main(CERTIFY + ["--out", str(missing)]) == 4
     capsys.readouterr()
+
+
+def test_export_onto_a_directory_exits_4(tmp_path, capsys):
+    target = str(tmp_path / "out" / "image_stage_1.csv")
+    os.makedirs(target)
+    argv = ["export", "--moduli", "2,3", "--winding", "1,1", "--image-n", "1",
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 21] Is a directory: {target!r}\n"
+
+
+def test_export_into_a_regular_file_exits_4(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.write_text("not a directory\n")
+    argv = ["export", "--moduli", "2,3", "--winding", "1,1", "--image-n", "1",
+            "--out-dir", str(out_dir)]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 17] File exists: {str(out_dir)!r}\n"
+    assert out_dir.read_text() == "not a directory\n"
+
+
+@pytest.fixture
+def umask_022():
+    old = os.umask(0o022)
+    try:
+        yield
+    finally:
+        os.umask(old)
+
+
+def test_out_report_has_the_mode_of_a_plain_write(tmp_path, capsys, umask_022):
+    # mkstemp makes its file 0o600; the renamed report must not keep that
+    fresh, kept = tmp_path / "fresh.json", tmp_path / "kept.json"
+    kept.write_text("old report\n")
+    kept.chmod(0o640)
+    for target in (fresh, kept):
+        assert main(CERTIFY + ["--out", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert stat.S_IMODE(fresh.stat().st_mode) == 0o644
+    assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+    assert kept.read_text() == fresh.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.json", "kept.json"]
+
+
+def _export(argv, out_dir):
+    """(exit code, {file name the report lists: the set the CLI wrote there})."""
+    built = {}
+    write = cli.write_segment_set_csv
+
+    def record(s, path):
+        built[os.path.basename(path)] = s
+        write(s, path)
+
+    stdout = io.StringIO()
+    with mock.patch.object(cli, "write_segment_set_csv", record), \
+            contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv + ["--out-dir", out_dir])
+    if code != 0:
+        return code, {}
+    listed = [os.path.basename(f) for f in json.loads(stdout.getvalue())["results"]["files"]]
+    assert sorted(listed) == sorted(built)
+    return code, built
+
+
+@st.composite
+def export_argvs(draw):
+    """An export argv with the fuzz test's windings, stages and
+    --tower-levels, on valid moduli and epsilons, under the default guard."""
+    moduli = draw(st.sampled_from(VALID_MODULI))
+    argv = ["export", "--moduli", moduli, "--winding", draw(_int_list(moduli.count(",") + 1))]
+    for n in draw(IMAGE_STAGES):
+        argv += ["--image-n", str(n)]
+    if draw(TOWER_LEVELS):
+        argv += ["--tower-levels", "--epsilon", draw(st.sampled_from(["1/2", "1", "1/4"]))]
+    return argv + ["--size-guard", "1000000"]
+
+
+@st.composite
+def export_pairs(draw):
+    """(A, B): half the time B is A with another winding, so that B rewrites
+    every file A wrote."""
+    a = draw(export_argvs())
+    if draw(st.booleans()):
+        return a, draw(export_argvs())
+    b = list(a)
+    b[4] = draw(_int_list(a[2].count(",") + 1))
+    return a, b
+
+
+SHRINKING_PAIR = (  # image_stage_3.csv and tower_level_06.csv go from 20 to 18 bytes
+    ["export", "--moduli", "2,3", "--winding", "5,7", "--image-n", "3",
+     "--tower-levels", "--epsilon", "1/2"],
+    ["export", "--moduli", "2,3", "--winding", "1,1", "--image-n", "3",
+     "--tower-levels", "--epsilon", "1/2"],
+)
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.too_slow])
+@given(export_pairs())
+@example(SHRINKING_PAIR)
+def test_re_export_equals_a_fresh_export(pair):
+    a, b = pair
+    with tempfile.TemporaryDirectory() as over, tempfile.TemporaryDirectory() as fresh:
+        _export(a, over)
+        code, built = _export(b, over)
+        assert _export(b, fresh) == (code, built)
+        for name, s in built.items():
+            data = Path(over, name).read_bytes()
+            assert data == Path(fresh, name).read_bytes(), (pair, name)
+            assert read_segment_set_csv(Path(over, name)) == s, (pair, name)
+
+
+def test_re_export_with_narrower_numbers_shortens_the_file(tmp_path):
+    a, b = SHRINKING_PAIR
+    assert _export(a, str(tmp_path))[0] == 0
+    before = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+    assert _export(b, str(tmp_path))[0] == 0
+    after = {p.name: p.stat().st_size for p in tmp_path.iterdir()}
+    for name in ("image_stage_3.csv", "tower_level_06.csv"):
+        assert (before[name], after[name]) == (20, 18), name
+    assert (tmp_path / "image_stage_3.csv").read_bytes().count(b"\n") == 1
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):

@@ -58,6 +58,8 @@ EPSILON = _mostly(
                      "1/1000000000000"]),
     st.sampled_from(["0", "-1/2", "1/0", "abc", "1//2"]),
 )
+IMAGE_STAGES = st.lists(STAGE, max_size=2)
+TOWER_LEVELS = st.booleans()
 LOOPS = _mostly(
     st.integers(min_value=1, max_value=3).flatmap(
         lambda r: st.lists(_int_list(r), min_size=r, max_size=r).map(";".join)),
@@ -86,9 +88,9 @@ def argvs(draw):
         if draw(st.booleans()):
             argv += ["--n1", str(draw(STAGE))]
     if command == "export":
-        for n in draw(st.lists(STAGE, max_size=2)):
+        for n in draw(IMAGE_STAGES):
             argv += ["--image-n", str(n)]
-        if draw(st.booleans()):
+        if draw(TOWER_LEVELS):
             argv.append("--tower-levels")
     guard = draw(_mostly(
         st.one_of(st.sampled_from([10**4, 3000, 500]), st.integers(1, 10**4)),

@@ -5,12 +5,14 @@ hashes; a change that alters a report on purpose updates them and says why."""
 import hashlib
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from fupcon import torus
 from fupcon.cli import main
 
 # name: (argv, exit code, stdout sha256, {written CSV: sha256})
@@ -271,6 +273,59 @@ def test_golden_report(name, tmp_path, monkeypatch, capsys):
     assert written == sorted(csv_shas)
     for fname, sha in csv_shas.items():
         assert _sha256((out / fname).read_bytes()) == sha, fname
+
+
+class _OsOpenSpy:
+    """The os module as fupcon.torus sees it, with every os.open call's
+    file name and flags recorded."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def open(self, path, flags, *rest, **kw):
+        self.calls.append((os.path.basename(path), flags))
+        return os.open(path, flags, *rest, **kw)
+
+
+# more rows, and more bytes, than any export golden writes to one file
+JUNK = b"junk,junk,junk,junk,junk,junk\r\n" * 50
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN if GOLDEN[n][0][0] == "export"))
+def test_golden_export_rewrites_existing_csvs_in_place(name, tmp_path, monkeypatch, capsys):
+    """Every export golden, run over CSVs of junk left at its file names:
+    the same hashes, the same files (the hard link reads the new bytes and
+    the 0o640 mode stays), and no os.open with O_TRUNC.  Without the spy, a
+    return to open(path, "w") would pass every other check."""
+    argv, code, stdout_sha, csv_shas = GOLDEN[name]
+    work = tmp_path / "work"
+    out = work / "out" if "--out-dir" in argv else work
+    out.mkdir(parents=True)
+    for fname in csv_shas:
+        (out / fname).write_bytes(JUNK)
+    linked = out / min(csv_shas)
+    linked.chmod(0o640)
+    link = tmp_path / "link.csv"
+    os.link(linked, link)
+    inode = linked.stat().st_ino
+    spy = _OsOpenSpy()
+    monkeypatch.setattr(torus, "os", spy)
+    monkeypatch.chdir(work)  # reports name the relative --out-dir
+    assert main(argv) == code
+    assert _sha256(capsys.readouterr().out.encode()) == stdout_sha
+    assert sorted(p.name for p in out.iterdir()) == sorted(csv_shas)
+    for fname, sha in csv_shas.items():
+        data = (out / fname).read_bytes()
+        assert _sha256(data) == sha, fname
+        assert data.count(b"\n") < JUNK.count(b"\n") and len(data) < len(JUNK), fname
+    assert link.read_bytes() == linked.read_bytes()
+    st = linked.stat()
+    assert (st.st_ino, st.st_nlink, stat.S_IMODE(st.st_mode)) == (inode, 2, 0o640)
+    assert sorted(fname for fname, _ in spy.calls) == sorted(csv_shas)
+    assert not any(flags & os.O_TRUNC for _, flags in spy.calls)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
